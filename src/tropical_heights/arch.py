@@ -73,7 +73,8 @@ def _find_real_q(j_target, disc_positive: bool, eps):
 
     j is monotone on each of the real branches q in (0, e^{-2 pi}] (values
     >= 1728) and q in [-e^{-pi}, 0) (values <= 1728), so bisection on |q|
-    suffices.  Near-boundary targets are clamped to the CM corner value.
+    suffices.  A real curve always has j on the branch of its discriminant
+    sign (1728 disc = c4^3 - c6^2), so a target off it raises.
     """
     j_target = mp.mpf(j_target)
     # j has critical points at the elliptic fixed points, so bisection
@@ -82,14 +83,12 @@ def _find_real_q(j_target, disc_positive: bool, eps):
         return mp.e ** (-2 * mp.pi) if disc_positive else -mp.e ** (-mp.pi)
     if j_target == 0 and not disc_positive:
         return -mp.e ** (-mp.pi * mp.sqrt(3))
+    if disc_positive != (j_target > 1728):
+        raise PrecisionError(f"j = {j_target} lies off the branch of the discriminant sign")
     if disc_positive:
-        if j_target < 1728:
-            j_target = mp.mpf(1728)
         hi = mp.e ** (-2 * mp.pi)  # CM corner j = 1728, tau = i
         sign = 1
     else:
-        if j_target > 1728:
-            j_target = mp.mpf(1728)
         hi = mp.e ** (-mp.pi)  # CM corner j = 1728, tau = (1 + i)/2
         sign = -1
     lo = mp.mpf(10) ** (-mp.mp.dps - 10)
@@ -130,7 +129,6 @@ class ArchContext:
     ell: mp.mpf                  # -log|q|
     scale2: mp.mpf               # alpha^2 relating normalized x-coordinates
     alpha3: complex              # alpha^3 (imaginary when scale2 < 0)
-    periods: tuple               # fundamental pair of the period lattice
 
     @property
     def twisted(self) -> bool:
@@ -167,7 +165,6 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
             ell=ell,
             scale2=scale2,
             alpha3=alpha**3,
-            periods=(mp.log(mp.mpc(q)) / alpha, 2j * mp.pi / alpha),
         )
         jq = _j_of_q(q, eps)
         if abs(jq - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):

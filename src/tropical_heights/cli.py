@@ -223,11 +223,11 @@ def cmd_global_height(args) -> int:
         "global_sum": report.global_sum,
         "doubling_oracle": report.oracle_value,
         "discrepancy": report.discrepancy,
-        "tolerance": args.tolerance,
+        "tolerance": config.tolerance,
         "checked_good_primes": list(report.checked_good_primes),
     }
     _emit(payload, args.format)
-    return 0 if report.discrepancy < args.tolerance else 4
+    return 0 if report.discrepancy < config.tolerance else 4
 
 
 def cmd_verify(args) -> int:

@@ -2,14 +2,15 @@
 law, standard invariants, and coordinate changes.
 
 A curve is y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with rational
-coefficients; all derived quantities (b2..b8, c4, c6, disc, j) are computed
-once at construction and are exact Fractions.
+coefficients; all derived quantities (b2..b8, c4, c6, disc, j) are exact
+Fractions, computed once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 
@@ -57,19 +58,19 @@ class WeierstrassCurve:
 
     # -- invariants ----------------------------------------------------------
 
-    @property
+    @cached_property
     def b2(self) -> Fraction:
         return self.a1**2 + 4 * self.a2
 
-    @property
+    @cached_property
     def b4(self) -> Fraction:
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @cached_property
     def b6(self) -> Fraction:
         return self.a3**2 + 4 * self.a6
 
-    @property
+    @cached_property
     def b8(self) -> Fraction:
         return (
             self.a1**2 * self.a6
@@ -79,20 +80,20 @@ class WeierstrassCurve:
             - self.a4**2
         )
 
-    @property
+    @cached_property
     def c4(self) -> Fraction:
         return self.b2**2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self) -> Fraction:
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
-    @property
+    @cached_property
     def j_invariant(self) -> Fraction:
         return self.c4**3 / self.discriminant
 

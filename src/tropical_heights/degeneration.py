@@ -181,7 +181,6 @@ class ComponentGroup:
     exponent: int
     representatives: list | None  # X*-vectors, one per element (or None)
     _transform: list = field(repr=False)        # U with U M V = diag
-    _transform_inv: list = field(repr=False)    # U^{-1}
     _diagonal: list = field(repr=False)         # full SNF diagonal incl. units
 
     @property
@@ -196,17 +195,12 @@ class ComponentGroup:
         image = mat_vec(self._transform, list(v))
         return tuple(int(x) % d for x, d in zip(image, self._diagonal))
 
-    def representative(self, residue) -> list:
-        return mat_vec(self._transform_inv, list(residue))
 
-
-def component_group(
-    data: DegenerationData, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND
-) -> ComponentGroup:
+def component_group(data: DegenerationData) -> ComponentGroup:
     """Component group of the degeneration via Smith normal form.
 
     Representatives are enumerated only when the order is at most
-    ``enumeration_bound``.
+    ``DEFAULT_ENUMERATION_BOUND``.
     """
     diag, u, _v = smith_normal_form(data.embedding)
     if any(d == 0 for d in diag):
@@ -218,7 +212,7 @@ def component_group(
     for d in diag:
         order *= d
     reps = None
-    if order <= enumeration_bound:
+    if order <= DEFAULT_ENUMERATION_BOUND:
         reps = []
         idx = [0] * len(diag)
         while True:
@@ -235,6 +229,5 @@ def component_group(
         exponent=exponent,
         representatives=reps,
         _transform=u,
-        _transform_inv=u_inv,
         _diagonal=diag,
     )

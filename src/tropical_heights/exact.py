@@ -337,9 +337,18 @@ class PadicElement:
 # ---------------------------------------------------------------------------
 
 
+def _reciprocal(c):
+    """1/c, kept an int when c = +-1 so that integer series stay integer."""
+    return c if c in (1, -1) else 1 / Fraction(c)
+
+
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series sum(c[i] x^i, i < truncation_order)."""
+    """Truncated power series sum(c[i] x^i, i < truncation_order).
+
+    Coefficients are ints or Fractions: integer series stay in int
+    arithmetic, which is exact and much cheaper than Fraction arithmetic.
+    """
 
     coefficients: tuple
     # truncation_order == len(coefficients); kept explicit per data contract
@@ -347,19 +356,19 @@ class PowerSeries:
 
     @classmethod
     def from_list(cls, coeffs, order: int | None = None) -> "PowerSeries":
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(coeffs)
         if order < len(coeffs):
             coeffs = coeffs[:order]
-        coeffs += [Fraction(0)] * (order - len(coeffs))
+        coeffs += [0] * (order - len(coeffs))
         return cls(tuple(coeffs), order)
 
     @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         return cls.from_list([0, 1], order)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int | Fraction:
         return self.coefficients[i]
 
     def __len__(self):
@@ -386,7 +395,7 @@ class PowerSeries:
                 [c * other for c in self.coefficients], self.truncation_order
             )
         n = min(self.truncation_order, other.truncation_order)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coefficients[:n]):
             if a == 0:
                 continue
@@ -403,13 +412,14 @@ class PowerSeries:
         if self[0] == 0:
             raise InputError("constant term is not a unit")
         n = self.truncation_order
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / self[0]
+        inv = [0] * n
+        inv[0] = _reciprocal(self[0])
         for k in range(1, n):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, k + 1):
-                acc += self[i] * inv[k - i]
-            inv[k] = -acc / self[0]
+                if self[i]:
+                    acc += self[i] * inv[k - i]
+            inv[k] = -acc * inv[0]
         return PowerSeries.from_list(inv, n)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
@@ -442,10 +452,10 @@ def series_compose_invert(s: PowerSeries) -> PowerSeries:
     if s.truncation_order < 2 or s[1] == 0:
         raise InputError("leading coefficient is not a unit")
     n = s.truncation_order
-    g = [Fraction(0), 1 / s[1]]
+    g = [0, _reciprocal(s[1])]
     for k in range(2, n):
-        partial = PowerSeries.from_list(g + [Fraction(0)], k + 1)
+        partial = PowerSeries.from_list(g + [0], k + 1)
         composed = s.truncate(k + 1).compose(partial)
         # coefficient of x^k in s(g + t x^k) is composed[k] + s1 * t
-        g.append(-composed[k] / s[1])
+        g.append(-composed[k] * g[1])
     return PowerSeries.from_list(g, n)

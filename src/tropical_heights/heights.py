@@ -24,9 +24,9 @@ from math import gcd, isqrt
 from .arch import arch_context, local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import AdditiveReductionError, InputError
-from .exact import INFINITY, is_prime, val_p
+from .exact import is_prime, val_p
 from .linalg import determinant
-from .tate import local_height_report, minimal_model_at, reduction_type
+from .tate import LocalModel, local_height_report
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,9 @@ class RunConfig:
     n_max: int = 10
     tolerance: float = 1e-6
     seed: int = 0
-    output_format: str = "table"
-    cvp_radius: int = 4  # box radius of the exhaustive verification oracle
 
     def __post_init__(self):
-        if (
-            self.precision_bits < 53
-            or self.n_max < 2
-            or self.tolerance <= 0
-            or self.cvp_radius < 1
-        ):
+        if self.precision_bits < 53 or self.n_max < 2 or self.tolerance <= 0:
             raise InputError("RunConfig bounds must be positive")
 
 
@@ -227,28 +220,24 @@ class GlobalHeightReport:
     checked_good_primes: tuple    # primes off the list verified to give 0
 
 
-def bad_primes(curve: WeierstrassCurve) -> list:
-    """Primes with v_p(minimal discriminant) > 0."""
+def _bad_models(curve: WeierstrassCurve) -> list:
+    """LocalModel at each prime with v_p(minimal discriminant) > 0."""
     primes = set()
     for name in ("a1", "a2", "a3", "a4", "a6"):
         primes.update(factorize(getattr(curve, name).denominator))
     primes.update(factorize(curve.discriminant.numerator))
     primes.update(factorize(curve.discriminant.denominator))
-    out = []
-    for p in sorted(primes):
-        minimal, _ = minimal_model_at(curve, p)
-        v = val_p(minimal.discriminant, p)
-        if v is not INFINITY and v > 0:
-            out.append(p)
-    return out
+    models = [LocalModel.at(curve, p) for p in sorted(primes)]
+    return [m for m in models if val_p(m.minimal.discriminant, m.prime) > 0]
+
+
+def bad_primes(curve: WeierstrassCurve) -> list:
+    """Primes with v_p(minimal discriminant) > 0."""
+    return [m.prime for m in _bad_models(curve)]
 
 
 def is_semistable(curve: WeierstrassCurve) -> bool:
-    for p in bad_primes(curve):
-        minimal, _ = minimal_model_at(curve, p)
-        if reduction_type(minimal, p).kind == "additive":
-            return False
-    return True
+    return all(m.reduction.kind != "additive" for m in _bad_models(curve))
 
 
 def place_list(curve: WeierstrassCurve, point: CurvePoint) -> list:

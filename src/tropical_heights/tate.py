@@ -8,8 +8,10 @@ valuation one); multiply by log p only at global assembly time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import (
@@ -72,53 +74,32 @@ def tate_a6_coefficients(order: int) -> list:
     return out
 
 
-def _poly_mul(a: list, b: list, order: int) -> list:
-    out = [0] * order
-    for i, x in enumerate(a[:order]):
-        if x == 0:
-            continue
-        for j in range(min(len(b), order - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
+def _integers(series: PowerSeries, what: str) -> list:
+    """The coefficients of ``series`` as ints; ``what`` names the identity
+    that guarantees they are integral."""
+    out = []
+    for c in series.coefficients:
+        if Fraction(c).denominator != 1:
+            raise AssertionError(f"{what} must stay integral")
+        out.append(int(c))
     return out
-
-
-def _poly_inverse(a: list, order: int) -> list:
-    if a[0] not in (1, -1):
-        raise InputError("constant term must be a unit for integer inversion")
-    inv = [0] * order
-    inv[0] = a[0]
-    for n in range(1, order):
-        acc = 0
-        for i in range(1, min(n, len(a) - 1) + 1):
-            if a[i]:
-                acc += a[i] * inv[n - i]
-        inv[n] = -a[0] * acc
-    return inv
 
 
 def discriminant_coefficients(order: int) -> list:
     """q-expansion of q prod (1-q^n)^24, computed as (E4^3 - E6^2)/1728."""
-    e4 = eisenstein4_coefficients(order)
-    e6 = eisenstein6_coefficients(order)
-    e4cubed = _poly_mul(_poly_mul(e4, e4, order), e4, order)
-    e6sq = _poly_mul(e6, e6, order)
-    out = []
-    for n in range(order):
-        num = e4cubed[n] - e6sq[n]
-        if num % 1728 != 0:
-            raise AssertionError("E4^3 - E6^2 must be divisible by 1728")
-        out.append(num // 1728)
-    return out
+    e4 = PowerSeries.from_list(eisenstein4_coefficients(order))
+    e6 = PowerSeries.from_list(eisenstein6_coefficients(order))
+    diff = _integers(e4 * e4 * e4 - e6 * e6, "E4^3 - E6^2")
+    if any(c % 1728 for c in diff):
+        raise AssertionError("E4^3 - E6^2 must be divisible by 1728")
+    return [c // 1728 for c in diff]
 
 
 def j_times_q_coefficients(order: int) -> list:
     """Integer expansion of q*j(q) = 1 + 744 q + 196884 q^2 + ..."""
-    e4 = eisenstein4_coefficients(order)
-    e4cubed = _poly_mul(_poly_mul(e4, e4, order), e4, order)
-    disc = discriminant_coefficients(order + 1)
-    disc_over_q = disc[1 : order + 1]
-    return _poly_mul(e4cubed, _poly_inverse(disc_over_q, order), order)
+    e4 = PowerSeries.from_list(eisenstein4_coefficients(order))
+    disc_over_q = PowerSeries.from_list(discriminant_coefficients(order + 1)[1:])
+    return _integers(e4 * e4 * e4 * disc_over_q.multiplicative_inverse(), "q j(q)")
 
 
 def inverse_j_coefficients(order: int) -> list:
@@ -126,16 +107,9 @@ def inverse_j_coefficients(order: int) -> list:
 
     Obtained by compositional inversion of w(q) = q / (q j(q)).
     """
-    jq = j_times_q_coefficients(order)
-    w = [0] + _poly_inverse(jq, order - 1 if order > 1 else 1)
-    series = PowerSeries.from_list(w, order)
-    inv = series_compose_invert(series)
-    out = []
-    for c in inv.coefficients:
-        if Fraction(c).denominator != 1:
-            raise AssertionError("reversion of w(q) must stay integral")
-        out.append(int(c))
-    return out
+    jq = PowerSeries.from_list(j_times_q_coefficients(order))
+    w = PowerSeries.identity(order) * jq.multiplicative_inverse()
+    return _integers(series_compose_invert(w), "reversion of w(q)")
 
 
 def _eval_int_series(coeffs: list, q: PadicElement) -> tuple:
@@ -189,12 +163,11 @@ class Transformation:
         return WeierstrassCurve.transform_point(p, self.u, self.r, self.s, self.t)
 
 
-def _vp(x: Fraction, p: int):
-    return val_p(Fraction(x), p)
+_COEFFS = ("a1", "a2", "a3", "a4", "a6")
 
 
 def _p_integral(curve: WeierstrassCurve, p: int) -> bool:
-    vals = [_vp(getattr(curve, n), p) for n in ("a1", "a2", "a3", "a4", "a6")]
+    vals = [val_p(getattr(curve, n), p) for n in _COEFFS]
     return all(v is INFINITY or v >= 0 for v in vals)
 
 
@@ -213,7 +186,7 @@ def minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
     # clear p from denominators
     worst = 0
     for i, name in ((1, "a1"), (2, "a2"), (3, "a3"), (4, "a4"), (6, "a6")):
-        v = _vp(getattr(curve, name), p)
+        v = val_p(getattr(curve, name), p)
         if v is not INFINITY and v < 0:
             need = (-v + i - 1) // i
             worst = max(worst, need)
@@ -223,8 +196,8 @@ def minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
         trans = trans.then(step)
 
     while True:
-        vd = _vp(cur.discriminant, p)
-        vc4 = _vp(cur.c4, p)
+        vd = val_p(cur.discriminant, p)
+        vc4 = val_p(cur.c4, p)
         if vd is INFINITY:
             raise InputError("singular curve")
         if vd < 12 or (vc4 is not INFINITY and vc4 < 4):
@@ -245,7 +218,8 @@ def minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
     return cur, trans
 
 
-def _mod_pk(x: Fraction, p: int, k: int) -> int:
+def _mod_p(x: Fraction, p: int, k: int = 1) -> int:
+    """Residue of a p-integral rational modulo p**k."""
     x = Fraction(x)
     m = p**k
     if x.denominator % p == 0:
@@ -268,17 +242,10 @@ def _substitution_candidates(curve: WeierstrassCurve, p: int):
         return
     inv2 = pow(2, -1, p**3)
     inv3 = pow(3, -1, p**2)
-    s = -_mod_pk(curve.a1, p, 1) * inv2 % p
-    r = (_mod_pk(curve.a2, p, 2) - s * s - s * _mod_pk(curve.a1, p, 2)) * (-inv3) % p**2
-    t = (-_mod_pk(curve.a3, p, 3) - r * _mod_pk(curve.a1, p, 3)) * inv2 % p**3
+    s = -_mod_p(curve.a1, p) * inv2 % p
+    r = (_mod_p(curve.a2, p, 2) - s * s - s * _mod_p(curve.a1, p, 2)) * (-inv3) % p**2
+    t = (-_mod_p(curve.a3, p, 3) - r * _mod_p(curve.a1, p, 3)) * inv2 % p**3
     yield r, s, t
-
-
-def _mod_p(x: Fraction, p: int) -> int:
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise InputError("reduction mod p of a non p-integral value")
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -298,13 +265,7 @@ class ReductionType:
 def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple:
     """The unique singular point of the reduced curve (multiplicative or
     additive reduction), as residues (x0, y0)."""
-    a1, a2, a3, a4, a6 = (
-        _mod_p(curve.a1, p),
-        _mod_p(curve.a2, p),
-        _mod_p(curve.a3, p),
-        _mod_p(curve.a4, p),
-        _mod_p(curve.a6, p),
-    )
+    a1, a2, a3, a4, a6 = (_mod_p(getattr(curve, n), p) for n in _COEFFS)
     for x in range(p):
         for y in range(p):
             on_curve = (
@@ -319,46 +280,84 @@ def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple:
     raise InputError("no singular point found; reduction is good")
 
 
-def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
-    """Reduction type of a p-minimal integral model.
+@dataclass(frozen=True)
+class LocalModel:
+    """What one place of one curve tells every local computation: the
+    p-minimal model, the transformation to it and the reduction type.
 
-    Split vs nonsplit: for p > 3, split iff -c6 is a square mod p; for
-    p in {2, 3}, by factoring the tangent-cone quadratic at the node.
+    Build it once per (curve, p) with ``LocalModel.at``.  The node of the
+    reduction is found on first use only, so points that reduce to the
+    origin never pay for the search.
     """
-    if not _p_integral(curve, p):
-        raise PreconditionError(f"curve is not p-integral at {p}")
-    minimal, _ = minimal_model_at(curve, p)
-    if _vp(minimal.discriminant, p) != _vp(curve.discriminant, p):
-        raise PreconditionError(f"curve is not p-minimal at {p}")
-    vd = _vp(curve.discriminant, p)
-    if vd is INFINITY:
-        raise InputError("singular curve")
-    if vd == 0:
-        return ReductionType("good", 0)
-    vc4 = _vp(curve.c4, p)
-    if vc4 is INFINITY or vc4 > 0:
-        return ReductionType("additive", vd)
-    # multiplicative; decide splitness
-    if p > 3:
-        val = _mod_p(-curve.c6, p)
-        split = pow(val, (p - 1) // 2, p) == 1
-    else:
-        x0, y0 = _singular_point_mod_p(curve, p)
-        shifted = curve.transform(1, x0, 0, y0)
-        a1 = _mod_p(shifted.a1, p)
-        a2 = _mod_p(shifted.a2, p)
-        # tangent cone at the node: T^2 + a1 T - a2
-        if p == 2:
-            if a1 % 2 == 0:
-                raise InputError("inseparable tangent cone at p=2; not a node")
-            split = a2 % 2 == 0  # T^2 + T + c reducible over F_2 iff c = 0
+
+    prime: int
+    minimal: WeierstrassCurve
+    transformation: Transformation  # input model -> minimal model
+
+    @classmethod
+    def at(cls, curve: WeierstrassCurve, p: int) -> "LocalModel":
+        minimal, trans = minimal_model_at(curve, p)
+        return cls(p, minimal, trans)
+
+    def require_minimal(self) -> "LocalModel":
+        """The model itself, if the input was already p-integral and
+        p-minimal (the transformation to the minimal model is the identity)."""
+        if self.transformation != Transformation.identity():
+            raise PreconditionError(
+                f"curve is not a p-integral p-minimal model at {self.prime}"
+            )
+        return self
+
+    @cached_property
+    def node(self) -> tuple:
+        """Residues (x0, y0) of the singular point of the reduction."""
+        return _singular_point_mod_p(self.minimal, self.prime)
+
+    @cached_property
+    def reduction(self) -> ReductionType:
+        """Reduction type of the minimal model.
+
+        Split vs nonsplit: for p > 3, split iff -c6 is a square mod p; for
+        p in {2, 3}, by factoring the tangent-cone quadratic at the node.
+        """
+        curve, p = self.minimal, self.prime
+        vd = val_p(curve.discriminant, p)
+        if vd == 0:
+            return ReductionType("good", 0)
+        vc4 = val_p(curve.c4, p)
+        if vc4 is INFINITY or vc4 > 0:
+            return ReductionType("additive", vd)
+        if p > 3:
+            split = pow(_mod_p(-curve.c6, p), (p - 1) // 2, p) == 1
         else:
-            disc = (a1 * a1 + 4 * a2) % 3
-            if disc == 0:
-                raise InputError("degenerate tangent cone; not a node")
-            split = disc == 1
-    kind = "split multiplicative" if split else "nonsplit multiplicative"
-    return ReductionType(kind, vd)
+            x0, y0 = self.node
+            shifted = curve.transform(1, x0, 0, y0)
+            a1 = _mod_p(shifted.a1, p)
+            a2 = _mod_p(shifted.a2, p)
+            # tangent cone at the node: T^2 + a1 T - a2
+            if p == 2:
+                if a1 % 2 == 0:
+                    raise InputError("inseparable tangent cone at p=2; not a node")
+                split = a2 % 2 == 0  # T^2 + T + c reducible over F_2 iff c = 0
+            else:
+                disc = (a1 * a1 + 4 * a2) % 3
+                if disc == 0:
+                    raise InputError("degenerate tangent cone; not a node")
+                split = disc == 1
+        kind = "split multiplicative" if split else "nonsplit multiplicative"
+        return ReductionType(kind, vd)
+
+
+def _multiplicative(model: LocalModel) -> ReductionType:
+    red = model.reduction
+    if not red.is_multiplicative:
+        raise PreconditionError(f"reduction at {model.prime} is not multiplicative")
+    return red
+
+
+def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
+    """Reduction type of a p-minimal integral model."""
+    return LocalModel.at(curve, p).require_minimal().reduction
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +376,7 @@ class LocalHeightReport:
 
     @property
     def real_value(self) -> float:
-        import math
-
         return float(self.lambda_v) * math.log(self.prime)
-
-
-def _x_valuation(point: CurvePoint, p: int):
-    if point.infinity:
-        raise PreconditionError("local height undefined at the origin")
-    return _vp(point.x, p)
 
 
 def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: int):
@@ -405,7 +396,9 @@ def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: i
 def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
     """max(0, -v_p(x)/2); odd negative valuations are impossible over Q_p
     when the point reduces into the smooth locus, so they signal a bug."""
-    v = _x_valuation(point, p)
+    if point.infinity:
+        raise PreconditionError("local height undefined at the origin")
+    v = val_p(point.x, p)
     if v is INFINITY or v >= 0:
         return Fraction(0)
     if v % 2 != 0:
@@ -413,26 +406,30 @@ def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
     return Fraction(-v, 2)
 
 
-def local_height_good(curve: WeierstrassCurve, p: int, point: CurvePoint) -> LocalHeightReport:
-    """Good reduction: the normalized local height is the intersection
-    multiplicity itself."""
-    if point.infinity:
-        raise PreconditionError("local height undefined at the origin")
-    red = reduction_type(curve, p)
-    if not red.is_good:
-        raise PreconditionError(f"curve does not have good reduction at {p}")
-    _require_on_curve(curve, p, point, 0)
-    i = intersection_multiplicity(point, p)
-    return LocalHeightReport(p, red, i, Fraction(0), i)
-
-
-def _has_singular_reduction(curve: WeierstrassCurve, p: int, point: CurvePoint) -> bool:
-    vx = _vp(point.x, p)
-    vy = _vp(point.y, p)
+def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
+    p = model.prime
+    vx = val_p(point.x, p)
+    vy = val_p(point.y, p)
     if (vx is not INFINITY and vx < 0) or (vy is not INFINITY and vy < 0):
         return False  # reduces to the origin, which is smooth
-    x0, y0 = _singular_point_mod_p(curve, p)
-    return _mod_p(point.x, p) == x0 and _mod_p(point.y, p) == y0
+    return (_mod_p(point.x, p), _mod_p(point.y, p)) == model.node
+
+
+def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
+    ell = model.reduction.multiplicity
+    if point.infinity:
+        raise PreconditionError("component index undefined at the origin")
+    if not _has_singular_reduction(model, point):
+        return Fraction(0)
+    curve = model.minimal
+    w = val_p(2 * point.y + curve.a1 * point.x + curve.a3, model.prime)
+    half = Fraction(ell, 2)
+    m = half if (w is INFINITY or w >= half) else Fraction(w)
+    if m.denominator != 1:
+        raise InputError(
+            f"non-integral component index {m} at p={model.prime}; inconsistent input"
+        )
+    return m
 
 
 def component_index(curve: WeierstrassCurve, p: int, point: CurvePoint) -> Fraction:
@@ -446,29 +443,14 @@ def component_index(curve: WeierstrassCurve, p: int, point: CurvePoint) -> Fract
     Validated against parameter-built Tate points, where v(z) is ground
     truth (see the test suite).
     """
-    red = reduction_type(curve, p)
-    if not red.is_multiplicative:
-        raise PreconditionError(f"reduction at {p} is not multiplicative")
-    ell = red.multiplicity
-    if point.infinity:
-        raise PreconditionError("component index undefined at the origin")
-    if not _has_singular_reduction(curve, p, point):
-        return Fraction(0)
-    w = _vp(2 * point.y + curve.a1 * point.x + curve.a3, p)
-    half = Fraction(ell, 2)
-    m = half if (w is INFINITY or w >= half) else Fraction(w)
-    if m.denominator != 1:
-        raise InputError(
-            f"non-integral component index {m} at p={p}; inconsistent input"
-        )
-    return m
+    model = LocalModel.at(curve, p).require_minimal()
+    _multiplicative(model)
+    return _component_index(model, point)
 
 
-def local_height_multiplicative(
-    curve: WeierstrassCurve, p: int, point: CurvePoint
-) -> LocalHeightReport:
-    """Normalized local height at a multiplicative place of a p-minimal
-    model: lambda' = i(x, D) + (ell/2) B2(m/ell) in v-units.
+def _local_height(model: LocalModel, point: CurvePoint) -> LocalHeightReport:
+    """lambda' = i(x, D) + (ell/2) B2(m/ell) in v-units on the minimal
+    model; at a good place ell = m = 0 and lambda' = i.
 
     Nonsplit places are handled by the same formulas, computed as over the
     unramified quadratic extension (same uniformizer and valuations), and
@@ -476,29 +458,44 @@ def local_height_multiplicative(
     """
     if point.infinity:
         raise PreconditionError("local height undefined at the origin")
-    red = reduction_type(curve, p)
-    if not red.is_multiplicative:
-        raise PreconditionError(f"reduction at {p} is not multiplicative")
+    p, red = model.prime, model.reduction
+    if red.kind == "additive":
+        raise AdditiveReductionError(f"additive reduction at {p} is out of scope")
     ell = red.multiplicity
-    _require_on_curve(curve, p, point, ell)
-    m = component_index(curve, p, point)
+    _require_on_curve(model.minimal, p, point, ell)
     i = intersection_multiplicity(point, p)
+    if red.is_good:
+        return LocalHeightReport(p, red, i, Fraction(0), i)
+    m = _component_index(model, point)
     lam = i + Fraction(ell, 2) * bernoulli2(m / ell)
     note = "" if red.kind == "split multiplicative" else "via unramified quadratic extension"
     return LocalHeightReport(p, red, i, m, lam, note)
 
 
+def local_height_good(curve: WeierstrassCurve, p: int, point: CurvePoint) -> LocalHeightReport:
+    """Good reduction: the normalized local height is the intersection
+    multiplicity itself."""
+    model = LocalModel.at(curve, p).require_minimal()
+    if not model.reduction.is_good:
+        raise PreconditionError(f"curve does not have good reduction at {p}")
+    return _local_height(model, point)
+
+
+def local_height_multiplicative(
+    curve: WeierstrassCurve, p: int, point: CurvePoint
+) -> LocalHeightReport:
+    """Normalized local height at a multiplicative place of a p-minimal
+    model: lambda' = i(x, D) + (ell/2) B2(m/ell) in v-units."""
+    model = LocalModel.at(curve, p).require_minimal()
+    _multiplicative(model)
+    return _local_height(model, point)
+
+
 def local_height_report(curve: WeierstrassCurve, p: int, point: CurvePoint) -> LocalHeightReport:
     """Normalized local height at p for any semistable place: minimalizes,
-    maps the point along, and dispatches on the reduction type."""
-    minimal, trans = minimal_model_at(curve, p)
-    moved = trans.push_point(point)
-    red = reduction_type(minimal, p)
-    if red.is_good:
-        return local_height_good(minimal, p, moved)
-    if red.is_multiplicative:
-        return local_height_multiplicative(minimal, p, moved)
-    raise AdditiveReductionError(f"additive reduction at {p} is out of scope")
+    maps the point along, and applies the formula of the reduction type."""
+    model = LocalModel.at(curve, p)
+    return _local_height(model, model.transformation.push_point(point))
 
 
 # ---------------------------------------------------------------------------

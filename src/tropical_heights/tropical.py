@@ -336,18 +336,13 @@ class QuantizationReport:
         return not self.violations
 
 
-def quantization_check(theta: TropicalTheta, modulus: int | None = None) -> QuantizationReport:
+def quantization_check(theta: TropicalTheta) -> QuantizationReport:
     """Check that the normalized theta takes values in (1/2N) Z on the
-    component group X*/Y, with N annihilating the group."""
+    component group X*/Y, with N its exponent."""
     group = component_group(theta.data)
     if group.representatives is None:
         raise InputError("component group too large to enumerate")
-    n = group.exponent if modulus is None else int(modulus)
-    if n % group.exponent != 0:
-        raise InputError(
-            f"modulus {n} does not annihilate the component group "
-            f"(exponent {group.exponent})"
-        )
+    n = group.exponent
     values = []
     violations = []
     for rep in group.representatives:

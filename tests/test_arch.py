@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from tropical_heights.arch import (
+    _find_real_q,
     arch_context,
     coordinates_from_uniformizer,
     elliptic_log,
@@ -12,7 +13,7 @@ from tropical_heights.arch import (
     local_height_from_uniformizer,
 )
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
-from tropical_heights.errors import InputError
+from tropical_heights.errors import InputError, PrecisionError
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -24,6 +25,15 @@ def test_context_reproduces_j():
         ctx = arch_context(curve, 128)
         assert abs(ctx.q) < math.exp(-math.pi) * 1.0000001
         assert (ctx.q > 0) == (curve.discriminant > 0)
+
+
+def test_j_off_the_branch_is_refused():
+    # j < 1728 needs disc < 0; a positive-branch request must not be clamped
+    eps = mp.mpf(2) ** -100
+    with pytest.raises(PrecisionError):
+        _find_real_q(1000, True, eps)
+    with pytest.raises(PrecisionError):
+        _find_real_q(5000, False, eps)
 
 
 def test_ell_is_model_invariant():

@@ -145,6 +145,15 @@ def test_global_height_command(curve_file, capsys):
     assert payload["places"][0]["prime"] == 37
 
 
+def test_global_height_tolerance_from_config(curve_file, capsys):
+    code = main(["--format", "json", "--tolerance", "1e-30", "global-height",
+                 curve_file, "--point", "0,0"])
+    assert code == 4
+    out = capsys.readouterr().out
+    assert '"tolerance": 1e-30' in out
+    assert json.loads(out)["discrepancy"] >= 1e-30
+
+
 def test_verify_command(capsys):
     code = main(["verify", "cvp", "--seed", "1"]) if False else main(
         ["--seed", "1", "verify", "cvp"]

@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropical_heights import tate
 from tropical_heights.curves import CurvePoint, WeierstrassCurve, naive_height
 from tropical_heights.errors import AdditiveReductionError, InputError
+from tropical_heights.exact import PadicElement
 from tropical_heights.heights import (
     RunConfig,
     bad_primes,
@@ -137,3 +139,40 @@ def test_lambda_vanishes_at_good_primes(semistable_examples):
         assert local_height_report(curve, p, point).lambda_v == 0
         checked += 1
     assert checked >= 5
+
+
+# -- per-place facts are worked out once ------------------------------------------
+
+
+def test_minimal_model_search_and_node_scan_counts(monkeypatch):
+    counts = {}
+
+    def count(name):
+        inner = getattr(tate, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(tate, name, wrapper)
+
+    count("minimal_model_at")
+    count("_singular_point_mod_p")
+
+    def run(call):
+        counts.update(minimal_model_at=0, _singular_point_mod_p=0)
+        call()
+        return counts["minimal_model_at"], counts["_singular_point_mod_p"]
+
+    # (5, 5) on 11a1 reduces to the node: one search, one scan
+    assert run(lambda: tate.local_height_report(E11, 11, CurvePoint.affine(5, 5))) == (1, 1)
+    # at p = 3 the split test and the component index read the same node
+    q = PadicElement.from_rational(3, 2 * 3**2, 30)
+    z = PadicElement.from_rational(3, 2 * 3, 30)
+    curve, point = tate.tate_curve(q), tate.tate_curve_point(q, z)
+    assert run(lambda: tate.local_height_multiplicative(curve, 3, point)) == (1, 1)
+    assert run(lambda: is_semistable(E11))[0] == 1
+    # disc = -431: one search in place_list, one for the report at 431 and
+    # one for each of the five good primes of the coverage tripwire
+    curve = WeierstrassCurve.from_coeffs(1, 0, 0, 0, -1)
+    assert run(lambda: global_height(curve, CurvePoint.affine(1, 0)))[0] == 7

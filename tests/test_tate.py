@@ -14,6 +14,7 @@ from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
 from tropical_heights.tate import (
     Transformation,
     component_index,
+    discriminant_coefficients,
     inverse_j_coefficients,
     j_from_parameter,
     j_times_q_coefficients,
@@ -198,6 +199,23 @@ def test_multiplicative_identity_component():
         assert report.lambda_v == F(5, 12)
 
 
+def test_non_minimal_models_rejected():
+    # integral but not minimal at 11 (a_i scaled by 11^i), and not integral
+    point = CurvePoint.affine(5, 5)
+    for u in (F(1, 11), 11):
+        curve = E11.transform(u, 0, 0, 0)
+        moved = WeierstrassCurve.transform_point(point, u, 0, 0, 0)
+        assert curve.contains(moved)
+        with pytest.raises(PreconditionError):
+            reduction_type(curve, 11)
+        with pytest.raises(PreconditionError):
+            component_index(curve, 11, moved)
+        with pytest.raises(PreconditionError):
+            local_height_multiplicative(curve, 11, moved)
+        # the minimalizing entry point still gives the height of 11a1
+        assert local_height_report(curve, 11, moved).lambda_v == F(1, 60)
+
+
 def test_additive_rejected():
     with pytest.raises(AdditiveReductionError):
         local_height_report(E_ADD, 2, CurvePoint.affine(0, 1))
@@ -214,6 +232,8 @@ def test_local_height_at_origin_rejected():
 def test_j_expansion_classical_coefficients():
     coeffs = j_times_q_coefficients(4)
     assert coeffs == [1, 744, 196884, 21493760]
+    # Ramanujan tau(1..5)
+    assert discriminant_coefficients(6) == [0, 1, -24, 252, -1472, 4830]
 
 
 def test_inverse_j_series_leading_terms():
