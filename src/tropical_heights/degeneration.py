@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 from .linalg import (
     determinant,
     int_matrix_inverse,
-    is_positive_definite,
     is_symmetric,
+    ldl_decompose,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -41,7 +42,7 @@ DEFAULT_ENUMERATION_BOUND = 10**6
 class DegenerationData:
     """Rank, lattice embedding, Gram matrix and linear part.
 
-    Immutable; derived matrices are computed once in ``__post_init__``.
+    Immutable; derived matrices are computed once, on first use.
     """
 
     rank: int
@@ -62,50 +63,51 @@ class DegenerationData:
             not isinstance(x, int) for x in self.linear_part
         ):
             raise InputError("linear_part must be a length-g integer vector")
-        if determinant(self.embedding) == 0:
+        if self.covolume == 0:
             raise InputError("embedding matrix must be nonsingular")
         if not is_symmetric(self.gram):
             raise InputError("gram matrix must be symmetric")
-        if not is_positive_definite(self.gram):
-            raise InputError("gram matrix must be positive definite")
-        minv = mat_inverse(self.embedding)
-        phi = mat_mul(transpose(minv), [[Fraction(x) for x in row] for row in self.gram])
-        for row in phi:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise InputError(
-                        "gram matrix incompatible with embedding: the induced "
-                        "polarization map M^{-T} G is not integral"
-                    )
+        try:
+            ldl_decompose(self.gram)
+        except InputError:
+            raise InputError("gram matrix must be positive definite") from None
+        self.polarization_matrix  # raises InputError unless F is integral
         for i in range(g):
             if (self.gram[i][i] + self.linear_part[i]) % 2 != 0:
                 raise InputError(
                     "parity violation: gram[i][i] + linear_part[i] must be even "
                     "for the trivialization valuation to be integer-valued"
                 )
-        object.__setattr__(self, "_embedding_inv", minv)
-        object.__setattr__(
-            self, "_polarization", [[int(x) for x in row] for row in phi]
-        )
 
     # -- derived matrices ----------------------------------------------------
 
-    @property
+    @cached_property
     def embedding_inverse(self) -> list:
-        return self._embedding_inv
+        return mat_inverse(self.embedding)
 
-    @property
+    @cached_property
     def polarization_matrix(self) -> list:
         """Integer matrix F = M^{-T} G mapping Y-coordinates into X."""
-        return self._polarization
+        phi = mat_mul(transpose(self.embedding_inverse), self.gram)
+        if any(x.denominator != 1 for row in phi for x in row):
+            raise InputError(
+                "gram matrix incompatible with embedding: the induced "
+                "polarization map M^{-T} G is not integral"
+            )
+        return [[x.numerator for x in row] for row in phi]
 
-    @property
+    @cached_property
     def covolume(self) -> int:
         return abs(int(determinant(self.embedding)))
+
+    @cached_property
+    def gram_inverse(self) -> list:
+        return mat_inverse(self.gram)
 
     def is_principally_polarized(self) -> bool:
         return abs(int(determinant(self.polarization_matrix))) == 1
 
+    @cached_property
     def inner_product_matrix(self) -> list:
         """Rational matrix H of the induced inner product on X*-coordinates:
         [mu, nu] = mu^T H nu, normalized so [Mw, Mw'] = w^T G w'."""
@@ -132,7 +134,7 @@ class DegenerationData:
         return nu0, w
 
     def inner_product(self, mu, nu) -> Fraction:
-        h = self.inner_product_matrix()
+        h = self.inner_product_matrix
         mu = [Fraction(x) for x in mu]
         nu = [Fraction(x) for x in nu]
         return sum(
@@ -154,16 +156,9 @@ def trivialization_valuation(data: DegenerationData, w) -> Fraction:
 
 
 def trivialization_valuation_real(data: DegenerationData, nu) -> Fraction:
-    """Unique quadratic extension of the lattice valuation to X*_Q.
-
-    Evaluates (t^T G t + l^T t)/2 with t the Y-coordinates of nu; restricted
-    to the lattice it agrees with ``trivialization_valuation``.
-    """
-    t = data.to_lattice_coords(nu)
-    g = data.gram
-    quad = sum(t[i] * g[i][j] * t[j] for i in range(data.rank) for j in range(data.rank))
-    lin = sum(a * b for a, b in zip(data.linear_part, t))
-    return (quad + lin) / 2
+    """Unique quadratic extension of the lattice valuation to X*_Q: the same
+    form evaluated at the rational Y-coordinates of nu."""
+    return trivialization_valuation(data, data.to_lattice_coords(nu))
 
 
 def automorphy_factor(data: DegenerationData, w, nu) -> Fraction:

@@ -1,7 +1,8 @@
 """Small exact linear algebra helpers over Z and Q.
 
 Everything here works on plain lists of lists of ints / Fractions; sizes in
-this package are tiny (ranks up to 4), so clarity beats asymptotics.
+this package are tiny (the cvp command and the benchmarks reach rank 6), so
+clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ def mat_inverse(m: Matrix) -> Matrix:
 def is_symmetric(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-
-
-def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester criterion with exact arithmetic."""
-    n = len(m)
-    return all(determinant([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(n))
 
 
 def ldl_decompose(g: Matrix) -> tuple[Matrix, Vector]:

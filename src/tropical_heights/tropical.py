@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .cvp import closest_lattice_point, floor_sqrt
@@ -32,7 +33,7 @@ from .errors import (
     InsufficientTermsError,
     NotPrincipallyPolarizedData,
 )
-from .linalg import mat_inverse, mat_vec
+from .linalg import mat_vec
 
 
 def _ceil_sqrt(x: Fraction) -> int:
@@ -129,19 +130,22 @@ class TropicalTheta:
                 out.append((u, self.terms[u]))
         return out
 
-    def _is_interior(self, u) -> bool:
-        f = self.data.polarization_matrix
+    @cached_property
+    def _shell_offsets(self) -> tuple:
+        """Offsets F s of the lattice translates s in [-margin, margin]^g,
+        s != 0, that a certified minimizer must have in the term list."""
         rng = range(-self.margin, self.margin + 1)
-        for shift in product(rng, repeat=self.data.rank):
-            if all(s == 0 for s in shift):
-                continue
-            moved = tuple(
-                u[i] + sum(f[i][j] * shift[j] for j in range(self.data.rank))
-                for i in range(self.data.rank)
-            )
-            if moved not in self.terms:
-                return False
-        return True
+        return tuple(
+            tuple(mat_vec(self.data.polarization_matrix, shift))
+            for shift in product(rng, repeat=self.data.rank)
+            if any(shift)
+        )
+
+    def _is_interior(self, u) -> bool:
+        return all(
+            tuple(a + b for a, b in zip(u, offset)) in self.terms
+            for offset in self._shell_offsets
+        )
 
     def value(self, nu) -> Fraction:
         """Tropicalized theta at nu, via reduction to the fundamental
@@ -175,7 +179,6 @@ def generate_theta_terms(
     data: DegenerationData,
     margin: int = 2,
     constant: Fraction | int = 0,
-    box_radius: int | None = None,
 ) -> TropicalTheta:
     """Build a certified-sufficient Fourier term list from (G, l).
 
@@ -187,18 +190,15 @@ def generate_theta_terms(
     that provably contains all minimizers.
     """
     g = data.rank
-    ginv = mat_inverse(data.gram)
+    ginv = data.gram_inverse
     h = [x / 2 for x in mat_vec(ginv, data.linear_part)]
     r2 = Fraction(sum(abs(x) for row in data.gram for x in row), 4)
-    if box_radius is None:
-        bounds = []
-        for i in range(g):
-            spread = max(abs(h[i]), abs(1 + h[i]))
-            coord = _ceil_sqrt(r2 * ginv[i][i])
-            extra = spread.numerator // spread.denominator + 1
-            bounds.append(extra + coord + margin)
-    else:
-        bounds = [int(box_radius)] * g
+    bounds = []
+    for i in range(g):
+        spread = max(abs(h[i]), abs(1 + h[i]))
+        coord = _ceil_sqrt(r2 * ginv[i][i])
+        extra = spread.numerator // spread.denominator + 1
+        bounds.append(extra + coord + margin)
     total = 1
     for b in bounds:
         total *= 2 * b + 1
@@ -292,9 +292,9 @@ def theta_characteristic(theta: TropicalTheta, grid_size: int = 50) -> ThetaChar
         raise NotPrincipallyPolarizedData(
             "polarization map is not unimodular; no theta characteristic"
         )
-    # Solve <F w, k> = l(w)/2 for all w, i.e. F^T (2k) = l.
-    ft = [list(row) for row in zip(*data.polarization_matrix)]
-    two_k = mat_vec(mat_inverse(ft), [Fraction(x) for x in data.linear_part])
+    # Solve <F w, k> = l(w)/2 for all w, i.e. F^T (2k) = l; F^T = G M^{-1},
+    # so 2k = M G^{-1} l.
+    two_k = mat_vec(data.embedding, mat_vec(data.gram_inverse, data.linear_part))
     for x in two_k:
         if Fraction(x).denominator != 1:
             raise NotPrincipallyPolarizedData("2k is not an integral vector")

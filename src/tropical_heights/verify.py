@@ -18,7 +18,7 @@ from .cvp import closest_lattice_point
 from .degeneration import DegenerationData, automorphy_factor, component_group
 from .errors import InputError, TropicalHeightsError
 from .exact import PadicElement
-from .linalg import determinant, mat_mul, transpose
+from .linalg import determinant, int_matrix_inverse, mat_mul, transpose
 from .tate import (
     local_height_from_parameter,
     local_height_multiplicative,
@@ -94,8 +94,7 @@ def random_principally_polarized(
         if abs(int(determinant(gram))) > max_det:
             continue
         f = random_unimodular(rng, rank)
-        f_inv_t = transpose_int_inverse(f)
-        m = mat_mul(f_inv_t, gram)
+        m = mat_mul(transpose(int_matrix_inverse(f)), gram)
         lin = [rng.randint(-6, 6) for _ in range(rank)]
         lin = [
             v if (v + gram[i][i]) % 2 == 0 else v + 1
@@ -110,12 +109,6 @@ def random_principally_polarized(
             )
         except TropicalHeightsError:
             continue
-
-
-def transpose_int_inverse(m):
-    from .linalg import int_matrix_inverse
-
-    return transpose(int_matrix_inverse(m))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from tropical_heights.linalg import (
     mat_mul,
     smith_normal_form,
 )
+from tropical_heights.verify import random_principally_polarized
 
 
 def test_validation_rejects_bad_data():
@@ -52,6 +53,28 @@ def test_trivialization_valuation_examples():
     assert trivialization_valuation_real(d, [F(5, 2)]) == F(-5, 8)
     # extension property: agrees on the lattice
     assert trivialization_valuation_real(d, [10]) == trivialization_valuation(d, [2])
+
+
+def test_quadratic_form_and_inner_product_ranks_1_to_4():
+    rng = random.Random(8)
+    for rank in (1, 2, 3, 4):
+        d = random_principally_polarized(rng, rank)
+        g, lin = d.gram, d.linear_part
+
+        def form(x, y):
+            return sum(x[i] * g[i][j] * y[j] for i in range(rank) for j in range(rank))
+
+        for _ in range(10):
+            a = [rng.randint(-5, 5) for _ in range(rank)]
+            b = [rng.randint(-5, 5) for _ in range(rank)]
+            t = [F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rank)]
+            assert trivialization_valuation_real(
+                d, d.from_lattice_coords(a)
+            ) == trivialization_valuation(d, a)
+            assert trivialization_valuation_real(d, d.from_lattice_coords(t)) == (
+                form(t, t) + sum(x * y for x, y in zip(lin, t))
+            ) / 2
+            assert d.inner_product(d.from_lattice_coords(a), d.from_lattice_coords(b)) == form(a, b)
 
 
 def test_cocycle_at_identity_and_example():

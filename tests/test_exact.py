@@ -11,10 +11,12 @@ from tropical_heights.exact import (
     PowerSeries,
     bernoulli2,
     format_rational,
+    is_prime,
     parse_rational,
     series_compose_invert,
     val_p,
 )
+from tropical_heights.heights import factorize
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97
@@ -32,6 +34,25 @@ def test_val_p_examples():
 def test_val_p_rejects_composite():
     with pytest.raises(InputError):
         val_p(F(1), 6)
+
+
+def test_is_prime_matches_sieve_below_1000():
+    sieve = [True] * 1000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 32):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 1000, i))
+    assert [n for n in range(1000) if is_prime(n)] == [
+        n for n in range(1000) if sieve[n]
+    ]
+
+
+def test_is_prime_rejects_psi12():
+    # smallest strong pseudoprime to the bases 2, ..., 37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_infinity_is_not_an_integer():

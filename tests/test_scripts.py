@@ -1,0 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_rank1_profile_script():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "scripts/rank1_profile.py", "5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "theta characteristic: k = -5/2, kappa = 5/2, r = -5/8" in result.stdout
+    assert (
+        "component-group values (all in (1/10)Z): 0, -2/5, -3/5, -3/5, -2/5"
+        in result.stdout
+    )

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank1_tate_data
+from tropical_heights import degeneration, linalg, tropical
 from tropical_heights.cvp import closest_lattice_point, quadratic_value
 from tropical_heights.degeneration import DegenerationData
 from tropical_heights.errors import (
@@ -288,3 +289,44 @@ def test_evaluation_grid_is_deterministic_and_reduced():
     for nu in grid1:
         t = d.to_lattice_coords(nu)
         assert all(0 <= x < 1 for x in t)
+
+
+# -- lattice facts are worked out once -------------------------------------------
+
+
+def test_linear_algebra_call_counts(monkeypatch):
+    counts = dict.fromkeys(("determinant", "mat_mul", "mat_inverse"), 0)
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # linalg's own names catch the calls linalg makes internally
+    for module in (linalg, degeneration, tropical):
+        for name in counts:
+            if hasattr(module, name):
+                count(module, name)
+
+    def run(call):
+        d = random_principally_polarized(random.Random(5), 3)
+        counts.update(determinant=0, mat_mul=0, mat_inverse=0)
+        call(d)
+        return counts
+
+    def construct(d):
+        DegenerationData(
+            rank=d.rank, embedding=d.embedding, gram=d.gram, linear_part=d.linear_part
+        )
+
+    def riemann_theta(d):
+        for i in range(10):
+            tropical_riemann_theta(d, [F(i, 7), F(2 * i - 3, 5), F(1, 3)])
+
+    assert run(construct)["determinant"] == 1
+    assert run(riemann_theta)["mat_mul"] == 2
+    assert run(lambda d: theta_characteristic(generate_theta_terms(d)))["mat_inverse"] == 1
