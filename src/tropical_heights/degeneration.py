@@ -110,9 +110,9 @@ class DegenerationData:
     @cached_property
     def inner_product_matrix(self) -> list:
         """Rational matrix H of the induced inner product on X*-coordinates:
-        [mu, nu] = mu^T H nu, normalized so [Mw, Mw'] = w^T G w'."""
-        minv = self.embedding_inverse
-        return mat_mul(transpose(minv), mat_mul(self.gram, minv))
+        [mu, nu] = mu^T H nu, normalized so [Mw, Mw'] = w^T G w'; that is,
+        H = M^{-T} G M^{-1} = F M^{-1}."""
+        return mat_mul(self.polarization_matrix, self.embedding_inverse)
 
     # -- coordinate helpers ---------------------------------------------------
 

@@ -262,32 +262,12 @@ class ReductionType:
         return self.kind.endswith("multiplicative")
 
 
-def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple:
-    """The unique singular point of the reduced curve (multiplicative or
-    additive reduction), as residues (x0, y0)."""
-    a1, a2, a3, a4, a6 = (_mod_p(getattr(curve, n), p) for n in _COEFFS)
-    for x in range(p):
-        for y in range(p):
-            on_curve = (
-                y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)
-            ) % p == 0
-            if not on_curve:
-                continue
-            dx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
-            dy = (2 * y + a1 * x + a3) % p
-            if dx == 0 and dy == 0:
-                return x, y
-    raise InputError("no singular point found; reduction is good")
-
-
 @dataclass(frozen=True)
 class LocalModel:
     """What one place of one curve tells every local computation: the
     p-minimal model, the transformation to it and the reduction type.
 
-    Build it once per (curve, p) with ``LocalModel.at``.  The node of the
-    reduction is found on first use only, so points that reduce to the
-    origin never pay for the search.
+    Build it once per (curve, p) with ``LocalModel.at``.
     """
 
     prime: int
@@ -309,16 +289,13 @@ class LocalModel:
         return self
 
     @cached_property
-    def node(self) -> tuple:
-        """Residues (x0, y0) of the singular point of the reduction."""
-        return _singular_point_mod_p(self.minimal, self.prime)
-
-    @cached_property
     def reduction(self) -> ReductionType:
         """Reduction type of the minimal model.
 
-        Split vs nonsplit: for p > 3, split iff -c6 is a square mod p; for
-        p in {2, 3}, by factoring the tangent-cone quadratic at the node.
+        Split vs nonsplit: split iff -c6, a unit here, is a square in Q_p,
+        i.e. -c6 = 1 mod 8 at p = 2 and Euler's criterion at odd p
+        (Silverman, Advanced Topics V.5.3: gamma = -c4/c6 is a square, and
+        c4 is a square at a multiplicative place).
         """
         curve, p = self.minimal, self.prime
         vd = val_p(curve.discriminant, p)
@@ -327,23 +304,10 @@ class LocalModel:
         vc4 = val_p(curve.c4, p)
         if vc4 is INFINITY or vc4 > 0:
             return ReductionType("additive", vd)
-        if p > 3:
-            split = pow(_mod_p(-curve.c6, p), (p - 1) // 2, p) == 1
+        if p == 2:
+            split = _mod_p(-curve.c6, 2, 3) == 1
         else:
-            x0, y0 = self.node
-            shifted = curve.transform(1, x0, 0, y0)
-            a1 = _mod_p(shifted.a1, p)
-            a2 = _mod_p(shifted.a2, p)
-            # tangent cone at the node: T^2 + a1 T - a2
-            if p == 2:
-                if a1 % 2 == 0:
-                    raise InputError("inseparable tangent cone at p=2; not a node")
-                split = a2 % 2 == 0  # T^2 + T + c reducible over F_2 iff c = 0
-            else:
-                disc = (a1 * a1 + 4 * a2) % 3
-                if disc == 0:
-                    raise InputError("degenerate tangent cone; not a node")
-                split = disc == 1
+            split = pow(_mod_p(-curve.c6, p), (p - 1) // 2, p) == 1
         kind = "split multiplicative" if split else "nonsplit multiplicative"
         return ReductionType(kind, vd)
 
@@ -412,13 +376,17 @@ def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
     vy = val_p(point.y, p)
     if (vx is not INFINITY and vx < 0) or (vy is not INFINITY and vy < 0):
         return False  # reduces to the origin, which is smooth
-    return (_mod_p(point.x, p), _mod_p(point.y, p)) == model.node
+    # a point of the curve reduces onto the reduced curve, whose one
+    # singular point is where both partial derivatives vanish
+    x, y = _mod_p(point.x, p), _mod_p(point.y, p)
+    a1, a2, a3, a4 = (_mod_p(getattr(model.minimal, n), p) for n in _COEFFS[:4])
+    dx = a1 * y - 3 * x * x - 2 * a2 * x - a4
+    dy = 2 * y + a1 * x + a3
+    return dx % p == 0 and dy % p == 0
 
 
 def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
     ell = model.reduction.multiplicity
-    if point.infinity:
-        raise PreconditionError("component index undefined at the origin")
     if not _has_singular_reduction(model, point):
         return Fraction(0)
     curve = model.minimal
@@ -444,7 +412,10 @@ def component_index(curve: WeierstrassCurve, p: int, point: CurvePoint) -> Fract
     truth (see the test suite).
     """
     model = LocalModel.at(curve, p).require_minimal()
-    _multiplicative(model)
+    ell = _multiplicative(model).multiplicity
+    if point.infinity:
+        raise PreconditionError("component index undefined at the origin")
+    _require_on_curve(model.minimal, p, point, ell)
     return _component_index(model, point)
 
 

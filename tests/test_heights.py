@@ -144,35 +144,30 @@ def test_lambda_vanishes_at_good_primes(semistable_examples):
 # -- per-place facts are worked out once ------------------------------------------
 
 
-def test_minimal_model_search_and_node_scan_counts(monkeypatch):
-    counts = {}
+def test_minimal_model_search_counts(monkeypatch):
+    counts = {"minimal_model_at": 0}
+    inner = tate.minimal_model_at
 
-    def count(name):
-        inner = getattr(tate, name)
+    def wrapper(*args):
+        counts["minimal_model_at"] += 1
+        return inner(*args)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(tate, name, wrapper)
-
-    count("minimal_model_at")
-    count("_singular_point_mod_p")
+    monkeypatch.setattr(tate, "minimal_model_at", wrapper)
 
     def run(call):
-        counts.update(minimal_model_at=0, _singular_point_mod_p=0)
+        counts["minimal_model_at"] = 0
         call()
-        return counts["minimal_model_at"], counts["_singular_point_mod_p"]
+        return counts["minimal_model_at"]
 
-    # (5, 5) on 11a1 reduces to the node: one search, one scan
-    assert run(lambda: tate.local_height_report(E11, 11, CurvePoint.affine(5, 5))) == (1, 1)
-    # at p = 3 the split test and the component index read the same node
+    # (5, 5) on 11a1 reduces to the singular point: one search
+    assert run(lambda: tate.local_height_report(E11, 11, CurvePoint.affine(5, 5))) == 1
+    # at p = 3 the split test and the component index read the same model
     q = PadicElement.from_rational(3, 2 * 3**2, 30)
     z = PadicElement.from_rational(3, 2 * 3, 30)
     curve, point = tate.tate_curve(q), tate.tate_curve_point(q, z)
-    assert run(lambda: tate.local_height_multiplicative(curve, 3, point)) == (1, 1)
-    assert run(lambda: is_semistable(E11))[0] == 1
+    assert run(lambda: tate.local_height_multiplicative(curve, 3, point)) == 1
+    assert run(lambda: is_semistable(E11)) == 1
     # disc = -431: one search in place_list, one for the report at 431 and
     # one for each of the five good primes of the coverage tripwire
     curve = WeierstrassCurve.from_coeffs(1, 0, 0, 0, -1)
-    assert run(lambda: global_height(curve, CurvePoint.affine(1, 0)))[0] == 7
+    assert run(lambda: global_height(curve, CurvePoint.affine(1, 0))) == 7

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -94,15 +95,14 @@ def test_reduction_types_basic():
     assert reduction_type(E_ADD, 3).kind == "additive"
 
 
-def _count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
-    """Naive point count of the reduced curve, singular point excluded."""
+def _reduced_points(curve: WeierstrassCurve, p: int):
+    """Affine points (x, y, singular) of the reduced curve, by brute force."""
     def md(x):
         x = F(x)
         return x.numerator * pow(x.denominator, -1, p) % p
 
     a1, a2, a3, a4, a6 = (md(curve.a1), md(curve.a2), md(curve.a3),
                           md(curve.a4), md(curve.a6))
-    count = 1  # the origin
     for x in range(p):
         for y in range(p):
             if (y * y + a1 * x * y + a3 * y
@@ -110,43 +110,88 @@ def _count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
                 continue
             dx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
             dy = (2 * y + a1 * x + a3) % p
-            if dx == 0 and dy == 0:
+            yield x, y, dx == 0 and dy == 0
+
+
+def _count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
+    """Naive point count of the reduced curve, singular point excluded."""
+    return 1 + sum(1 for _, _, singular in _reduced_points(curve, p) if not singular)
+
+
+def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple:
+    """Residues (x0, y0) of the one singular point of a bad reduction."""
+    (point,) = [(x, y) for x, y, singular in _reduced_points(curve, p) if singular]
+    return point
+
+
+def _integral_points(curve: WeierstrassCurve, bound: int):
+    """Integral points of an integral model with |x| <= bound."""
+    a1, a2, a3, a4, a6 = (int(getattr(curve, n)) for n in ("a1", "a2", "a3", "a4", "a6"))
+    for x in range(-bound, bound + 1):
+        b, c = a1 * x + a3, -(x**3 + a2 * x * x + a4 * x + a6)
+        disc = b * b - 4 * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            continue
+        for root in {math.isqrt(disc), -math.isqrt(disc)}:
+            if (root - b) % 2 == 0:
+                yield CurvePoint.affine(x, (root - b) // 2)
+
+
+_BAD_REDUCTION_CURVES = [
+    (0, 0, 1, -1, 0), (0, -1, 1, -10, -20), (1, 0, 0, 0, -1),
+    (1, 0, 0, 0, 5), (1, 0, 1, -5, -8), (1, -1, 1, -10, -10),
+    (1, 1, 0, -4, 4), (1, 0, 0, -2, -7), (0, 1, 1, -7, 5),
+    (1, 0, 0, 3, -5), (1, 0, 1, 2, 2), (1, 1, 1, -3, 3),
+    (0, 1, 1, -2, 0), (1, -1, 0, -4, 4), (1, 0, 0, -6, 9),
+    (1, 1, 0, 5, -5), (0, -1, 1, -5, 8), (1, 0, 1, -7, -6),
+]
+
+
+def _multiplicative_places(bound: int):
+    """(minimal model, p) at each multiplicative p <= bound of the curves
+    above."""
+    from tropical_heights.heights import factorize
+
+    for coeffs in _BAD_REDUCTION_CURVES:
+        try:
+            curve = WeierstrassCurve.from_coeffs(*coeffs)
+        except InputError:
+            continue
+        for p in factorize(abs(curve.discriminant.numerator)):
+            if p > bound:
                 continue
-            count += 1
-    return count
+            minimal, _ = minimal_model_at(curve, p)
+            if reduction_type(minimal, p).is_multiplicative:
+                yield minimal, p
 
 
 def test_split_test_against_point_count():
     # multiplicative reduction: #E^ns(F_p) = p - 1 split, p + 1 nonsplit
     cases = 0
-    for a1, a2, a3, a4, a6 in [
-        (0, 0, 1, -1, 0), (0, -1, 1, -10, -20), (1, 0, 0, 0, -1),
-        (1, 0, 0, 0, 5), (1, 0, 1, -5, -8), (1, -1, 1, -10, -10),
-        (1, 1, 0, -4, 4), (1, 0, 0, -2, -7), (0, 1, 1, -7, 5),
-        (1, 0, 0, 3, -5), (1, 0, 1, 2, 2), (1, 1, 1, -3, 3),
-        (0, 1, 1, -2, 0), (1, -1, 0, -4, 4), (1, 0, 0, -6, 9),
-        (1, 1, 0, 5, -5), (0, -1, 1, -5, 8), (1, 0, 1, -7, -6),
-    ]:
-        try:
-            curve = WeierstrassCurve.from_coeffs(a1, a2, a3, a4, a6)
-        except InputError:
-            continue
-        from tropical_heights.heights import factorize
-
-        for p in factorize(abs(curve.discriminant.numerator)):
-            if p > 60:
-                continue
-            minimal, _ = minimal_model_at(curve, p)
-            red = reduction_type(minimal, p)
-            if not red.is_multiplicative:
-                continue
-            count = _count_points_mod_p(minimal, p)
-            expected_split = count == p - 1
-            assert (red.kind == "split multiplicative") == expected_split, (
-                a1, a2, a3, a4, a6, p, count, red.kind,
-            )
-            cases += 1
+    for minimal, p in _multiplicative_places(60):
+        red = reduction_type(minimal, p)
+        count = _count_points_mod_p(minimal, p)
+        expected_split = count == p - 1
+        assert (red.kind == "split multiplicative") == expected_split, (
+            minimal, p, count, red.kind,
+        )
+        cases += 1
     assert cases >= 20
+
+
+def test_singular_reduction_against_residue_scan():
+    # a point has a nonzero component index exactly when it reduces to the
+    # singular point that the brute-force scan finds
+    at_node = {2: 0, 3: 0, "p >= 5": 0}
+    for minimal, p in _multiplicative_places(60):
+        node = _singular_point_mod_p(minimal, p)
+        for point in _integral_points(minimal, 40):
+            reduces_to_node = (point.x % p, point.y % p) == node
+            assert (component_index(minimal, p, point) != 0) == reduces_to_node, (
+                minimal, p, point,
+            )
+            at_node[p if p <= 3 else "p >= 5"] += reduces_to_node
+    assert all(at_node.values()), at_node
 
 
 # -- local heights at good and multiplicative places -------------------------------
@@ -383,6 +428,13 @@ def test_component_index_matches_parameter_valuation():
         assert m == min(vz, ell - vz), (p, ell, vz, m)
 
 
+def test_component_index_rejects_points_off_the_curve():
+    # (3, 5) is not on 11a1, yet both partials vanish there mod 11
+    assert not E11.contains(CurvePoint.affine(3, 5))
+    with pytest.raises(InputError):
+        component_index(E11, 11, CurvePoint.affine(3, 5))
+
+
 def test_component_index_cancellation_case():
     """Middle component with engineered cancellation in 2y + x: the naive
     min(w, ell - w) would fail here; the cap keeps it right."""
@@ -418,6 +470,19 @@ def test_dual_route_exact_equality():
         neg = curve.negate(point)
         neg_report = local_height_multiplicative(curve, p, neg)
         assert neg_report.lambda_v == report.lambda_v
+
+
+def test_dual_route_at_a_large_prime():
+    # at p = 100003 no step may scan the residues mod p
+    p = 100003
+    for ell in (2, 3):
+        q = PadicElement.from_rational(p, 2 * p**ell, 30)
+        curve = tate_curve(q)
+        for vz in range(ell):
+            z = PadicElement.from_rational(p, 3 * p**vz, 30)
+            report = local_height_multiplicative(curve, p, tate_curve_point(q, z))
+            assert local_height_from_parameter(q, z) == report.lambda_v
+            assert report.component == min(vz, ell - vz)
 
 
 def test_tate_normalization_limit_nonarchimedean():
