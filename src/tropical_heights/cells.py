@@ -39,9 +39,9 @@ class CellComplex:
         return pts
 
 
-def _window_corners(data, low=-1, high=2):
-    """Corners of the lattice window {M t : t in [low, high]^2}, CCW."""
-    corners_t = [(low, low), (high, low), (high, high), (low, high)]
+def _window_corners(data):
+    """Corners of the lattice window {M t : t in [-1, 2]^2}, CCW."""
+    corners_t = [(-1, -1), (2, -1), (2, 2), (-1, 2)]
     pts = [tuple(mat_vec(data.embedding, [Fraction(a), Fraction(b)])) for a, b in corners_t]
     area2 = _polygon_area2(pts)
     if area2 < 0:

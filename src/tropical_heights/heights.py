@@ -269,9 +269,7 @@ def global_height(
         )
     ctx = arch_context(curve, config.precision_bits)
     arch_value = local_height_arch(ctx, point)
-    total = arch_value + sum(
-        float(rep.lambda_v) * math.log(rep.prime) for rep in reports
-    )
+    total = arch_value + sum(rep.real_value for rep in reports)
     oracle = doubling_oracle(curve, point, config.n_max)
     # place coverage tripwire: lambda' vanishes at good primes off the list
     rng = random.Random(config.seed)
@@ -302,11 +300,11 @@ def global_height(
 # ---------------------------------------------------------------------------
 
 
-def _rational_points_small(curve: WeierstrassCurve, x_range=24) -> list:
-    """Small search for rational points: integer x and a few quarter and
-    ninth denominators."""
+def _rational_points_small(curve: WeierstrassCurve) -> list:
+    """Small search for rational points: integer x with |x| <= 12 and a few
+    quarter and ninth denominators."""
     points = []
-    xs = [Fraction(n) for n in range(-x_range, x_range + 1)]
+    xs = [Fraction(n) for n in range(-12, 13)]
     xs += [Fraction(n, 4) for n in range(-4 * 8, 4 * 8 + 1) if n % 4]
     xs += [Fraction(n, 9) for n in range(-9 * 5, 9 * 5 + 1) if n % 9]
     for x in xs:
@@ -359,7 +357,7 @@ def find_semistable_examples(
                     if not is_semistable(curve):
                         continue
                     point = None
-                    for cand in _rational_points_small(curve, x_range=12):
+                    for cand in _rational_points_small(curve):
                         order = curve.torsion_order(cand)
                         if want_torsion and order is not None and order > 1:
                             point = cand

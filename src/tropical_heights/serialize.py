@@ -13,7 +13,6 @@ Schemas:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .curves import CurvePoint, WeierstrassCurve
@@ -24,10 +23,22 @@ from .tate import LocalHeightReport
 from .tropical import TropicalTheta
 
 
+def _exact_int(x, name):
+    """An integer field: a value that is not exactly an integer (5.7, "1/2")
+    is refused, never truncated."""
+    try:
+        value = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"{name} must be an integer, not {x!r}") from exc
+    if value.denominator != 1:
+        raise InputError(f"{name} must be an integer, not {x!r}")
+    return value.numerator
+
+
 def _int_matrix(obj, name):
     try:
-        return [[int(x) for x in row] for row in obj]
-    except (TypeError, ValueError) as exc:
+        return [[_exact_int(x, name) for x in row] for row in obj]
+    except TypeError as exc:
         raise InputError(f"{name} must be an integer matrix") from exc
 
 
@@ -42,10 +53,10 @@ def degeneration_to_dict(data: DegenerationData) -> dict:
 
 def degeneration_from_dict(obj: dict) -> DegenerationData:
     try:
-        rank = int(obj["rank"])
+        rank = _exact_int(obj["rank"], "rank")
         emb = _int_matrix(obj["embedding_matrix"], "embedding_matrix")
         gram = _int_matrix(obj["gram"], "gram")
-        lin = [int(x) for x in obj["linear_part"]]
+        lin = [_exact_int(x, "linear_part") for x in obj["linear_part"]]
     except KeyError as exc:
         raise InputError(f"missing field {exc} in degeneration data") from exc
     except (TypeError, ValueError) as exc:
@@ -67,11 +78,13 @@ def theta_to_dict(theta: TropicalTheta) -> dict:
 def theta_from_dict(obj: dict) -> TropicalTheta:
     try:
         data = degeneration_from_dict(obj["degeneration"])
-        terms = {
-            tuple(int(x) for x in item["u"]): parse_rational(str(item["a"]))
-            for item in obj["terms"]
-        }
-        margin = int(obj.get("margin", 1))
+        terms = {}
+        for item in obj["terms"]:
+            u = tuple(_exact_int(x, "u") for x in item["u"])
+            if u in terms:
+                raise InputError(f"duplicate Fourier index {u}")
+            terms[u] = parse_rational(str(item["a"]))
+        margin = _exact_int(obj.get("margin", 1), "margin")
     except KeyError as exc:
         raise InputError(f"missing field {exc} in theta data") from exc
     except (TypeError, ValueError) as exc:
@@ -123,7 +136,7 @@ def local_report_to_dict(report: LocalHeightReport) -> dict:
         "intersection": format_rational(report.intersection),
         "component": format_rational(report.component),
         "lambda_v_units": format_rational(report.lambda_v),
-        "lambda_real": float(report.lambda_v) * math.log(report.prime),
+        "lambda_real": report.real_value,
         "haar_integral_v_units": format_rational(Fraction(ell, 12)),
         "note": report.note,
     }

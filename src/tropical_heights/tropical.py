@@ -15,6 +15,7 @@ a wrong minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,67 +69,30 @@ class TropicalTheta:
                 raise InputError(f"duplicate Fourier index {key}")
             clean[key] = Fraction(a)
         object.__setattr__(self, "terms", clean)
-        try:
-            floats = [(float(a), u) for u, a in clean.items()]
-        except OverflowError:
-            floats = None  # fall back to exact-only scans
-        object.__setattr__(self, "_float_terms", floats)
 
     # -- evaluation ----------------------------------------------------------
 
+    @cached_property
+    def _scaled_terms(self) -> tuple:
+        """The term list over its common denominator D: D, the integers
+        D a_u, and the Fourier indices in column layout (one tuple per
+        coordinate), all in term-dict order."""
+        d = math.lcm(*(a.denominator for a in self.terms.values()))
+        coeffs = [a.numerator * (d // a.denominator) for a in self.terms.values()]
+        return d, coeffs, tuple(zip(*self.terms))
+
     def _min_term(self, nu0):
-        """Exact minimum over the term list.
-
-        Large lists are pre-screened in floating point with a conservative
-        error margin; the winner is still decided by exact comparisons, so
-        the result is certified.  Falls back to a full exact scan whenever
-        the float path misbehaves (overflow, NaN).
-        """
-        items = self.terms.items()
-        if self._float_terms is not None and len(self.terms) > 64:
-            shortlist = self._float_shortlist(nu0)
-            if shortlist is not None:
-                items = shortlist
-        best = None
-        best_u = None
-        for u, a in items:
-            val = a + sum(Fraction(ui) * x for ui, x in zip(u, nu0))
-            if best is None or val < best:
-                best, best_u = val, [u]
-            elif val == best:
-                best_u.append(u)
-        return best, best_u
-
-    def _float_shortlist(self, nu0):
-        import math
-
-        nu_f = [float(x) for x in nu0]
-        g = len(nu_f)
-        fmin = math.inf
-        scale = 1.0
-        values = []
-        for a_f, u in self._float_terms:
-            acc = a_f
-            mag = abs(a_f)
-            for ui, xf in zip(u, nu_f):
-                prod = ui * xf
-                acc += prod
-                mag += abs(prod)
-            values.append(acc)
-            if not math.isfinite(acc):
-                return None
-            if acc < fmin:
-                fmin = acc
-            if mag > scale:
-                scale = mag
-        # |float - exact| <= (g + 2) eps scale, doubled for safety
-        margin = 2 * (g + 2) * 2.3e-16 * scale
-        cutoff = fmin + margin
-        out = []
-        for acc, (a_f, u) in zip(values, self._float_terms):
-            if acc <= cutoff:
-                out.append((u, self.terms[u]))
-        return out
+        """Exact minimum over the term list and its argmins in term-dict
+        order, by one integer scan: every value a_u + <u, nu0> is scaled by
+        D times the common denominator of nu0."""
+        d, coeffs, columns = self._scaled_terms
+        den = math.lcm(*(x.denominator for x in nu0))
+        acc = [c * den for c in coeffs]
+        for column, x in zip(columns, nu0):
+            step = d * x.numerator * (den // x.denominator)
+            acc = [s + ui * step for s, ui in zip(acc, column)]
+        low = min(acc)
+        return Fraction(low, d * den), [u for u, s in zip(self.terms, acc) if s == low]
 
     @cached_property
     def _shell_offsets(self) -> tuple:
@@ -163,16 +127,6 @@ class TropicalTheta:
         """Lattice-invariant normalization: value + quadratic extension."""
         nu = [Fraction(x) for x in nu]
         return self.value(nu) + trivialization_valuation_real(self.data, nu)
-
-    def active_term(self, nu) -> tuple:
-        """A minimizing Fourier index at the reduced point (for cell
-        bookkeeping); prefers an interior one."""
-        nu0, _ = self.data.reduce_mod_lattice([Fraction(x) for x in nu])
-        _, argmins = self._min_term(nu0)
-        for u in argmins:
-            if self._is_interior(u):
-                return u
-        raise InsufficientTermsError(nu0)
 
 
 def generate_theta_terms(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rank1_tate_data
 from tropical_heights.cli import main
+from tropical_heights.errors import InputError
 from tropical_heights.serialize import (
     curve_from_dict,
     curve_to_dict,
@@ -87,6 +88,49 @@ def test_trop_eval_malformed_json(tmp_path, capsys):
 
 def test_trop_eval_missing_file():
     assert main(["trop-eval", "/nonexistent/theta.json", "--points", "0"]) == 2
+
+
+def test_trop_eval_duplicate_fourier_index(theta_file, tmp_path, capsys):
+    payload = json.loads(open(theta_file).read())
+    payload["terms"] = [{"u": [0], "a": "0"}, {"u": [0], "a": "-7"}]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(payload))
+    assert main(["trop-eval", str(path), "--points", "0"]) == 2
+    assert main(["theta-char", str(path)]) == 2
+    assert "duplicate Fourier index (0,)" in capsys.readouterr().err
+
+
+def test_trop_eval_fractional_gram_entry(theta_file, tmp_path, capsys):
+    payload = json.loads(open(theta_file).read())
+    payload["degeneration"]["gram"] = [[5.7]]
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(payload))
+    assert main(["trop-eval", str(path), "--points", "0"]) == 2
+    assert "gram must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", 1.5), ("embedding_matrix", [[-5.9]]), ("linear_part", [-5.9]),
+])
+def test_degeneration_integer_fields_are_not_truncated(field, value):
+    obj = degeneration_to_dict(rank1_tate_data(5))
+    assert degeneration_from_dict(obj) == rank1_tate_data(5)
+    obj[field] = value
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        degeneration_from_dict(obj)
+
+
+def test_theta_integer_fields_are_not_truncated():
+    obj = theta_to_dict(generate_theta_terms(rank1_tate_data(5)))
+    obj["margin"] = 2.0
+    assert theta_from_dict(obj).margin == 2
+    obj["margin"] = 2.5
+    with pytest.raises(InputError, match="margin must be an integer"):
+        theta_from_dict(obj)
+    obj["margin"] = 2
+    obj["terms"][0]["u"] = ["1/2"]
+    with pytest.raises(InputError, match="u must be an integer"):
+        theta_from_dict(obj)
 
 
 def test_theta_char_output(theta_file, capsys):

@@ -96,6 +96,62 @@ def test_insufficient_terms_is_detected():
     assert excinfo.value.point == [F(2)]
 
 
+def _brute_force_min(theta, nu):
+    """Fraction scan of the whole term list at the reduced point: (reduced
+    point, lattice shift, minimum, argmins in term-dict order)."""
+    nu0, w = theta.data.reduce_mod_lattice(nu)
+    values = {u: a + sum(ui * x for ui, x in zip(u, nu0)) for u, a in theta.terms.items()}
+    low = min(values.values())
+    return nu0, w, low, [u for u, val in values.items() if val == low]
+
+
+def _assert_matches_brute_force(theta, points):
+    data = theta.data
+    for nu in points:
+        nu0, w, low, argmins = _brute_force_min(theta, nu)
+        assert theta._min_term(nu0) == (low, argmins)
+        expected = (
+            low
+            - degeneration.automorphy_factor(data, w, nu0)
+            + degeneration.trivialization_valuation_real(data, nu)
+        )
+        assert theta.normalized_value(nu) == expected
+
+
+def test_exact_scan_with_huge_coefficients():
+    # every coefficient shifted far beyond float range
+    shift = 10**400
+    plain = fourier_terms_rank1(5, radius=40)
+    assert len(plain) > 64
+    terms = {u: a + shift for u, a in plain.items()}
+    theta = TropicalTheta(rank1_tate_data(5), terms, margin=2)
+    points = [[F(k, 7)] for k in range(-10, 45)] + [[F(-3)], [F(0)], [F(5)]]
+    _assert_matches_brute_force(theta, points)
+    reference = TropicalTheta(rank1_tate_data(5), plain, margin=2)
+    for nu in points:
+        assert theta.normalized_value(nu) == reference.normalized_value(nu) + shift
+
+
+def test_exact_scan_separates_near_ties():
+    data = rank1_tate_data(5)
+    tied = fourier_terms_rank1(5, radius=40)
+    assert len(tied) > 64
+    # u = 0 and u = 1 tie exactly at 0 and 5
+    theta = TropicalTheta(data, tied, margin=2)
+    _assert_matches_brute_force(theta, [[F(0)], [F(5)]])
+    assert theta._min_term([F(0)]) == (0, [(0,), (1,)])
+    eps = F(1, 10**30)
+    for delta in (eps, -eps):
+        # at the grid point 1/7, u = 1 is off the minimum 0 of u = 0 by delta
+        terms = dict(tied)
+        terms[(1,)] = F(-1, 7) + delta
+        theta = TropicalTheta(data, terms, margin=2)
+        points = [[F(1, 7)], [F(0)]] + evaluation_grid(data)
+        _assert_matches_brute_force(theta, points)
+        expected = [(1,)] if delta < 0 else [(0,)]
+        assert theta._min_term([F(1, 7)]) == (min(delta, 0), expected)
+
+
 def test_margin_validation():
     with pytest.raises(InputError):
         TropicalTheta(rank1_tate_data(5), fourier_terms_rank1(5), margin=0)
