@@ -222,6 +222,7 @@ def cmd_global_height(args) -> int:
         "archimedean": report.arch_value,
         "global_sum": report.global_sum,
         "doubling_oracle": report.oracle_value,
+        "oracle_estimates": list(report.oracle_estimates),
         "discrepancy": report.discrepancy,
         "tolerance": config.tolerance,
         "checked_good_primes": list(report.checked_good_primes),
@@ -247,10 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--format", choices=["json", "table", "csv"], default="table")
-    parser.add_argument("--precision", type=int, default=128, help="bits for archimedean work")
-    parser.add_argument("--nmax", type=int, default=10, help="doubling oracle iterations")
-    parser.add_argument("--tolerance", type=float, default=1e-6)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = RunConfig()
+    parser.add_argument("--precision", type=int, default=defaults.precision_bits,
+                        help="bits for archimedean work")
+    parser.add_argument("--nmax", type=int, default=defaults.n_max,
+                        help="doubling oracle iterations")
+    parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trop-eval", help="evaluate a tropical theta function at points")

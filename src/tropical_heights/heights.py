@@ -7,10 +7,12 @@ x-coordinate canonical height
 
     hhat_x(P) = lim 4^{-n} h(x([2^n] P)),
 
-computed by exact rational doubling.  The factor one half is the
-divisor-degree bookkeeping between the origin divisor and the x-line
-bundle; it is pinned here by the torsion and doubling calibration tests
-rather than assumed.
+computed from the doubling sequence alone: a few exact steps on a coprime
+integer pair, which see every torsion point over Q, then exact gcds modulo
+a power of the duplication resultant Delta^2 with the sizes in floating
+point.  The factor one half is the divisor-degree bookkeeping between the
+origin divisor and the x-line bundle; it is pinned here by the torsion and
+doubling calibration tests rather than assumed.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+import mpmath as mp
+
 from .arch import arch_context, local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import AdditiveReductionError, InputError
 from .exact import is_prime, val_p
-from .linalg import determinant
 from .tate import LocalModel, local_height_report
 
 
@@ -110,66 +113,85 @@ class DoublingOracleResult:
     is_torsion: bool
 
 
-def _resultant_bound(curve: WeierstrassCurve) -> int:
-    """Integer resultant of the x-duplication numerator and denominator;
-    every common factor appearing during the doubling iteration divides it."""
-    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    f = [Fraction(c) for c in (-b8, -2 * b6, -b4, Fraction(0), Fraction(1))]
-    g = [Fraction(c) for c in (b6, 2 * b4, b2, Fraction(4))]
-    # Sylvester matrix of (deg 4, deg 3): 7x7
-    rows = []
-    for shift in range(3):
-        rows.append([Fraction(0)] * shift + list(reversed(f)) + [Fraction(0)] * (2 - shift))
-    for shift in range(4):
-        rows.append([Fraction(0)] * shift + list(reversed(g)) + [Fraction(0)] * (3 - shift))
-    res = determinant(rows)
-    if res.denominator != 1 or res == 0:
-        raise InputError("degenerate duplication resultant")
-    return abs(res.numerator)
-
-
-def _int_invariant(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise InputError("integral model required")
-    return x.numerator
-
-
-def _x_double(n: int, d: int, curve: WeierstrassCurve, res_bound: int) -> tuple:
-    """One x-only duplication step on a coprime integer pair (n : d).
-
-    The gcd of the output pair divides the duplication resultant, so full
-    reduction needs only one small-modulus gcd instead of a gcd of the
-    full-size integers.
-    """
-    b2, b4, b6, b8 = (
-        _int_invariant(curve.b2),
-        _int_invariant(curve.b4),
-        _int_invariant(curve.b6),
-        _int_invariant(curve.b8),
-    )
+def _duplication(n: int, d: int, b: tuple) -> tuple:
+    """Numerator and denominator of x(2P) for x(P) = n/d, as the degree-4
+    forms F(n, d) and G(n, d); b = (b2, b4, b6, b8)."""
+    b2, b4, b6, b8 = b
     n2, d2 = n * n, d * d
     n3, d3 = n2 * n, d2 * d
     num = n2 * n2 - b4 * n2 * d2 - 2 * b6 * n * d3 - b8 * d2 * d2
     den = 4 * n3 * d + b2 * n2 * d2 + 2 * b4 * n * d3 + b6 * d2 * d2
+    return num, den
+
+
+def _common_factor(num: int, den: int, res: int) -> int:
+    """gcd(num, den) for the image of a coprime pair: it divides the
+    duplication resultant res, so residues mod res determine it."""
+    return gcd(gcd(num % res, res), den % res)
+
+
+def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
+    """One exact x-only duplication step on a coprime integer pair (n : d),
+    returned reduced with d > 0, or (1, 0) when 2P = O."""
+    num, den = _duplication(n, d, b)
     if den == 0:
-        return (1, 0)  # hit the origin: 2P = O
-    g = gcd(gcd(num % res_bound, res_bound), den % res_bound)
-    if g > 1:
-        num //= g
-        den //= g
+        return (1, 0)
+    g = _common_factor(num, den, res)
+    num //= g
+    den //= g
     if den < 0:
         num, den = -num, -den
     return num, den
 
 
+# Over Q every torsion orbit under doubling repeats or reaches O within
+# this many steps (Mazur: orders 1-10 and 12), so the exact prefix sees it.
+_EXACT_STEPS = 4
+
+
+def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) -> list:
+    """Estimates 4^-k log max(|n_k|, d_k) for k = first..last, from the
+    reduced pair (n, d) at step first - 1, without full-size integers.
+
+    The pair is kept modulo M = res^(steps + 2).  Each step's common
+    factor g_k divides res, so it is read exactly from residues mod res,
+    and the pair and M are divided by it.  The sizes are tracked in
+    floating point, log d_{k+1} = 4 log d_k + log|G(x_k)| - log g_k and
+    x_{k+1} = F(x_k) / G(x_k) with F, G the duplication polynomials, at
+    64 + 2 * last bits: the doubling map loses about one bit per step.
+    """
+    b2, b4, b6, b8 = b
+    modulus = res ** (last - first + 3)
+    estimates = []
+    with mp.workprec(64 + 2 * last):
+        x = mp.mpf(n) / d
+        log_d = mp.log(d)
+        n, d = n % modulus, d % modulus
+        for step in range(first, last + 1):
+            num, den = _duplication(n, d, b)
+            g = _common_factor(num, den, res)
+            n, d = num % modulus // g, den % modulus // g
+            modulus //= g
+            fx = ((x * x - b4) * x - 2 * b6) * x - b8
+            gx = ((4 * x + b2) * x + 2 * b4) * x + b6
+            log_d = 4 * log_d + mp.log(abs(gx)) - mp.log(g)
+            x = fx / gx
+            estimates.append(float((log_d + mp.log(max(abs(x), 1))) / 4**step))
+    return estimates
+
+
 def doubling_oracle(
     curve: WeierstrassCurve, point: CurvePoint, n_max: int = 10
 ) -> DoublingOracleResult:
-    """Half the x-coordinate canonical height by exact doubling.
+    """Half the x-coordinate canonical height from the doubling sequence.
 
-    Works on an integral model (points mapped along), doubling the
-    x-coordinate as a coprime integer pair; torsion is detected by cycling
-    or by hitting the origin, giving an exact zero.
+    Works on an integral model (points mapped along).  The first
+    ``_EXACT_STEPS`` doublings are exact on a coprime integer pair, so
+    torsion is detected by cycling or by hitting the origin and gives an
+    exact zero.  The remaining steps keep exact gcds modulo a power of
+    the duplication resultant Delta^2 and the sizes in floating point
+    (``_split_estimates``); the value is the Richardson extrapolation of
+    the last two estimates.
     """
     if point.infinity:
         return DoublingOracleResult(0.0, (), True)
@@ -179,23 +201,19 @@ def doubling_oracle(
         scale = scale * den // gcd(scale, den)
     work = curve.transform(Fraction(1, scale), 0, 0, 0)
     moved = WeierstrassCurve.transform_point(point, Fraction(1, scale), 0, 0, 0)
-    res_bound = _resultant_bound(work)
+    b = tuple(int(x) for x in (work.b2, work.b4, work.b6, work.b8))  # work is integral
+    res = work.discriminant.numerator ** 2
     n, d = moved.x.numerator, moved.x.denominator
     estimates = []
     seen = {(n, d)}
-    torsion = False
-    for step in range(1, n_max + 1):
-        n, d = _x_double(n, d, work, res_bound)
-        if d == 0:
-            torsion = True
-            break
-        if (n, d) in seen:
-            torsion = True
-            break
+    exact_steps = min(n_max, _EXACT_STEPS)
+    for step in range(1, exact_steps + 1):
+        n, d = _x_double(n, d, b, res)
+        if d == 0 or (n, d) in seen:
+            return DoublingOracleResult(0.0, tuple(estimates), True)
         seen.add((n, d))
         estimates.append(math.log(max(abs(n), d)) / 4**step)
-    if torsion:
-        return DoublingOracleResult(0.0, tuple(estimates), True)
+    estimates += _split_estimates(n, d, b, res, exact_steps + 1, n_max)
     if len(estimates) >= 2:
         value = (4 * estimates[-1] - estimates[-2]) / 3
     else:
@@ -216,6 +234,7 @@ class GlobalHeightReport:
     arch_value: float
     global_sum: float
     oracle_value: float
+    oracle_estimates: tuple       # DoublingOracleResult.estimates
     discrepancy: float
     checked_good_primes: tuple    # primes off the list verified to give 0
 
@@ -290,6 +309,7 @@ def global_height(
         arch_value=arch_value,
         global_sum=total,
         oracle_value=oracle.value,
+        oracle_estimates=oracle.estimates,
         discrepancy=abs(total - oracle.value),
         checked_good_primes=tuple(checked),
     )

@@ -24,6 +24,7 @@ from tropical_heights.cvp import closest_lattice_point
 from tropical_heights.degeneration import component_group
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
 from tropical_heights.heights import (
+    RunConfig,
     bad_primes,
     doubling_oracle,
     factorize,
@@ -219,6 +220,19 @@ def test_acceptance_global_heights(semistable_examples):
         assert abs(ratio - 4) < 1e-5, (curve, point, ratio)
     _report(f"global = oracle on {len(semistable_examples)} curves + 2P ratio",
             started, 180)
+
+
+def test_acceptance_global_heights_deep_oracle(semistable_examples):
+    """At n_max = 24 the split oracle matches the global sum within 1e-12
+    on the built-in curve search."""
+    started = time.time()
+    config = RunConfig(n_max=24)
+    for curve, point in semistable_examples:
+        report = global_height(curve, point, config)
+        assert len(report.oracle_estimates) == 24
+        assert report.discrepancy < 1e-12, (curve, point, report.discrepancy)
+    _report(f"global = oracle within 1e-12 at n_max = 24 on "
+            f"{len(semistable_examples)} curves", started, 60)
 
 
 def test_acceptance_torsion(torsion_examples):

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank1_tate_data
-from tropical_heights.cli import main
+from tropical_heights.cli import build_parser, main
 from tropical_heights.errors import InputError
+from tropical_heights.heights import RunConfig
 from tropical_heights.serialize import (
     curve_from_dict,
     curve_to_dict,
@@ -187,6 +188,22 @@ def test_global_height_command(curve_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["discrepancy"] < 1e-6
     assert payload["places"][0]["prime"] == 37
+
+
+def test_global_height_prints_oracle_estimates(curve_file, capsys):
+    code = main(["--format", "json", "--nmax", "12", "global-height", curve_file,
+                 "--point", "0,0"])
+    assert code == 0
+    estimates = json.loads(capsys.readouterr().out)["oracle_estimates"]
+    assert len(estimates) == 12
+    assert abs(estimates[-1] - estimates[-2]) < 1e-3
+
+
+def test_run_options_default_to_run_config():
+    args = build_parser().parse_args(["verify", "all"])
+    defaults = RunConfig()
+    assert (args.precision, args.nmax, args.tolerance, args.seed) == (
+        defaults.precision_bits, defaults.n_max, defaults.tolerance, defaults.seed)
 
 
 def test_global_height_tolerance_from_config(curve_file, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from tropical_heights.heights import (
     is_semistable,
     place_list,
 )
+from tropical_heights.linalg import determinant
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -47,17 +49,80 @@ def test_doubling_oracle_torsion_is_exact_zero():
     assert result.value == 0.0
 
 
-def test_doubling_oracle_matches_naive_limit():
-    # independent check of the integer-pair duplication: full group law
-    P = CurvePoint.affine(0, 0)
-    result = doubling_oracle(E37, P, 8)
-    Q = P
-    for n in range(1, 9):
-        Q = E37.double(Q)
-    assert abs(result.estimates[-1] - naive_height(Q.x) / 4**8) < 1e-12
-    # successive estimates stabilize at rate ~ 4^-n
-    diffs = [abs(a - b) for a, b in zip(result.estimates, result.estimates[1:])]
-    assert diffs[-1] < 1e-3
+# Points of every order Mazur allows over Q: orders 4-12 at P = (0, 0) on the
+# Tate normal form y^2 + (1 - c)xy - by = x^3 - bx^2 (Kubert's (b, c) at
+# t = 3); orders 2 and 3 on y^2 = x^3 + x^2 + x and y^2 + y = x^3.
+_T = F(3)
+_TATE_NORMAL_FORMS = {
+    4: (_T, 0),
+    5: (_T, _T),
+    6: (_T + _T**2, _T),
+    7: (_T**3 - _T**2, _T**2 - _T),
+    8: ((2 * _T - 1) * (_T - 1), (2 * _T - 1) * (_T - 1) / _T),
+    9: (_T**2 * (_T - 1) * (_T**2 - _T + 1), _T**2 * (_T - 1)),
+    10: (_T**3 * (_T - 1) * (2 * _T - 1) / (_T**2 - 3 * _T + 1) ** 2,
+         -_T * (_T - 1) * (2 * _T - 1) / (_T**2 - 3 * _T + 1)),
+    12: (_T * (2 * _T - 1) * (2 * _T**2 - 2 * _T + 1) * (3 * _T**2 - 3 * _T + 1)
+         / (_T - 1) ** 4,
+         -_T * (2 * _T - 1) * (3 * _T**2 - 3 * _T + 1) / (_T - 1) ** 3),
+}
+
+
+def _torsion_curve(order):
+    if order == 2:
+        return WeierstrassCurve.from_coeffs(0, 1, 0, 1, 0)
+    if order == 3:
+        return WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0)
+    b, c = _TATE_NORMAL_FORMS[order]
+    return WeierstrassCurve.from_coeffs(1 - c, -b, -b, 0, 0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_doubling_oracle_torsion_every_mazur_order(order):
+    curve, point = _torsion_curve(order), CurvePoint.affine(0, 0)
+    assert curve.torsion_order(point) == order
+    for n_max in (10, 24):
+        result = doubling_oracle(curve, point, n_max)
+        assert result.is_torsion
+        assert result.value == 0.0
+
+
+def test_doubling_oracle_matches_naive_limit(semistable_examples):
+    # independent check of the duplication steps, exact and split: x(2^k P)
+    # by the full group law, for k <= 8
+    for curve, point in [(E37, CurvePoint.affine(0, 0))] + semistable_examples:
+        result = doubling_oracle(curve, point, 8)
+        Q = point
+        for k in range(1, 9):
+            Q = curve.double(Q)
+            assert abs(result.estimates[k - 1] - naive_height(Q.x) / 4**k) < 1e-12
+        # successive estimates stabilize at rate ~ 4^-n
+        diffs = [abs(a - b) for a, b in zip(result.estimates, result.estimates[1:])]
+        assert diffs[-1] < 1e-3
+
+
+def _sylvester_resultant(curve):
+    """7x7 Sylvester determinant of the x-duplication numerator
+    x^4 - b4 x^2 - 2 b6 x - b8 and denominator 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    f = [1, 0, -curve.b4, -2 * curve.b6, -curve.b8]
+    g = [4, curve.b2, 2 * curve.b4, curve.b6]
+    rows = [[0] * shift + f + [0] * (2 - shift) for shift in range(3)]
+    rows += [[0] * shift + g + [0] * (3 - shift) for shift in range(4)]
+    return determinant(rows)
+
+
+def test_duplication_resultant_is_discriminant_squared():
+    # the oracle takes Res(F, G) = Delta^2 on an integral model
+    rng = random.Random(11)
+    checked = 0
+    while checked < 300:
+        coeffs = [rng.randint(-20, 20) for _ in range(5)]
+        try:
+            curve = WeierstrassCurve.from_coeffs(*coeffs)
+        except InputError:
+            continue
+        assert _sylvester_resultant(curve) == curve.discriminant**2, coeffs
+        checked += 1
 
 
 def test_doubling_oracle_known_value():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,16 @@ def test_rank1_profile_script():
         "component-group values (all in (1/10)Z): 0, -2/5, -3/5, -3/5, -2/5"
         in result.stdout
     )
+
+
+def test_global_heights_demo_script():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "scripts/global_heights_demo.py", "3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("3 semistable curves")
+    worst = re.search(r"^worst \|global - oracle\| = (\S+)$", result.stdout, re.M)
+    assert worst is not None, result.stdout
+    assert float(worst.group(1)) < 1e-6
