@@ -1,12 +1,18 @@
 """Archimedean normalized canonical local height via the multiplicative
 uniformization C*/q^Z.
 
-The parameter q is real with sign(q) = sign(disc) and small modulus
-(|q| <= e^{-pi} + eps for every real curve), found by monotone bisection on
-the classical q-expansion of j.  Points are mapped to the uniformizer u by
-inverting the Tate coordinate series along the real locus, which is either
-the real annulus |q| < |u| <= 1 or, for the twisted real form, the circles
-|u| = 1 and |u| = sqrt(q).  The height is then
+The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
+small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
+period ratio tau, which the arithmetic-geometric mean gives in closed form
+from the real roots of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cohen, GTM 138,
+Alg. 7.4.7); the q-expansion of j only checks it.  Points are mapped to the
+uniformizer u by inverting the Tate coordinate series along the real locus,
+which is either the real annulus |q| < |u| <= 1 or, for the twisted real
+form, the circles |u| = 1 and |u| = sqrt(q).  Each real component is an arc
+on which x is monotone; Newton steps with dx/d(log u) = 2Y + X, kept inside
+the arc, solve for u (Cremona-Thongjunthug, J. Number Theory 133, 2013),
+and a 2-torsion point, where that derivative vanishes, takes its arc end
+in closed form.  The height is then
 
     lambda'(P) = (ell/2) B2(t) - log|theta(u)|,   t = -log|u| / ell,
 
@@ -24,6 +30,8 @@ from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
 
 _TERM_GUARD = 30
+_NEWTON_GUARD = 200
+_SEED_BITS = 32
 
 
 def _sigma_sum(k: int, q, eps):
@@ -68,55 +76,38 @@ def _j_of_q(q, eps):
     return _c4_of_q(q, eps) ** 3 / _disc_of_q(q, eps)
 
 
-def _find_real_q(j_target, disc_positive: bool, eps):
-    """Real q with j(q) = j_target and sign(q) = sign(disc).
+def _mp(value):
+    return mp.mpf(value.numerator) / value.denominator
 
-    j is monotone on each of the real branches q in (0, e^{-2 pi}] (values
-    >= 1728) and q in [-e^{-pi}, 0) (values <= 1728), so bisection on |q|
-    suffices.  A real curve always has j on the branch of its discriminant
-    sign (1728 disc = c4^3 - c6^2), so a target off it raises.
-    """
-    j_target = mp.mpf(j_target)
-    # j has critical points at the elliptic fixed points, so bisection
-    # would lose digits exactly there; return those corners in closed form
-    if j_target == 1728:
-        return mp.e ** (-2 * mp.pi) if disc_positive else -mp.e ** (-mp.pi)
-    if j_target == 0 and not disc_positive:
-        return -mp.e ** (-mp.pi * mp.sqrt(3))
-    if disc_positive != (j_target > 1728):
-        raise PrecisionError(f"j = {j_target} lies off the branch of the discriminant sign")
-    if disc_positive:
-        hi = mp.e ** (-2 * mp.pi)  # CM corner j = 1728, tau = i
-        sign = 1
+
+def _real_q(curve: WeierstrassCurve):
+    """(q, real roots t of t^3 + p t + r): q = e^{2 pi i tau} from the
+    periods by the AGM (Cohen, GTM 138, Alg. 7.4.7), with tau on the real
+    branch of the discriminant sign: tau = i s with s >= 1 when disc > 0,
+    tau = (1 + i s)/2 with s >= 1 when disc < 0."""
+    # 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(t^3 + p t + r) with t = x + b2/12:
+    # the trigonometric or Cardano form, then two Newton steps
+    p, r = -_mp(curve.c4) / 48, -_mp(curve.c6) / 864
+    if curve.discriminant > 0:
+        m = 2 * mp.sqrt(-p / 3)
+        phi = mp.acos(max(-1, min(1, 3 * r / (p * m)))) / 3
+        roots = [m * mp.cos(phi - 2 * mp.pi * i / 3) for i in range(3)]
     else:
-        hi = mp.e ** (-mp.pi)  # CM corner j = 1728, tau = (1 + i)/2
-        sign = -1
-    lo = mp.mpf(10) ** (-mp.mp.dps - 10)
-    # asymptotic seed |q| ~ 1/|j|, valid once 1/q dominates the expansion
-    if abs(j_target) > 1000:
-        lo = max(lo, 1 / (4 * abs(j_target)))
-
-    def f(x):
-        return _j_of_q(sign * x, eps)
-
-    # j decreases in |q| on the positive branch and increases with |q|
-    # toward the corner value 1728 on the negative branch.
-    for _ in range(mp.mp.prec + 60):
-        mid = (lo + hi) / 2
-        val = f(mid)
-        if disc_positive:
-            if val > j_target:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if val < j_target:
-                lo = mid
-            else:
-                hi = mid
-        if hi - lo < lo * mp.mpf(2) ** (-mp.mp.prec):
-            break
-    return sign * (lo + hi) / 2
+        d = mp.sqrt(r * r / 4 + p**3 / 27)
+        roots = [sum(mp.sign(v) * mp.cbrt(abs(v)) for v in (d - r / 2, -d - r / 2))]
+    for _ in range(2):
+        roots = [t - (t**3 + p * t + r) / (3 * t * t + p) for t in roots]
+    roots = sorted(roots, reverse=True)
+    if curve.discriminant > 0:
+        e1, e2, e3 = roots
+        a = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+        b = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
+        return mp.exp(-2 * mp.pi * max(a / b, b / a)), roots
+    # beta = |3 e1 + b2/4| and alpha = sqrt(3 e1^2 + b2 e1/2 + b4/2) at t
+    beta, alpha = 3 * abs(roots[0]), mp.sqrt(3 * roots[0] ** 2 + p)
+    a = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha + beta))
+    b = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha - beta))
+    return -mp.exp(-mp.pi * a / b), roots
 
 
 @dataclass
@@ -129,6 +120,8 @@ class ArchContext:
     ell: mp.mpf                  # -log|q|
     scale2: mp.mpf               # alpha^2 relating normalized x-coordinates
     alpha3: complex              # alpha^3 (imaginary when scale2 < 0)
+    sigma1: mp.mpf               # sum n q^n / (1 - q^n), the x-series constant
+    torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
 
     @property
     def twisted(self) -> bool:
@@ -139,13 +132,11 @@ class ArchContext:
 def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchContext:
     with mp.workprec(precision_bits + 40):
         eps = mp.mpf(2) ** (-(precision_bits + _TERM_GUARD))
-        j = mp.mpf(curve.j_invariant.numerator) / curve.j_invariant.denominator
-        disc_positive = curve.discriminant > 0
-        q = _find_real_q(j, disc_positive, eps)
+        j = _mp(curve.j_invariant)
+        q, roots = _real_q(curve)
         c4q = _c4_of_q(q, eps)
         c6q = _c6_of_q(q, eps)
-        c4e = mp.mpf(curve.c4.numerator) / curve.c4.denominator
-        c6e = mp.mpf(curve.c6.numerator) / curve.c6.denominator
+        c4e, c6e = _mp(curve.c4), _mp(curve.c6)
         if c4e != 0 and c6e != 0:
             scale2 = (c6e * c4q) / (c6q * c4e)
         elif c4e == 0:
@@ -165,6 +156,8 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
             ell=ell,
             scale2=scale2,
             alpha3=alpha**3,
+            sigma1=_sigma_sum(1, q, eps),
+            torsion_x=tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots)),
         )
         jq = _j_of_q(q, eps)
         if abs(jq - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
@@ -175,11 +168,11 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
 # -- Tate coordinate series over C ------------------------------------------
 
 
-def _x_series(u, q, eps):
+def _x_series(u, q, eps, sigma1):
     def f(t):
         return t / (1 - t) ** 2
 
-    total = f(u) - 2 * _sigma_sum(1, q, eps)
+    total = f(u) - 2 * sigma1
     qn = mp.mpf(1)
     while True:
         qn *= q
@@ -214,39 +207,13 @@ def _theta_product(u, q, eps):
         total *= (1 - qn * u) * (1 - qn / u)
 
 
-def _bisect_monotone(func, lo, hi, target, iterations):
-    f_lo, f_hi = func(lo), func(hi)
-    if f_lo > f_hi:
-        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
-    slack = (abs(f_lo) + abs(f_hi) + 1) * mp.mpf(2) ** (-mp.mp.prec // 2)
-    if target < f_lo - slack or target > f_hi + slack:
-        raise PrecisionError(
-            f"target {mp.nstr(target)} outside bracket "
-            f"[{mp.nstr(f_lo)}, {mp.nstr(f_hi)}]"
-        )
-    target = min(max(target, f_lo), f_hi)
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        if func(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def _normalized_x(ctx: ArchContext, point: CurvePoint):
-    curve = ctx.curve
-    xt = (
-        mp.mpf(point.x.numerator) / point.x.denominator
-        + mp.mpf(curve.b2.numerator) / curve.b2.denominator / 12
-    )
-    return xt / ctx.scale2 - mp.mpf(1) / 12
+def _normalized_x(ctx: ArchContext, x):
+    return (x + _mp(ctx.curve.b2) / 12) / ctx.scale2 - mp.mpf(1) / 12
 
 
 def _eta_target(ctx: ArchContext, point: CurvePoint):
     curve = ctx.curve
-    eta = 2 * point.y + curve.a1 * point.x + curve.a3
-    return mp.mpf(eta.numerator) / eta.denominator / ctx.alpha3
+    return _mp(2 * point.y + curve.a1 * point.x + curve.a3) / ctx.alpha3
 
 
 def elliptic_log(ctx: ArchContext, point: CurvePoint):
@@ -260,75 +227,91 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
         q = ctx.q
-        x_target = _normalized_x(ctx, point)
+        x_target = _normalized_x(ctx, _mp(point.x))
         eta_target = _eta_target(ctx, point)
-        iterations = ctx.precision_bits + 50
-        disc_positive = ctx.curve.discriminant > 0
         tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
-
-        def x_at(u):
-            val = _x_series(u, q, eps)
-            return val.real if isinstance(val, mp.mpc) else val
-
-        if not ctx.twisted:
-            # real annulus: q < u <= 1 up to sign
-            if disc_positive:
-                root = mp.sqrt(q)
-                boundary = x_at(root)
-                on_identity = x_target >= boundary - mp.mpf("1e-12") * (1 + abs(boundary))
-                if on_identity:
-                    hi = 1 - tiny
-                    if x_at(hi) < x_target:
-                        raise PrecisionError("point too close to the origin")
-                    u = _bisect_monotone(x_at, root, hi, x_target, iterations)
-                else:
-                    u = _bisect_monotone(x_at, mp.mpf(-1), -root, x_target, iterations)
-            else:
-                lo = abs(q) * (1 + tiny)
-                hi = 1 - tiny
-                if x_at(hi) < x_target:
-                    raise PrecisionError("point too close to the origin")
-                u = _bisect_monotone(x_at, lo, hi, x_target, iterations)
-            u = mp.mpf(u)
-            eta_u = _eta_series(u, q, eps)
-            eta_u = eta_u.real if isinstance(eta_u, mp.mpc) else eta_u
-            eta_t = eta_target.real if isinstance(eta_target, mp.mpc) else eta_target
-            if abs(eta_t) > tiny and mp.sign(eta_u) != mp.sign(eta_t):
-                u = q / u
+        # x_target and the end values carry about precision_bits + 30 bits,
+        # so a component test needs no wider slack than 2^-precision_bits
+        slack = mp.mpf(2) ** -ctx.precision_bits
+        root, tx = (mp.sqrt(q) if q > 0 else None), ctx.torsion_x
+        # Each real component is an arc u = ends[0] exp(k theta), 0 <= theta
+        # <= pi, on which x is monotone.  theta = 0 is the origin (x infinite)
+        # on the identity component and a 2-torsion point on the egg; theta =
+        # pi is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
+        if ctx.twisted:
+            k, ends, x_ends = mp.mpc(0, 1), (1, mp.mpf(-1)), (None, tx[0])
+            if q > 0 and x_target > tx[0] + slack * (1 + abs(tx[0])):
+                ends, x_ends = (root, -root), (tx[2], tx[1])  # the egg |u| = sqrt(q)
+        elif q > 0:
+            k, ends, x_ends = -ctx.ell / (2 * mp.pi), (1, root), (None, tx[2])
+            if x_target < tx[2] - slack * (1 + abs(tx[2])):
+                ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
         else:
-            # twisted real form: identity component on |u| = 1, egg (when
-            # disc > 0) on |u| = sqrt(q)
-            def x_circle(theta):
-                return x_at(mp.exp(1j * theta))
-
-            def x_egg(theta):
-                return x_at(mp.sqrt(q) * mp.exp(1j * theta))
-
-            boundary = x_circle(mp.pi)
-            on_identity = True
-            if disc_positive:
-                on_identity = x_target <= boundary + mp.mpf("1e-12") * (1 + abs(boundary))
-            if on_identity:
-                lo_theta = tiny
-                # x decreases to -infinity toward the origin on the circle
-                if x_circle(lo_theta) > x_target:
-                    raise PrecisionError("point too close to the origin")
-                theta = _bisect_monotone(x_circle, lo_theta, mp.pi, x_target, iterations)
-                u = mp.exp(1j * theta)
-            else:
-                theta = _bisect_monotone(x_egg, mp.mpf(0), mp.pi, x_target, iterations)
-                u = mp.sqrt(q) * mp.exp(1j * theta)
-            eta_u = _eta_series(u, q, eps)
-            eta_t_im = eta_target.imag if isinstance(eta_target, mp.mpc) else mp.mpf(0)
-            if abs(eta_t_im) > tiny and mp.sign(eta_u.imag) != mp.sign(eta_t_im):
+            k, ends, x_ends = -ctx.ell / mp.pi, (1, mp.mpf(-1)), (None, tx[0])
+        if eta_target == 0:
+            # 2-torsion: an arc end, where dx/dtheta vanishes
+            i = 1 if x_ends[0] is None else min((0, 1), key=lambda i: abs(x_ends[i] - x_target))
+            u = ends[i]
+            err = mp.re(_x_series(u, q, eps, ctx.sigma1)) - x_target
+        else:
+            u, err, eta_u = _newton_on_arc(ctx, ends[0], k, x_ends, x_target, tiny)
+            if not ctx.twisted:
+                if abs(eta_target) > tiny and mp.sign(mp.re(eta_u)) != mp.sign(mp.re(eta_target)):
+                    u = q / u
+            elif abs(mp.im(eta_target)) > tiny and mp.sign(mp.im(eta_u)) != mp.sign(mp.im(eta_target)):
                 u = mp.conj(u)  # inverse class on either circle
-        check = _x_series(u, q, eps)
-        check = check.real if isinstance(check, mp.mpc) else check
-        if abs(check - x_target) > (1 + abs(x_target)) * mp.mpf(2) ** (
-            -(ctx.precision_bits // 2)
-        ):
+        if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2)):
             raise PrecisionError("uniformizer round-trip failed; raise precision")
-        return u
+        return mp.mpc(u) if ctx.twisted else u
+
+
+def _newton_on_arc(ctx: ArchContext, start, k, x_ends, x_target, tiny):
+    """Solve x(u) = x_target on the arc u = start exp(k theta), 0 < theta <
+    pi; returns (u, x(u) - x_target, 2Y + X at the last Newton point).
+
+    Newton runs in w = sin^2(theta/2), in which x has a simple pole at the
+    origin (x ~ A/w, A = 1/(4 k^2)) and is smooth through the 2-torsion ends.
+    The seed fits that pole, or a line on the egg, to the end values; a step
+    that leaves the bracket bisects it instead.  Steps run at 32 bits until
+    they converge, then at doubling precisions, so that only the last step
+    and the round-trip check run at the full working precision.
+    """
+    if x_ends[0] is None:
+        if abs(x_target) * tiny**2 > 1:
+            raise PrecisionError("point too close to the origin")
+        pole = mp.re(1 / (4 * k**2))
+        w = pole / (x_target - x_ends[1] + pole)
+    else:
+        w = (x_target - x_ends[0]) / (x_ends[1] - x_ends[0])
+    if not 0 < w < 1:
+        w = mp.mpf(1) / 2
+    # each converged step doubles the digits, so it doubles the precision
+    rungs = [ctx.precision_bits + 40]
+    while rungs[0] > 2 * _SEED_BITS:
+        rungs.insert(0, rungs[0] // 2 + 4)
+    lo, hi, bits, done = mp.mpf(0), mp.mpf(1), _SEED_BITS, False
+    for _ in range(_NEWTON_GUARD):
+        with mp.workprec(bits):
+            eps = mp.mpf(2) ** -bits
+            theta = 2 * mp.asin(mp.sqrt(w))
+            u = start * mp.exp(k * theta)
+            err = mp.re(_x_series(u, ctx.q, eps, ctx.sigma1)) - x_target
+            if done:
+                return u, err, eta_u
+            eta_u = _eta_series(u, ctx.q, eps)
+            slope = 2 * mp.re(k * eta_u) / mp.sin(theta)  # dx/dw; dx/dlog(u) = eta
+            # below the truncation noise the sign of err says nothing
+            if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (20 - bits):
+                lo, hi = (lo, w) if err * slope > 0 else (w, hi)
+            step = w - err / slope
+            if not lo < step < hi:
+                step = (lo + hi) / 2
+            shrink = abs(step - w) / w
+        w = step
+        if shrink < mp.mpf(2) ** (4 - bits // 2):  # w now holds about bits - 8 bits
+            done = bits == rungs[-1]
+            bits = next((b for b in rungs if b > bits), bits)
+    raise PrecisionError("Newton on the uniformizer did not converge")
 
 
 def coordinates_from_uniformizer(ctx: ArchContext, u):
@@ -336,16 +319,11 @@ def coordinates_from_uniformizer(ctx: ArchContext, u):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
         q = ctx.q
-        x_q = _x_series(u, q, eps)
+        x_q = _x_series(u, q, eps, ctx.sigma1)
         eta_q = _eta_series(u, q, eps)
         curve = ctx.curve
-        b2 = mp.mpf(curve.b2.numerator) / curve.b2.denominator
-        xt = ctx.scale2 * (x_q + mp.mpf(1) / 12)
-        x = xt - b2 / 12
-        eta = ctx.alpha3 * eta_q
-        a1 = mp.mpf(curve.a1.numerator) / curve.a1.denominator
-        a3 = mp.mpf(curve.a3.numerator) / curve.a3.denominator
-        y = (eta - a1 * x - a3) / 2
+        x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - _mp(curve.b2) / 12
+        y = (ctx.alpha3 * eta_q - _mp(curve.a1) * x - _mp(curve.a3)) / 2
         return x, y
 
 

@@ -1,0 +1,165 @@
+"""Superseded paths of the library, kept as references for differential
+tests: each was replaced by a closed form or a faster method, and the tests
+check the replacement against it."""
+
+import mpmath as mp
+
+from tropical_heights import arch
+from tropical_heights.curves import CurvePoint
+from tropical_heights.errors import InputError, PrecisionError
+
+
+# -- archimedean place: q by bisection on j, u by bisection on x ------------
+
+
+def _find_real_q(j_target, disc_positive: bool, eps):
+    """Real q with j(q) = j_target and sign(q) = sign(disc).
+
+    j is monotone on each of the real branches q in (0, e^{-2 pi}] (values
+    >= 1728) and q in [-e^{-pi}, 0) (values <= 1728), so bisection on |q|
+    suffices.  A real curve always has j on the branch of its discriminant
+    sign (1728 disc = c4^3 - c6^2), so a target off it raises.
+    """
+    j_target = mp.mpf(j_target)
+    # j has critical points at the elliptic fixed points, so bisection
+    # would lose digits exactly there; return those corners in closed form
+    if j_target == 1728:
+        return mp.e ** (-2 * mp.pi) if disc_positive else -mp.e ** (-mp.pi)
+    if j_target == 0 and not disc_positive:
+        return -mp.e ** (-mp.pi * mp.sqrt(3))
+    if disc_positive != (j_target > 1728):
+        raise PrecisionError(f"j = {j_target} lies off the branch of the discriminant sign")
+    if disc_positive:
+        hi = mp.e ** (-2 * mp.pi)  # CM corner j = 1728, tau = i
+        sign = 1
+    else:
+        hi = mp.e ** (-mp.pi)  # CM corner j = 1728, tau = (1 + i)/2
+        sign = -1
+    lo = mp.mpf(10) ** (-mp.mp.dps - 10)
+    # asymptotic seed |q| ~ 1/|j|, valid once 1/q dominates the expansion
+    if abs(j_target) > 1000:
+        lo = max(lo, 1 / (4 * abs(j_target)))
+
+    def f(x):
+        return arch._j_of_q(sign * x, eps)
+
+    # j decreases in |q| on the positive branch and increases with |q|
+    # toward the corner value 1728 on the negative branch.
+    for _ in range(mp.mp.prec + 60):
+        mid = (lo + hi) / 2
+        val = f(mid)
+        if disc_positive:
+            if val > j_target:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            if val < j_target:
+                lo = mid
+            else:
+                hi = mid
+        if hi - lo < lo * mp.mpf(2) ** (-mp.mp.prec):
+            break
+    return sign * (lo + hi) / 2
+
+
+def _bisect_monotone(func, lo, hi, target, iterations):
+    f_lo, f_hi = func(lo), func(hi)
+    if f_lo > f_hi:
+        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
+    slack = (abs(f_lo) + abs(f_hi) + 1) * mp.mpf(2) ** (-mp.mp.prec // 2)
+    if target < f_lo - slack or target > f_hi + slack:
+        raise PrecisionError(
+            f"target {mp.nstr(target)} outside bracket "
+            f"[{mp.nstr(f_lo)}, {mp.nstr(f_hi)}]"
+        )
+    target = min(max(target, f_lo), f_hi)
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        if func(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def bisection_elliptic_log(ctx, point: CurvePoint):
+    """Uniformizer u of a real point by bisection on each monotone branch of
+    the x-series, ctx.precision_bits + 50 halvings per solve; the reference
+    for `arch.elliptic_log`."""
+    if point.infinity:
+        raise InputError("the origin has no uniformizer")
+    if not ctx.curve.contains(point):
+        raise InputError("point is not on the curve")
+    with mp.workprec(ctx.precision_bits + 40):
+        eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
+        q = ctx.q
+        x_target = arch._normalized_x(ctx, arch._mp(point.x))
+        eta_target = arch._eta_target(ctx, point)
+        iterations = ctx.precision_bits + 50
+        disc_positive = ctx.curve.discriminant > 0
+        tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
+
+        def x_at(u):
+            val = arch._x_series(u, q, eps, ctx.sigma1)
+            return val.real if isinstance(val, mp.mpc) else val
+
+        if not ctx.twisted:
+            # real annulus: q < u <= 1 up to sign
+            if disc_positive:
+                root = mp.sqrt(q)
+                boundary = x_at(root)
+                on_identity = x_target >= boundary - mp.mpf("1e-12") * (1 + abs(boundary))
+                if on_identity:
+                    hi = 1 - tiny
+                    if x_at(hi) < x_target:
+                        raise PrecisionError("point too close to the origin")
+                    u = _bisect_monotone(x_at, root, hi, x_target, iterations)
+                else:
+                    u = _bisect_monotone(x_at, mp.mpf(-1), -root, x_target, iterations)
+            else:
+                lo = abs(q) * (1 + tiny)
+                hi = 1 - tiny
+                if x_at(hi) < x_target:
+                    raise PrecisionError("point too close to the origin")
+                u = _bisect_monotone(x_at, lo, hi, x_target, iterations)
+            u = mp.mpf(u)
+            eta_u = arch._eta_series(u, q, eps)
+            eta_u = eta_u.real if isinstance(eta_u, mp.mpc) else eta_u
+            eta_t = eta_target.real if isinstance(eta_target, mp.mpc) else eta_target
+            if abs(eta_t) > tiny and mp.sign(eta_u) != mp.sign(eta_t):
+                u = q / u
+        else:
+            # twisted real form: identity component on |u| = 1, egg (when
+            # disc > 0) on |u| = sqrt(q)
+            def x_circle(theta):
+                return x_at(mp.exp(1j * theta))
+
+            def x_egg(theta):
+                return x_at(mp.sqrt(q) * mp.exp(1j * theta))
+
+            boundary = x_circle(mp.pi)
+            on_identity = True
+            if disc_positive:
+                on_identity = x_target <= boundary + mp.mpf("1e-12") * (1 + abs(boundary))
+            if on_identity:
+                lo_theta = tiny
+                # x decreases to -infinity toward the origin on the circle
+                if x_circle(lo_theta) > x_target:
+                    raise PrecisionError("point too close to the origin")
+                theta = _bisect_monotone(x_circle, lo_theta, mp.pi, x_target, iterations)
+                u = mp.exp(1j * theta)
+            else:
+                theta = _bisect_monotone(x_egg, mp.mpf(0), mp.pi, x_target, iterations)
+                u = mp.sqrt(q) * mp.exp(1j * theta)
+            eta_u = arch._eta_series(u, q, eps)
+            eta_t_im = eta_target.imag if isinstance(eta_target, mp.mpc) else mp.mpf(0)
+            if abs(eta_t_im) > tiny and mp.sign(eta_u.imag) != mp.sign(eta_t_im):
+                u = mp.conj(u)  # inverse class on either circle
+        check = arch._x_series(u, q, eps, ctx.sigma1)
+        check = check.real if isinstance(check, mp.mpc) else check
+        if abs(check - x_target) > (1 + abs(x_target)) * mp.mpf(2) ** (
+            -(ctx.precision_bits // 2)
+        ):
+            raise PrecisionError("uniformizer round-trip failed; raise precision")
+        return u

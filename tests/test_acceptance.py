@@ -17,9 +17,10 @@ from conftest import rank1_tate_data
 from tropical_heights.arch import (
     arch_context,
     coordinates_from_uniformizer,
+    elliptic_log,
     local_height_from_uniformizer,
 )
-from tropical_heights.curves import WeierstrassCurve
+from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.cvp import closest_lattice_point
 from tropical_heights.degeneration import component_group
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
@@ -233,6 +234,28 @@ def test_acceptance_global_heights_deep_oracle(semistable_examples):
         assert report.discrepancy < 1e-12, (curve, point, report.discrepancy)
     _report(f"global = oracle within 1e-12 at n_max = 24 on "
             f"{len(semistable_examples)} curves", started, 60)
+
+
+def test_acceptance_global_heights_egg_branch():
+    """The egg |u| = sqrt(q) of twisted two-component curves, which the
+    curve search never draws: P and -P on the egg, 2P on the identity
+    circle, global = oracle within 1e-12 at n_max = 24."""
+    started = time.time()
+    config = RunConfig(n_max=24)
+    points = [(-2, 2), (-1, 1), (F(-9, 4), F(19, 8)), (-2, 3)]
+    for a6, (x, y) in zip((-10, -9, -8, -7), points):
+        curve = WeierstrassCurve.from_coeffs(1, -1, 0, -11, a6)
+        point = CurvePoint.affine(x, y)
+        ctx = arch_context(curve, config.precision_bits)
+        assert ctx.twisted and ctx.q > 0
+        for target in (point, curve.negate(point), curve.double(point)):
+            u = elliptic_log(ctx, target)
+            on_egg = abs(abs(u) - mp.sqrt(ctx.q)) < 1e-30
+            assert on_egg == (target != curve.double(point)), (a6, target)
+            report = global_height(curve, target, config)
+            assert report.discrepancy < 1e-12, (a6, target, report.discrepancy)
+    _report("global = oracle within 1e-12 on the egg of 4 twisted curves",
+            started, 60)
 
 
 def test_acceptance_torsion(torsion_examples):

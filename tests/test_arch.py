@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from tropical_heights import arch
 from tropical_heights.arch import (
-    _find_real_q,
     arch_context,
     coordinates_from_uniformizer,
     elliptic_log,
@@ -15,9 +15,12 @@ from tropical_heights.arch import (
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
 
+from oracles import _find_real_q, bisection_elliptic_log
+
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
 CM1728 = WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)   # y^2 = x^3 - x
+E_TWIST2 = WeierstrassCurve.from_coeffs(1, -1, 0, -11, -10)  # twisted, disc > 0
 
 
 def test_context_reproduces_j():
@@ -154,3 +157,101 @@ def test_tate_limit_archimedean():
             extrap = 2 * estimates[-1] - estimates[-2]
         target = -math.log(abs(float(curve.discriminant))) / 12
         assert abs(extrap - target) < 1e-6, (extrap, target)
+
+
+def _component(ctx, u):
+    """'identity' or 'egg' from where u sits on the real locus."""
+    if ctx.twisted:
+        return "identity" if abs(abs(u) - 1) < 1e-30 else "egg"
+    return "identity" if u > 0 else "egg"
+
+
+def test_agm_and_newton_match_bisection_oracles(semistable_examples):
+    """q from the AGM against bisection on j, and u from Newton against
+    bisection on x, at 128 and 256 bits, on every real-locus branch.  The
+    acceptance curves (one component, both twists) run u at 128 bits only,
+    as 11a and [1,0,1,4,-6] cover their branches at 256."""
+    named = [
+        (E37, [CurvePoint.affine(2, 2), CurvePoint.affine(0, 0)]),
+        (E11, [CurvePoint.affine(5, 5)]),
+        (WeierstrassCurve.from_coeffs(1, 0, 1, 4, -6), [CurvePoint.affine(2, 2)]),
+        (E_TWIST2, [CurvePoint.affine(-2, 2), CurvePoint.affine(F(35, 4), F(-215, 8))]),
+    ]
+    branches = set()
+    for bits in (128, 256):
+        searched = [(curve, [point] if bits == 128 else []) for curve, point in semistable_examples]
+        for curve, points in searched + named:
+            ctx = arch_context(curve, bits)
+            with mp.workprec(bits + 40):
+                eps = mp.mpf(2) ** -(bits + 30)
+                q_ref = _find_real_q(arch._mp(curve.j_invariant), curve.discriminant > 0, eps)
+                assert abs(ctx.q - q_ref) < abs(q_ref) * mp.mpf(2) ** -bits, (curve, bits)
+            for point in points:
+                u = elliptic_log(ctx, point)
+                ref = bisection_elliptic_log(ctx, point)
+                assert abs(u - ref) < abs(ref) * mp.mpf(2) ** -(bits - 8), (curve, point)
+                branches.add((ctx.twisted, curve.discriminant > 0, _component(ctx, u)))
+    # untwisted and twisted, one and two components, identity and egg
+    assert len(branches) == 6, branches
+
+
+def test_branch_tolerance_scales_with_precision():
+    """At 256 bits each point lands on its own component, 2-torsion on the
+    boundary x = e1 included, and maps back to its coordinates."""
+    cases = [
+        (E37, {(2, 2): "identity", (6, 14): "identity", (0, 0): "egg", (-1, -1): "egg"}),
+        (CM1728, {(1, 0): "identity", (0, 0): "egg", (-1, 0): "egg"}),
+        (E_TWIST2, {(F(35, 4), F(-215, 8)): "identity", (-2, 2): "egg", (-2, 0): "egg"}),
+    ]
+    for curve, points in cases:
+        ctx = arch_context(curve, 256)
+        for (x, y), component in points.items():
+            point = CurvePoint.affine(x, y)
+            assert curve.contains(point)
+            u = elliptic_log(ctx, point)
+            assert _component(ctx, u) == component, (curve, point, u)
+            x_back, y_back = coordinates_from_uniformizer(ctx, u)
+            assert abs(x_back - x) < mp.mpf(2) ** -200 * (1 + abs(x))
+            assert abs(mp.re(y_back) - y) < mp.mpf(2) ** -200 * (1 + abs(y))
+    # every real 2-torsion point of y^2 = x(x - a)(x - b), both twists: the
+    # one at x = e1 sits on the boundary that the slack decides (with no
+    # slack, 6 of these 168 points land on the wrong component)
+    for a in range(1, 8):
+        for b in range(a + 1, 9):
+            for sign in (1, -1):
+                r0, r1, r2 = sorted((0, sign * a, sign * b))
+                curve = WeierstrassCurve.from_coeffs(
+                    0, -(r0 + r1 + r2), 0, r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2)
+                ctx = arch_context(curve, 256)
+                for x in (r0, r1, r2):
+                    u = elliptic_log(ctx, CurvePoint.affine(x, 0))
+                    with mp.workprec(296):
+                        assert min(abs(u * u - 1), abs(u * u - ctx.q)) < mp.mpf(2) ** -200, (curve, x)
+
+
+def test_arch_work_counts(monkeypatch):
+    """Series evaluations per call, independent of machine speed."""
+    counts = {}
+    for name in ("_j_of_q", "_x_series", "_sigma_sum"):
+        inner = getattr(arch, name)
+
+        def wrapper(*args, _name=name, _inner=inner):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(arch, name, wrapper)
+
+    def run(call):
+        counts.update(_j_of_q=0, _x_series=0, _sigma_sum=0)
+        result = call()
+        return result, dict(counts)
+
+    ctx, work = run(lambda: arch_context(E37, 128))
+    assert work["_j_of_q"] <= 2
+    twisted_ctx = arch_context(E_TWIST2, 128)
+    for c, point in [(ctx, CurvePoint.affine(2, 2)),          # 37a, identity
+                     (ctx, CurvePoint.affine(0, 0)),          # 37a, egg
+                     (twisted_ctx, CurvePoint.affine(-2, 2))]:  # the egg |u| = sqrt(q)
+        _, work = run(lambda: elliptic_log(c, point))
+        assert work["_x_series"] <= 12, (point, work)
+        assert work["_sigma_sum"] == 0, (point, work)
