@@ -15,7 +15,6 @@ from .exact import (
     PadicElement,
     PowerSeries,
     bernoulli2,
-    series_compose_invert,
     val_p,
 )
 from .heights import (

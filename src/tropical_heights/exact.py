@@ -368,18 +368,11 @@ class PowerSeries:
         coeffs += [0] * (order - len(coeffs))
         return cls(tuple(coeffs), order)
 
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        return cls.from_list([0, 1], order)
-
     def __getitem__(self, i: int) -> int | Fraction:
         return self.coefficients[i]
 
     def __len__(self):
         return self.truncation_order
-
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries.from_list(self.coefficients[:order], order)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation_order, other.truncation_order)
@@ -425,41 +418,3 @@ class PowerSeries:
                     acc += self[i] * inv[k - i]
             inv[k] = -acc * inv[0]
         return PowerSeries.from_list(inv, n)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(x)); inner must have zero constant term."""
-        if inner[0] != 0:
-            raise InputError("composition needs inner constant term 0")
-        n = min(self.truncation_order, inner.truncation_order)
-        result = PowerSeries.from_list([self[n - 1]], n)
-        # Horner scheme in the truncated ring.
-        for k in range(n - 2, -1, -1):
-            result = result * inner + PowerSeries.from_list([self[k]], n)
-        return result
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def series_compose_invert(s: PowerSeries) -> PowerSeries:
-    """Compositional inverse of s(x) = x + O(x^2) (unit leading coefficient
-    allowed), truncated to the same order.
-
-    Solves s(g(x)) = x coefficient by coefficient; the triangular structure
-    makes each new coefficient of g a linear problem.
-    """
-    if s[0] != 0:
-        raise InputError("series must vanish at 0")
-    if s.truncation_order < 2 or s[1] == 0:
-        raise InputError("leading coefficient is not a unit")
-    n = s.truncation_order
-    g = [0, _reciprocal(s[1])]
-    for k in range(2, n):
-        partial = PowerSeries.from_list(g + [0], k + 1)
-        composed = s.truncate(k + 1).compose(partial)
-        # coefficient of x^k in s(g + t x^k) is composed[k] + s1 * t
-        g.append(-composed[k] * g[1])
-    return PowerSeries.from_list(g, n)

@@ -239,30 +239,32 @@ class GlobalHeightReport:
     checked_good_primes: tuple    # primes off the list verified to give 0
 
 
-def _bad_models(curve: WeierstrassCurve) -> list:
-    """LocalModel at each prime with v_p(minimal discriminant) > 0."""
-    primes = set()
+def _models(curve: WeierstrassCurve, extra: set = frozenset()) -> list:
+    """LocalModel at each prime with v_p(minimal discriminant) > 0 and at
+    each prime in ``extra``, sorted by prime."""
+    primes = set(extra)
     for name in ("a1", "a2", "a3", "a4", "a6"):
         primes.update(factorize(getattr(curve, name).denominator))
     primes.update(factorize(curve.discriminant.numerator))
     primes.update(factorize(curve.discriminant.denominator))
     models = [LocalModel.at(curve, p) for p in sorted(primes)]
-    return [m for m in models if val_p(m.minimal.discriminant, m.prime) > 0]
+    return [m for m in models
+            if m.prime in extra or val_p(m.minimal.discriminant, m.prime) > 0]
 
 
 def bad_primes(curve: WeierstrassCurve) -> list:
     """Primes with v_p(minimal discriminant) > 0."""
-    return [m.prime for m in _bad_models(curve)]
+    return [m.prime for m in _models(curve)]
 
 
 def is_semistable(curve: WeierstrassCurve) -> bool:
-    return all(m.reduction.kind != "additive" for m in _bad_models(curve))
+    return all(m.reduction.kind != "additive" for m in _models(curve))
 
 
 def place_list(curve: WeierstrassCurve, point: CurvePoint) -> list:
-    primes = set(bad_primes(curve))
-    primes.update(factorize(point.x.denominator))
-    return sorted(primes)
+    """The LocalModel of each place where lambda' can be nonzero: the bad
+    primes and the primes of the x-denominator, sorted by prime."""
+    return _models(curve, set(factorize(point.x.denominator)))
 
 
 def global_height(
@@ -277,11 +279,11 @@ def global_height(
     places = place_list(curve, point)
     additive = []
     reports = []
-    for p in places:
+    for model in places:
         try:
-            reports.append(local_height_report(curve, p, point))
+            reports.append(model.local_height(point))
         except AdditiveReductionError:
-            additive.append(p)
+            additive.append(model.prime)
     if additive:
         raise AdditiveReductionError(
             f"additive reduction at {additive}; restrict to semistable curves"
@@ -293,8 +295,9 @@ def global_height(
     # place coverage tripwire: lambda' vanishes at good primes off the list
     rng = random.Random(config.seed)
     checked = []
+    covered = {m.prime for m in places}
     candidates = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-                  if p not in places]
+                  if p not in covered]
     for p in rng.sample(candidates, min(5, len(candidates))):
         rep = local_height_report(curve, p, point)
         if rep.lambda_v != 0:

@@ -24,8 +24,11 @@ from .tropical import TropicalTheta
 
 
 def _exact_int(x, name):
-    """An integer field: a value that is not exactly an integer (5.7, "1/2")
-    is refused, never truncated."""
+    """An integer field: a value that is not exactly an integer (5.7, "1/2",
+    or a JSON boolean, which Python counts as 0 or 1) is refused, never
+    truncated."""
+    if isinstance(x, bool):
+        raise InputError(f"{name} must be an integer, not {x!r}")
     try:
         value = Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

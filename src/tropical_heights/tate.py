@@ -27,7 +27,6 @@ from .exact import (
     PowerSeries,
     bernoulli2,
     is_prime,
-    series_compose_invert,
     val_p,
 )
 
@@ -102,27 +101,13 @@ def j_times_q_coefficients(order: int) -> list:
     return _integers(e4 * e4 * e4 * disc_over_q.multiplicative_inverse(), "q j(q)")
 
 
-def inverse_j_coefficients(order: int) -> list:
-    """Integer coefficients g_n with q = sum g_n w^n, w = 1/j.
-
-    Obtained by compositional inversion of w(q) = q / (q j(q)).
-    """
-    jq = PowerSeries.from_list(j_times_q_coefficients(order))
-    w = PowerSeries.identity(order) * jq.multiplicative_inverse()
-    return _integers(series_compose_invert(w), "reversion of w(q)")
-
-
-def _eval_int_series(coeffs: list, q: PadicElement) -> tuple:
-    """Exact rational value of sum c_n q^n truncated against q.known_mod.
-
-    Returns (representative, known_mod): the true p-adic value agrees with
-    the representative modulo p**known_mod.
-    """
+def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
+    """Exact rational value of sum c_n q^n, truncated once the terms vanish
+    mod p**q.known_mod, to which precision it is certified."""
     ell = q.val()
     if ell is INFINITY or ell <= 0:
         raise InputError("parameter must have positive valuation")
-    known = q.known_mod
-    n_max = -((-known) // ell)  # ceil(known / ell)
+    n_max = -((-q.known_mod) // ell)  # ceil(known_mod / ell)
     q_rep = q.rational
     acc = Fraction(0)
     power = Fraction(1)
@@ -130,7 +115,7 @@ def _eval_int_series(coeffs: list, q: PadicElement) -> tuple:
         if coeffs[n]:
             acc += coeffs[n] * power
         power *= q_rep
-    return acc, known
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +296,31 @@ class LocalModel:
         kind = "split multiplicative" if split else "nonsplit multiplicative"
         return ReductionType(kind, vd)
 
+    def local_height(self, point: CurvePoint) -> "LocalHeightReport":
+        """Normalized local height of a point of the input model: the point
+        is mapped to the minimal model, where lambda' = i(x, D) +
+        (ell/2) B2(m/ell) in v-units; at a good place ell = m = 0 and
+        lambda' = i.
 
-def _multiplicative(model: LocalModel) -> ReductionType:
-    red = model.reduction
-    if not red.is_multiplicative:
-        raise PreconditionError(f"reduction at {model.prime} is not multiplicative")
-    return red
+        Nonsplit places are handled by the same formulas, computed as over
+        the unramified quadratic extension (same uniformizer and
+        valuations), and flagged in the report.
+        """
+        if point.infinity:
+            raise PreconditionError("local height undefined at the origin")
+        p, red = self.prime, self.reduction
+        if red.kind == "additive":
+            raise AdditiveReductionError(f"additive reduction at {p} is out of scope")
+        point = self.transformation.push_point(point)
+        ell = red.multiplicity
+        _require_on_curve(self.minimal, p, point, ell)
+        i = intersection_multiplicity(point, p)
+        if red.is_good:
+            return LocalHeightReport(p, red, i, Fraction(0), i)
+        m = _component_index(self, point)
+        lam = i + Fraction(ell, 2) * bernoulli2(m / ell)
+        note = "" if red.kind == "split multiplicative" else "via unramified quadratic extension"
+        return LocalHeightReport(p, red, i, m, lam, note)
 
 
 def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
@@ -386,6 +390,16 @@ def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
 
 
 def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
+    """Symmetrized component index m = min(i, ell - i) in [0, ell/2] of a
+    point of the minimal model at a multiplicative place.
+
+    For a point with singular reduction, w = v_p(2y + a1 x + a3) equals
+    min(i, ell - i) exactly except on the component opposite the identity
+    (ell even, i = ell/2), where cancellation can push w above ell/2; the
+    cap min(w, ell/2) therefore recovers min(i, ell - i) in every case.
+    Validated against parameter-built Tate points, where v(z) is ground
+    truth (see the test suite).
+    """
     ell = model.reduction.multiplicity
     if not _has_singular_reduction(model, point):
         return Fraction(0)
@@ -400,73 +414,21 @@ def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
     return m
 
 
-def component_index(curve: WeierstrassCurve, p: int, point: CurvePoint) -> Fraction:
-    """Symmetrized component index m in [0, ell/2] on a p-minimal model
-    with multiplicative reduction.
-
-    For a point with singular reduction, w = v_p(2y + a1 x + a3) equals
-    min(i, ell - i) exactly except on the component opposite the identity
-    (ell even, i = ell/2), where cancellation can push w above ell/2; the
-    cap min(w, ell/2) therefore recovers min(i, ell - i) in every case.
-    Validated against parameter-built Tate points, where v(z) is ground
-    truth (see the test suite).
-    """
-    model = LocalModel.at(curve, p).require_minimal()
-    ell = _multiplicative(model).multiplicity
-    if point.infinity:
-        raise PreconditionError("component index undefined at the origin")
-    _require_on_curve(model.minimal, p, point, ell)
-    return _component_index(model, point)
-
-
-def _local_height(model: LocalModel, point: CurvePoint) -> LocalHeightReport:
-    """lambda' = i(x, D) + (ell/2) B2(m/ell) in v-units on the minimal
-    model; at a good place ell = m = 0 and lambda' = i.
-
-    Nonsplit places are handled by the same formulas, computed as over the
-    unramified quadratic extension (same uniformizer and valuations), and
-    flagged in the report.
-    """
-    if point.infinity:
-        raise PreconditionError("local height undefined at the origin")
-    p, red = model.prime, model.reduction
-    if red.kind == "additive":
-        raise AdditiveReductionError(f"additive reduction at {p} is out of scope")
-    ell = red.multiplicity
-    _require_on_curve(model.minimal, p, point, ell)
-    i = intersection_multiplicity(point, p)
-    if red.is_good:
-        return LocalHeightReport(p, red, i, Fraction(0), i)
-    m = _component_index(model, point)
-    lam = i + Fraction(ell, 2) * bernoulli2(m / ell)
-    note = "" if red.kind == "split multiplicative" else "via unramified quadratic extension"
-    return LocalHeightReport(p, red, i, m, lam, note)
-
-
-def local_height_good(curve: WeierstrassCurve, p: int, point: CurvePoint) -> LocalHeightReport:
-    """Good reduction: the normalized local height is the intersection
-    multiplicity itself."""
-    model = LocalModel.at(curve, p).require_minimal()
-    if not model.reduction.is_good:
-        raise PreconditionError(f"curve does not have good reduction at {p}")
-    return _local_height(model, point)
-
-
 def local_height_multiplicative(
     curve: WeierstrassCurve, p: int, point: CurvePoint
 ) -> LocalHeightReport:
     """Normalized local height at a multiplicative place of a p-minimal
     model: lambda' = i(x, D) + (ell/2) B2(m/ell) in v-units."""
     model = LocalModel.at(curve, p).require_minimal()
-    _multiplicative(model)
-    return _local_height(model, point)
+    if not model.reduction.is_multiplicative:
+        raise PreconditionError(f"reduction at {p} is not multiplicative")
+    return model.local_height(point)
 
 
 def local_height_report(curve: WeierstrassCurve, p: int, point: CurvePoint) -> LocalHeightReport:
     """Normalized local height at p for any semistable place: minimalizes,
     maps the point along, and applies the formula of the reduction type."""
-    model = LocalModel.at(curve, p)
-    return _local_height(model, model.transformation.push_point(point))
+    return LocalModel.at(curve, p).local_height(point)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +438,13 @@ def local_height_report(curve: WeierstrassCurve, p: int, point: CurvePoint) -> L
 
 def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> PadicElement:
     """The multiplicative parameter q with j(q) = j(E), certified so that
-    j evaluated at the result matches j(E) modulo p**precision."""
+    j evaluated at the result matches j(E) modulo p**precision.
+
+    q is the fixed point of q -> w J(q) with w = 1/j and J(q) = q j(q), an
+    integer series: on p^ell Z_p the map contracts by |w| = p^-ell, so each
+    step from q = w fixes ell more digits of q, on integers mod p^target
+    (Silverman, Advanced Topics V.3.1: q lies in Z[[1/j]]).
+    """
     j = curve.j_invariant
     vj = val_p(j, p)
     if vj is INFINITY or vj >= 0:
@@ -485,28 +453,21 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
         )
     ell = -vj
     target = ell + precision + 2 * ell  # certify j round-trips mod p^precision
-    n_terms = target // ell + 2
-    coeffs = inverse_j_coefficients(n_terms + 1)
-    w = 1 / j
-    acc = Fraction(0)
-    power = Fraction(1)
-    for n in range(len(coeffs)):
-        if coeffs[n]:
-            acc += coeffs[n] * power
-        power *= w
-    q = PadicElement(p, acc / Fraction(p) ** ell, ell, target - ell)
+    steps = target // ell
+    modulus = p**target
+    # q^n with n > steps vanishes mod p^target
+    coeffs = [c % modulus for c in reversed(j_times_q_coefficients(steps + 1))]
+    w = _mod_p(1 / j, p, target)
+    q = w
+    for _ in range(steps):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * q + c) % modulus
+        q = w * acc % modulus
+    q = PadicElement(p, Fraction(q, p**ell), ell, target - ell)
     if q.val() != ell:
         raise PrecisionError("parameter valuation mismatch")
     return q
-
-
-def j_from_parameter(q: PadicElement) -> tuple:
-    """(representative of j(q), certified absolute precision exponent)."""
-    ell = q.val()
-    e4, known = _eval_int_series(eisenstein4_coefficients(q.known_mod // ell + 2), q)
-    disc, _ = _eval_int_series(discriminant_coefficients(q.known_mod // ell + 2), q)
-    j_rep = e4**3 / disc
-    return j_rep, known - 2 * ell
 
 
 def tate_curve(q: PadicElement) -> WeierstrassCurve:
@@ -514,8 +475,8 @@ def tate_curve(q: PadicElement) -> WeierstrassCurve:
     representatives of the coefficient series."""
     ell = q.val()
     order = q.known_mod // ell + 2
-    a4, _ = _eval_int_series(tate_a4_coefficients(order), q)
-    a6, _ = _eval_int_series(tate_a6_coefficients(order), q)
+    a4 = _eval_int_series(tate_a4_coefficients(order), q)
+    a6 = _eval_int_series(tate_a6_coefficients(order), q)
     return WeierstrassCurve(Fraction(1), Fraction(0), Fraction(0), a4, a6)
 
 
@@ -544,7 +505,7 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     z = normalize_parameter(q, z)
     if z.rational == 1:
         raise InputError("z in q^Z maps to the origin")
-    known = min(q.known_mod, z.known_mod) if z.known_mod is not INFINITY else q.known_mod
+    known = min(q.known_mod, z.known_mod)
     n_max = (known + 3 * ell) // ell + 2
     qr = q.rational
     zr = z.rational
@@ -582,7 +543,7 @@ def theta_valuation(q: PadicElement, z: PadicElement) -> Fraction:
     zr = z.rational
     if zr == 1:
         raise OnDivisorError("z lies on the divisor (z in q^Z)")
-    known = min(q.known_mod, z.known_mod) if z.known_mod is not INFINITY else q.known_mod
+    known = min(q.known_mod, z.known_mod)
     p = q.prime
     total = 0
     lead = val_p(1 - zr, p)

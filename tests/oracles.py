@@ -1,12 +1,111 @@
 """Superseded paths of the library, kept as references for differential
 tests: each was replaced by a closed form or a faster method, and the tests
-check the replacement against it."""
+check the replacement against it.
+
+* the Tate parameter by compositional inversion of the j-expansion
+  (``series_compose_invert`` on ``PowerSeries``), and j evaluated back from
+  a parameter, against ``tate.tate_parameter``'s fixed point;
+* the real q by bisection on j, and the uniformizer u by bisection on the
+  x-series, against ``arch``'s AGM and Newton steps.
+"""
+
+from fractions import Fraction
 
 import mpmath as mp
 
 from tropical_heights import arch
 from tropical_heights.curves import CurvePoint
 from tropical_heights.errors import InputError, PrecisionError
+from tropical_heights.exact import PadicElement, PowerSeries, _reciprocal, val_p
+from tropical_heights.tate import (
+    _eval_int_series,
+    _integers,
+    discriminant_coefficients,
+    eisenstein4_coefficients,
+    j_times_q_coefficients,
+)
+
+
+# -- power series: composition and reversion --------------------------------
+
+
+def identity(order: int) -> PowerSeries:
+    return PowerSeries.from_list([0, 1], order)
+
+
+def truncate(s: PowerSeries, order: int) -> PowerSeries:
+    return PowerSeries.from_list(s.coefficients[:order], order)
+
+
+def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """outer(inner(x)); inner must have zero constant term."""
+    if inner[0] != 0:
+        raise InputError("composition needs inner constant term 0")
+    n = min(outer.truncation_order, inner.truncation_order)
+    result = PowerSeries.from_list([outer[n - 1]], n)
+    # Horner scheme in the truncated ring.
+    for k in range(n - 2, -1, -1):
+        result = result * inner + PowerSeries.from_list([outer[k]], n)
+    return result
+
+
+def series_compose_invert(s: PowerSeries) -> PowerSeries:
+    """Compositional inverse of s(x) = x + O(x^2) (unit leading coefficient
+    allowed), truncated to the same order.
+
+    Solves s(g(x)) = x coefficient by coefficient; the triangular structure
+    makes each new coefficient of g a linear problem.
+    """
+    if s[0] != 0:
+        raise InputError("series must vanish at 0")
+    if s.truncation_order < 2 or s[1] == 0:
+        raise InputError("leading coefficient is not a unit")
+    n = s.truncation_order
+    g = [0, _reciprocal(s[1])]
+    for k in range(2, n):
+        partial = PowerSeries.from_list(g + [0], k + 1)
+        composed = compose(truncate(s, k + 1), partial)
+        # coefficient of x^k in s(g + t x^k) is composed[k] + s1 * t
+        g.append(-composed[k] * g[1])
+    return PowerSeries.from_list(g, n)
+
+
+# -- Tate parameter by reversion of the j-expansion -------------------------
+
+
+def inverse_j_coefficients(order: int) -> list:
+    """Integer coefficients g_n with q = sum g_n w^n, w = 1/j.
+
+    Obtained by compositional inversion of w(q) = q / (q j(q)).
+    """
+    jq = PowerSeries.from_list(j_times_q_coefficients(order))
+    w = identity(order) * jq.multiplicative_inverse()
+    return _integers(series_compose_invert(w), "reversion of w(q)")
+
+
+def reversion_tate_parameter(curve, p: int, precision: int = 20) -> PadicElement:
+    """q = sum g_n w^n at w = 1/j, summed exactly in rationals, with the
+    same target precision as ``tate.tate_parameter``."""
+    j = curve.j_invariant
+    ell = -val_p(j, p)
+    target = ell + precision + 2 * ell
+    coeffs = inverse_j_coefficients(target // ell + 3)
+    w = 1 / j
+    acc = Fraction(0)
+    power = Fraction(1)
+    for c in coeffs:
+        if c:
+            acc += c * power
+        power *= w
+    return PadicElement(p, acc / Fraction(p) ** ell, ell, target - ell)
+
+
+def j_from_parameter(q: PadicElement) -> tuple:
+    """(representative of j(q), certified absolute precision exponent)."""
+    ell = q.val()
+    e4 = _eval_int_series(eisenstein4_coefficients(q.known_mod // ell + 2), q)
+    disc = _eval_int_series(discriminant_coefficients(q.known_mod // ell + 2), q)
+    return e4**3 / disc, q.known_mod - 2 * ell
 
 
 # -- archimedean place: q by bisection on j, u by bisection on x ------------

@@ -110,6 +110,23 @@ def test_trop_eval_fractional_gram_entry(theta_file, tmp_path, capsys):
     assert "gram must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["rank", "u", "margin"])
+def test_json_booleans_are_not_integers(field, theta_file, tmp_path, capsys):
+    # true would load as 1: rank 1, index (1,) and margin 1 are all valid
+    payload = json.loads(open(theta_file).read())
+    if field == "rank":
+        payload["degeneration"]["rank"] = True
+    elif field == "u":
+        (term,) = [t for t in payload["terms"] if t["u"] == [1]]
+        term["u"] = [True]
+    else:
+        payload["margin"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    assert main(["trop-eval", str(path), "--points", "0"]) == 2
+    assert f"{field} must be an integer, not True" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("rank", 1.5), ("embedding_matrix", [[-5.9]]), ("linear_part", [-5.9]),
 ])

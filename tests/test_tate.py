@@ -11,16 +11,14 @@ from tropical_heights.errors import (
     OnDivisorError,
     PreconditionError,
 )
+from oracles import inverse_j_coefficients, j_from_parameter, reversion_tate_parameter
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
+from tropical_heights.heights import factorize
 from tropical_heights.tate import (
     Transformation,
-    component_index,
     discriminant_coefficients,
-    inverse_j_coefficients,
-    j_from_parameter,
     j_times_q_coefficients,
     local_height_from_parameter,
-    local_height_good,
     local_height_multiplicative,
     local_height_report,
     minimal_model_at,
@@ -150,8 +148,6 @@ _BAD_REDUCTION_CURVES = [
 def _multiplicative_places(bound: int):
     """(minimal model, p) at each multiplicative p <= bound of the curves
     above."""
-    from tropical_heights.heights import factorize
-
     for coeffs in _BAD_REDUCTION_CURVES:
         try:
             curve = WeierstrassCurve.from_coeffs(*coeffs)
@@ -187,7 +183,8 @@ def test_singular_reduction_against_residue_scan():
         node = _singular_point_mod_p(minimal, p)
         for point in _integral_points(minimal, 40):
             reduces_to_node = (point.x % p, point.y % p) == node
-            assert (component_index(minimal, p, point) != 0) == reduces_to_node, (
+            m = local_height_multiplicative(minimal, p, point).component
+            assert (m != 0) == reduces_to_node, (
                 minimal, p, point,
             )
             at_node[p if p <= 3 else "p >= 5"] += reduces_to_node
@@ -199,9 +196,11 @@ def test_singular_reduction_against_residue_scan():
 
 def test_good_reduction_heights():
     P = CurvePoint.affine(0, 0)
-    report = local_height_good(E37, 5, P)
+    report = local_height_report(E37, 5, P)
+    assert report.reduction.is_good
     assert report.lambda_v == 0
-    report37 = local_height_good(E37, 2, CurvePoint.affine(6, 14))
+    report37 = local_height_report(E37, 2, CurvePoint.affine(6, 14))
+    assert report37.reduction.is_good
     assert report37.lambda_v == 0
 
 
@@ -213,7 +212,8 @@ def test_good_reduction_denominator_point():
     for _ in range(4):
         Q = E37.add(Q, P)
     assert Q.x == F(1, 4)
-    report = local_height_good(E37, 2, Q)
+    report = local_height_report(E37, 2, Q)
+    assert report.reduction.is_good
     assert report.intersection == 1
     assert report.lambda_v == 1
 
@@ -221,8 +221,8 @@ def test_good_reduction_denominator_point():
 def test_good_reduction_even_in_negation():
     P = CurvePoint.affine(F(1, 4), F(-5, 8))
     assert E37.contains(P)
-    r1 = local_height_good(E37, 2, P)
-    r2 = local_height_good(E37, 2, E37.negate(P))
+    r1 = local_height_report(E37, 2, P)
+    r2 = local_height_report(E37, 2, E37.negate(P))
     assert r1.lambda_v == r2.lambda_v
 
 
@@ -254,8 +254,6 @@ def test_non_minimal_models_rejected():
         with pytest.raises(PreconditionError):
             reduction_type(curve, 11)
         with pytest.raises(PreconditionError):
-            component_index(curve, 11, moved)
-        with pytest.raises(PreconditionError):
             local_height_multiplicative(curve, 11, moved)
         # the minimalizing entry point still gives the height of 11a1
         assert local_height_report(curve, 11, moved).lambda_v == F(1, 60)
@@ -268,7 +266,7 @@ def test_additive_rejected():
 
 def test_local_height_at_origin_rejected():
     with pytest.raises(PreconditionError):
-        local_height_good(E37, 5, CurvePoint.zero())
+        local_height_report(E37, 5, CurvePoint.zero())
 
 
 # -- Tate parameters ------------------------------------------------------------------
@@ -302,6 +300,30 @@ def test_tate_parameter_valuation_and_roundtrip():
         # leading term q ~ 1/j
         lead = q.rational - 1 / curve.j_invariant
         assert lead == 0 or val_p(lead, p) >= 2 * ell
+
+
+def test_tate_parameter_matches_reversion_oracle():
+    # the fixed point of q -> w J(q) against the reversion of the
+    # j-expansion, on seeded curves (p = 2 and 3 among their multiplicative
+    # places) and on one multiplicative at p = 1009, node at x = p - 2
+    rng = random.Random(31)
+    pairs = []
+    while len(pairs) < 40:
+        try:
+            curve = WeierstrassCurve.from_coeffs(*(rng.randint(-9, 9) for _ in range(5)))
+        except InputError:
+            continue
+        pairs += [(curve, p) for p in factorize(curve.j_invariant.denominator)]
+    p, a = 1009, 1007
+    pairs.append((WeierstrassCurve.from_coeffs(0, 0, 0, -3 * a * a, 2 * a**3 + p), p))
+    assert {2, 3, 1009} <= {p for _, p in pairs}
+    for precision in (8, 20):
+        for curve, p in pairs:
+            q = tate_parameter(curve, p, precision)
+            reference = reversion_tate_parameter(curve, p, precision)
+            assert q.known_mod == reference.known_mod
+            diff = q.rational - reference.rational
+            assert diff == 0 or val_p(diff, p) >= q.known_mod, (curve, p, precision)
 
 
 def test_tate_parameter_needs_negative_j_valuation():
@@ -424,7 +446,7 @@ def test_component_index_matches_parameter_valuation():
         unit_z = rng.choice([u for u in (1, 2, 3, 4, 7) if u % p])
         z = PadicElement.from_rational(p, unit_z * p**vz, 60)
         point = tate_curve_point(q, z)
-        m = component_index(curve, p, point)
+        m = local_height_multiplicative(curve, p, point).component
         assert m == min(vz, ell - vz), (p, ell, vz, m)
 
 
@@ -432,7 +454,7 @@ def test_component_index_rejects_points_off_the_curve():
     # (3, 5) is not on 11a1, yet both partials vanish there mod 11
     assert not E11.contains(CurvePoint.affine(3, 5))
     with pytest.raises(InputError):
-        component_index(E11, 11, CurvePoint.affine(3, 5))
+        local_height_multiplicative(E11, 11, CurvePoint.affine(3, 5)).component
 
 
 def test_component_index_cancellation_case():
@@ -447,7 +469,7 @@ def test_component_index_cancellation_case():
     point = tate_curve_point(q, z)
     w = val_p(2 * point.y + point.x, p)
     assert w is INFINITY or w > 1  # the cancellation actually happens
-    assert component_index(curve, p, point) == 1
+    assert local_height_multiplicative(curve, p, point).component == 1
 
 
 def test_dual_route_exact_equality():
