@@ -103,19 +103,19 @@ def j_times_q_coefficients(order: int) -> list:
 
 def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
     """Exact rational value of sum c_n q^n, truncated once the terms vanish
-    mod p**q.known_mod, to which precision it is certified."""
+    mod p**q.known_mod, to which precision it is certified; with q = a/b, by
+    Horner's rule on the integers c_n a^n b^(N-n), over b^N."""
     ell = q.val()
     if ell is INFINITY or ell <= 0:
         raise InputError("parameter must have positive valuation")
     n_max = -((-q.known_mod) // ell)  # ceil(known_mod / ell)
-    q_rep = q.rational
-    acc = Fraction(0)
-    power = Fraction(1)
-    for n in range(min(len(coeffs), n_max + 1)):
-        if coeffs[n]:
-            acc += coeffs[n] * power
-        power *= q_rep
-    return acc
+    a, b = q.rational.numerator, q.rational.denominator
+    terms = coeffs[: n_max + 1]
+    acc, b_power = 0, 1
+    for c in reversed(terms):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return Fraction(acc, b ** (len(terms) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,7 @@ class LocalHeightReport:
 
 def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: int):
     """Exact membership, or p-adic membership deep enough that every
-    valuation the height formulas read is certified.  Accepts the exact
-    rational representatives produced by the Tate coordinate series."""
+    valuation the height formulas read is certified."""
     res = (
         point.y**2 + curve.a1 * point.x * point.y + curve.a3 * point.y
         - (point.x**3 + curve.a2 * point.x**2 + curve.a4 * point.x + curve.a6)
@@ -495,73 +494,74 @@ def normalize_parameter(q: PadicElement, z: PadicElement) -> PadicElement:
 
 def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     """Point of the Tate curve at parameter z, via the standard coordinate
-    series; exact rational representatives certified against q.known_mod.
+    series summed on integers mod p^K.
 
     The two-sided sums over q^n z collapse to one-sided ones through
     t -> 1/t: the x-summand t/(1-t)^2 is invariant, while the y-summand
-    t^2/(1-t)^3 turns into -t/(1-t)^3 at t = q^n / z.
+    t^2/(1-t)^3 turns into -t/(1-t)^3 at t = q^n / z.  For z normalized,
+    every t = q^n z or q^n / z (n >= 1) has v(t) > 0, so its summands are
+    p-adic integers; only those at z carry 1 - z = p^e u (u a unit) into a
+    denominator.  So x = A / p^2e and y = B / p^3e with integers A, B in
+    [0, p^K), and every summand with n > K // ell + 1 vanishes mod p^K.
+
+    With q and z known mod p^known, the curve is certified only mod
+    p^known, and its equation multiplies a4 by x: its residue at the point
+    is certified mod p^(known - 2e).  Fewer than the 3 ell + 6 digits that
+    membership needs raise PrecisionError.  K = known + 4e leaves x right
+    mod p^(K - 2e) and y mod p^(K - 3e), finer than p^known, so v(x) and
+    v(2y + a1 x + a3) up to ell/2 are the exact series'; the partials of
+    the equation have valuations >= -4e in x and >= -3e in y, so rounding
+    keeps the residue at valuation >= K - 6e = known - 2e >= 3 ell + 6.
     """
     ell = q.val()
     z = normalize_parameter(q, z)
     if z.rational == 1:
         raise InputError("z in q^Z maps to the origin")
+    p = q.prime
     known = min(q.known_mod, z.known_mod)
-    n_max = (known + 3 * ell) // ell + 2
-    qr = q.rational
-    zr = z.rational
-
-    def f(t: Fraction) -> Fraction:
-        return t / (1 - t) ** 2
-
-    def g(t: Fraction) -> Fraction:
-        return t * t / (1 - t) ** 3
-
-    def h(t: Fraction) -> Fraction:
-        return -t / (1 - t) ** 3
-
-    s1 = Fraction(0)
-    x = f(zr)
-    y = g(zr)
-    qn = Fraction(1)
-    for n in range(1, n_max + 1):
-        qn *= qr
-        s1 += n * qn / (1 - qn)
-        x += f(qn * zr) + f(qn / zr)
-        y += g(qn * zr) + h(qn / zr)
-    return CurvePoint.affine(x - 2 * s1, y + s1)
+    e = val_p(1 - z.rational, p)
+    needed = 3 * ell + 6
+    if known - 2 * e < needed:
+        raise PrecisionError(
+            f"v(1 - z) = {e} at known_mod = {known} leaves {known - 2 * e} certified "
+            f"digits of the curve equation; membership needs known_mod >= {needed + 2 * e}")
+    target = known + 4 * e
+    modulus = p**target
+    qr = _mod_p(q.rational, p, target)
+    zr = _mod_p(z.rational, p, target)
+    t_over = _mod_p(q.rational / z.rational, p, target)  # q^n / z at n = 1
+    s1 = sx = sy = 0
+    qn = 1
+    for n in range(1, target // ell + 2):
+        qn = qn * qr % modulus
+        t = qn * zr % modulus
+        r, r_over = pow(1 - t, -1, modulus), pow(1 - t_over, -1, modulus)
+        s1 += n * qn * pow(1 - qn, -1, modulus)
+        sx += (t * r * r + t_over * r_over * r_over) % modulus
+        sy += (t * t * r**3 - t_over * r_over**3) % modulus
+        t_over = t_over * qr % modulus
+    u_inv = _mod_p(p**e / (1 - z.rational), p, target)  # 1 - z = p^e u
+    a = (zr * u_inv**2 + p ** (2 * e) * (sx - 2 * s1)) % modulus
+    b = (zr * zr * u_inv**3 + p ** (3 * e) * (sy + s1)) % modulus
+    return CurvePoint.affine(Fraction(a, p ** (2 * e)), Fraction(b, p ** (3 * e)))
 
 
 def theta_valuation(q: PadicElement, z: PadicElement) -> Fraction:
     """Valuation of theta(z) = (1-z) prod (1-q^n z)(1-q^n/z), in v-units.
 
-    With z normalized to 0 <= v(z) < v(q), every factor beyond the first is
-    a unit, so truncating once n v(q) exceeds the working precision is
-    exact.  Raises OnDivisorError when theta vanishes to working precision.
+    With z normalized to 0 <= v(z) < v(q), every factor 1 - q^n z and
+    1 - q^n / z (n >= 1) is a unit, so v(theta(z)) = v(1 - z).  Raises
+    OnDivisorError when theta vanishes to working precision.
     """
-    ell = q.val()
     z = normalize_parameter(q, z)
     zr = z.rational
     if zr == 1:
         raise OnDivisorError("z lies on the divisor (z in q^Z)")
     known = min(q.known_mod, z.known_mod)
-    p = q.prime
-    total = 0
-    lead = val_p(1 - zr, p)
+    lead = val_p(1 - zr, q.prime)
     if lead is INFINITY or lead >= known:
         raise OnDivisorError("theta(z) vanishes to working precision")
-    total += lead
-    qr = q.rational
-    qn = Fraction(1)
-    n = 1
-    while n * ell < known:
-        qn *= qr
-        for factor in (1 - qn * zr, 1 - qn / zr):
-            v = val_p(factor, p)
-            if v is INFINITY or v >= known:
-                raise OnDivisorError("theta(z) vanishes to working precision")
-            total += v
-        n += 1
-    return Fraction(total)
+    return Fraction(lead)
 
 
 def local_height_from_parameter(q: PadicElement, z: PadicElement) -> Fraction:

@@ -6,7 +6,10 @@ check the replacement against it.
   (``series_compose_invert`` on ``PowerSeries``), and j evaluated back from
   a parameter, against ``tate.tate_parameter``'s fixed point;
 * the real q by bisection on j, and the uniformizer u by bisection on the
-  x-series, against ``arch``'s AGM and Newton steps.
+  x-series, against ``arch``'s AGM and Newton steps;
+* the point of the Tate curve at a parameter z by exact rational sums of
+  the coordinate series, against ``tate.tate_curve_point``'s sums on
+  integers mod a power of p.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from tropical_heights.tate import (
     discriminant_coefficients,
     eisenstein4_coefficients,
     j_times_q_coefficients,
+    normalize_parameter,
 )
 
 
@@ -106,6 +110,47 @@ def j_from_parameter(q: PadicElement) -> tuple:
     e4 = _eval_int_series(eisenstein4_coefficients(q.known_mod // ell + 2), q)
     disc = _eval_int_series(discriminant_coefficients(q.known_mod // ell + 2), q)
     return e4**3 / disc, q.known_mod - 2 * ell
+
+
+# -- Tate curve points by exact rational sums --------------------------------
+
+
+def exact_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
+    """Point of the Tate curve at parameter z, via the standard coordinate
+    series; exact rational representatives certified against q.known_mod.
+
+    The two-sided sums over q^n z collapse to one-sided ones through
+    t -> 1/t: the x-summand t/(1-t)^2 is invariant, while the y-summand
+    t^2/(1-t)^3 turns into -t/(1-t)^3 at t = q^n / z.
+    """
+    ell = q.val()
+    z = normalize_parameter(q, z)
+    if z.rational == 1:
+        raise InputError("z in q^Z maps to the origin")
+    known = min(q.known_mod, z.known_mod)
+    n_max = (known + 3 * ell) // ell + 2
+    qr = q.rational
+    zr = z.rational
+
+    def f(t: Fraction) -> Fraction:
+        return t / (1 - t) ** 2
+
+    def g(t: Fraction) -> Fraction:
+        return t * t / (1 - t) ** 3
+
+    def h(t: Fraction) -> Fraction:
+        return -t / (1 - t) ** 3
+
+    s1 = Fraction(0)
+    x = f(zr)
+    y = g(zr)
+    qn = Fraction(1)
+    for n in range(1, n_max + 1):
+        qn *= qr
+        s1 += n * qn / (1 - qn)
+        x += f(qn * zr) + f(qn / zr)
+        y += g(qn * zr) + h(qn / zr)
+    return CurvePoint.affine(x - 2 * s1, y + s1)
 
 
 # -- archimedean place: q by bisection on j, u by bisection on x ------------

@@ -233,10 +233,15 @@ def test_global_height_tolerance_from_config(curve_file, capsys):
 
 
 def test_verify_command(capsys):
-    code = main(["verify", "cvp", "--seed", "1"]) if False else main(
-        ["--seed", "1", "verify", "cvp"]
-    )
-    assert code == 0
+    assert main(["--seed", "1", "verify", "cvp"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["passed"] is True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_tate_dual_route_command(seed, capsys):
+    # the suite's z = 1 + p^k cases put the point near the origin (e > 0)
+    assert main(["--seed", str(seed), "verify", "tate-dual-route"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["passed"] is True
 

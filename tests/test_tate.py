@@ -10,12 +10,19 @@ from tropical_heights.errors import (
     InputError,
     OnDivisorError,
     PreconditionError,
+    PrecisionError,
 )
-from oracles import inverse_j_coefficients, j_from_parameter, reversion_tate_parameter
+from oracles import (
+    exact_tate_curve_point,
+    inverse_j_coefficients,
+    j_from_parameter,
+    reversion_tate_parameter,
+)
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
 from tropical_heights.heights import factorize
 from tropical_heights.tate import (
     Transformation,
+    _eval_int_series,
     discriminant_coefficients,
     j_times_q_coefficients,
     local_height_from_parameter,
@@ -24,6 +31,7 @@ from tropical_heights.tate import (
     minimal_model_at,
     normalize_parameter,
     reduction_type,
+    tate_a6_coefficients,
     tate_curve,
     tate_curve_point,
     tate_parameter,
@@ -374,6 +382,94 @@ def test_tate_point_inversion_symmetry():
     mirrored = tate_curve_point(q, z_inv)
     diff = point.x - mirrored.x  # x(z) = x(q/z): inverse parameter class
     assert diff == 0 or val_p(diff, p) >= 40
+
+
+def test_eval_int_series_matches_fraction_sum():
+    # a fractional unit part puts powers of 3 in every denominator
+    q = PadicElement.from_rational(5, 25 * F(2, 3), 30)
+    n_max = -(-q.known_mod // q.val())  # the terms kept: n <= ceil(known_mod / ell)
+    for order in (5, 40):
+        coeffs = tate_a6_coefficients(order)
+        direct = sum(F(c) * q.rational**n for n, c in enumerate(coeffs[: n_max + 1]))
+        assert _eval_int_series(coeffs, q) == direct
+
+
+def test_tate_curve_point_matches_exact_sum_oracle():
+    """The sums on integers mod p^K agree with the exact rational sums to
+    p^known, and both points give the parameter route's height and the same
+    component; inputs too close to 1 for the certified digits are refused."""
+    rng = random.Random(37)
+    units = (1, 2, 3, 5, F(2, 3), F(5, 7), F(4, 3))
+    primes = (2, 3, 5, 7, 11, 1009)
+    refused = 0
+    for trial in range(48):
+        p = primes[trial % 6]
+        ell = rng.randint(1, 6)
+        precision = rng.randint(20, 80)
+        p_units = [u for u in units if val_p(u, p) == 0]
+        q = PadicElement.from_rational(p, rng.choice(p_units) * p**ell, precision)
+        depth = trial // 6 % 4
+        if depth:
+            z_value = 1 + rng.choice(p_units) * p**depth  # z = 1 mod p^depth
+        else:
+            z_value = rng.choice(p_units[1:]) * p ** rng.randint(0, ell - 1)
+        z = PadicElement.from_rational(p, z_value, precision)
+        known = min(q.known_mod, z.known_mod)
+        e = val_p(1 - normalize_parameter(q, z).rational, p)
+        case = (p, ell, precision, z_value)
+        if known - 2 * e < 3 * ell + 6:
+            with pytest.raises(PrecisionError):
+                tate_curve_point(q, z)
+            refused += 1
+            continue
+        point, oracle = tate_curve_point(q, z), exact_tate_curve_point(q, z)
+        for new, old in ((point.x, oracle.x), (point.y, oracle.y)):
+            assert new == old or val_p(new - old, p) >= known, case
+        curve = tate_curve(q)
+        report = local_height_multiplicative(curve, p, point)
+        reference = local_height_multiplicative(curve, p, oracle)
+        assert report.lambda_v == reference.lambda_v == local_height_from_parameter(q, z), case
+        assert report.component == reference.component, case
+    assert 0 < refused < 8
+
+
+def test_tate_curve_point_stays_small():
+    """Numerators below p^(K + 3e), for the modulus K = known + 4e, over
+    the powers of p that 1 - z = p^e u puts in the denominators."""
+    p, e = 2, 3
+    q = PadicElement.from_rational(p, p * F(5, 3), 60)
+    z = PadicElement.from_rational(p, 1 + p**e * F(5, 7), 60)
+    known = min(q.known_mod, z.known_mod)
+    point = tate_curve_point(q, z)
+    bound = p ** (known + 4 * e + 3 * e)
+    assert 0 <= point.x.numerator < bound and point.x.denominator == p ** (2 * e)
+    assert 0 <= point.y.numerator < bound and point.y.denominator == p ** (3 * e)
+
+
+@pytest.mark.parametrize("p, q_value, precision, answered_before", [
+    (3, 2 * 3**2, 30, 7), (2, 2, 20, 4), (5, 5**4, 40, 11),
+])
+def test_component_route_near_the_origin(p, q_value, precision, answered_before):
+    """z = 1 + p^k tends to the origin as k grows, and the point's valuation
+    -2k eats into the digits of the curve that are certified.  Every k gets
+    the same height by both routes, or a PrecisionError from the point, never
+    the InputError of a membership check that cannot be certified."""
+    q = PadicElement.from_rational(p, q_value, precision)
+    curve = tate_curve(q)
+    answered, refused = [], []
+    for k in range(1, precision + 4):
+        z = PadicElement.from_rational(p, 1 + p**k, precision)
+        try:
+            point = tate_curve_point(q, z)
+        except PrecisionError:
+            refused.append(k)
+            continue
+        report = local_height_multiplicative(curve, p, point)
+        assert report.lambda_v == local_height_from_parameter(q, z), k
+        answered.append(k)
+    assert answered == list(range(1, len(answered) + 1))
+    assert len(answered) >= answered_before
+    assert refused == list(range(len(answered) + 1, precision + 4))
 
 
 def test_tate_point_rejects_divisor():
