@@ -16,7 +16,7 @@ from tropical_heights.exact import format_rational
 def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     started = time.time()
-    examples = find_semistable_examples(count=count, max_coeff=10)
+    examples = find_semistable_examples(count=count)
     print(f"{len(examples)} semistable curves with a non-torsion point "
           f"(search {time.time() - started:.1f}s)\n")
 
@@ -44,7 +44,7 @@ def main():
     print(f"\nworst |global - oracle| = {worst:.2e}")
 
     print("\ntorsion sanity:")
-    for curve, point in find_semistable_examples(count=5, max_coeff=10, want_torsion=True):
+    for curve, point in find_semistable_examples(count=5, want_torsion=True):
         report = global_height(curve, point)
         order = curve.torsion_order(point)
         print(f"  order-{order} point {point}: global = {report.global_sum:+.2e}")

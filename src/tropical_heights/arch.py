@@ -314,19 +314,6 @@ def _newton_on_arc(ctx: ArchContext, start, k, x_ends, x_target, tiny):
     raise PrecisionError("Newton on the uniformizer did not converge")
 
 
-def coordinates_from_uniformizer(ctx: ArchContext, u):
-    """(x, y) on the original model from a uniformizer (round-trip support)."""
-    with mp.workprec(ctx.precision_bits + 40):
-        eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
-        q = ctx.q
-        x_q = _x_series(u, q, eps, ctx.sigma1)
-        eta_q = _eta_series(u, q, eps)
-        curve = ctx.curve
-        x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - _mp(curve.b2) / 12
-        y = (ctx.alpha3 * eta_q - _mp(curve.a1) * x - _mp(curve.a3)) / 2
-        return x, y
-
-
 def local_height_from_uniformizer(ctx: ArchContext, u) -> float:
     """lambda' = (ell/2) B2(t) - log|theta(u)| with t = -log|u|/ell in [0,1).
 

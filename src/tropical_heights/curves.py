@@ -14,6 +14,8 @@ from functools import cached_property
 
 from .errors import InputError
 
+# Mazur: a rational torsion point on a curve over Q has order at most 12
+_MAZUR_BOUND = 12
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -97,11 +99,6 @@ class WeierstrassCurve:
     def j_invariant(self) -> Fraction:
         return self.c4**3 / self.discriminant
 
-    def is_integral(self) -> bool:
-        return all(
-            getattr(self, n).denominator == 1 for n in ("a1", "a2", "a3", "a4", "a6")
-        )
-
     # -- membership and group law --------------------------------------------
 
     def contains(self, p: CurvePoint) -> bool:
@@ -112,10 +109,6 @@ class WeierstrassCurve:
             y**2 + self.a1 * x * y + self.a3 * y
             == x**3 + self.a2 * x**2 + self.a4 * x + self.a6
         )
-
-    def _require(self, p: CurvePoint):
-        if not self.contains(p):
-            raise InputError(f"point {p} is not on the curve")
 
     def negate(self, p: CurvePoint) -> CurvePoint:
         if p.infinity:
@@ -144,23 +137,11 @@ class WeierstrassCurve:
     def double(self, p: CurvePoint) -> CurvePoint:
         return self.add(p, p)
 
-    def multiply(self, n: int, p: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.multiply(-n, self.negate(p))
-        out = CurvePoint.zero()
-        acc = p
-        while n:
-            if n & 1:
-                out = self.add(out, acc)
-            acc = self.double(acc)
-            n >>= 1
-        return out
-
-    def torsion_order(self, p: CurvePoint, bound: int = 12) -> int | None:
-        """Order of p if it is torsion of order <= bound (Mazur's bound for
+    def torsion_order(self, p: CurvePoint) -> int | None:
+        """Order of p if it is torsion (of order <= 12, Mazur's bound for
         curves over Q), else None."""
         acc = CurvePoint.zero()
-        for n in range(1, bound + 1):
+        for n in range(1, _MAZUR_BOUND + 1):
             acc = self.add(acc, p)
             if acc.infinity:
                 return n
@@ -195,11 +176,3 @@ class WeierstrassCurve:
         x_new = (p.x - r) / u**2
         y_new = (p.y - s * (p.x - r) - t) / u**3
         return CurvePoint.affine(x_new, y_new)
-
-
-def naive_height(x: Fraction) -> float:
-    """log max(|numerator|, denominator) of a rational number."""
-    import math
-
-    x = Fraction(x)
-    return math.log(max(abs(x.numerator), x.denominator, 1))

@@ -24,13 +24,6 @@ def floor_sqrt(x: Fraction) -> int:
     return isqrt(p * q) // q
 
 
-def quadratic_value(gram, x) -> Fraction:
-    n = len(x)
-    return sum(
-        Fraction(x[i]) * gram[i][j] * Fraction(x[j]) for i in range(n) for j in range(n)
-    )
-
-
 def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 

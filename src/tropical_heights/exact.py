@@ -6,10 +6,11 @@ stdlib type already guarantees reduced form with positive denominator and
 arbitrary precision, which is exactly the contract the rest of the code
 relies on.
 
-p-adic elements are stored as an exact rational unit part together with a
-valuation and a certified precision.  All arithmetic is exact on the
-rational representatives; ``precision`` tracks, pessimistically, how many
-digits of agreement with the intended p-adic limit are certified.
+p-adic elements are certified values, not a ring: an exact rational unit
+part, a valuation, and the number of digits past the valuation that are
+certified to agree with the intended p-adic limit.  They carry no
+arithmetic; the code that makes and reads them (``tate``) works on
+integers modulo a power of p.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ def val_p(x: Fraction | int, p: int):
     return v
 
 
-def unit_part(x: Fraction, p: int) -> Fraction:
-    """x / p**val_p(x); requires x != 0."""
-    v = val_p(x, p)
-    return x / Fraction(p) ** v
-
-
 def bernoulli2(t: Fraction | int) -> Fraction:
     """Second Bernoulli polynomial t^2 - t + 1/6, evaluated exactly."""
     t = Fraction(t)
@@ -202,131 +197,6 @@ class PadicElement:
     def val(self):
         return INFINITY if self.is_zero() else self.valuation
 
-    def residue(self, k: int) -> int:
-        """Integer representative modulo p**k (element must be integral)."""
-        if self.is_zero():
-            return 0
-        if self.valuation < 0:
-            raise InputError("residue of a non-integral element")
-        if self.known_mod is not INFINITY and k > self.known_mod:
-            raise PrecisionError(f"only certified mod {self.prime}^{self.known_mod}")
-        if self.valuation >= k:
-            return 0
-        m = self.prime ** (k - self.valuation)
-        num = self.unit.numerator % m
-        den_inv = pow(self.unit.denominator, -1, m)
-        return (num * den_inv % m) * self.prime**self.valuation % self.prime**k
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: "PadicElement"):
-        if self.prime != other.prime:
-            raise InputError("mixed primes in p-adic arithmetic")
-
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return PadicElement(self.prime, -self.unit, self.valuation, self.precision)
-
-    def _promote(self, value) -> "PadicElement":
-        """Wrap an exactly known scalar without degrading this element's
-        certified precision."""
-        value = Fraction(value)
-        if value == 0:
-            return PadicElement.exact_zero(self.prime)
-        v = val_p(value, self.prime)
-        known = self.known_mod
-        precision = 1 if known is INFINITY else max(known - v + 1, 1)
-        return PadicElement(self.prime, unit_part(value, self.prime), v, precision)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._promote(other)
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        known = min(self.known_mod, other.known_mod)
-        total = self.rational + other.rational
-        if total == 0:
-            return PadicElement.exact_zero(self.prime)
-        v = val_p(total, self.prime)
-        if v >= known:
-            raise PrecisionError(
-                f"cancellation past certified precision (mod {self.prime}^{known})"
-            )
-        return PadicElement(self.prime, unit_part(total, self.prime), v, known - v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._promote(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return PadicElement.exact_zero(self.prime)
-            v = val_p(other, self.prime)
-            if self.is_zero():
-                return self
-            return PadicElement(
-                self.prime, self.unit * unit_part(other, self.prime),
-                self.valuation + v, self.precision,
-            )
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PadicElement.exact_zero(self.prime)
-        return PadicElement(
-            self.prime,
-            self.unit * other.unit,
-            self.valuation + other.valuation,
-            min(self.precision, other.precision),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PadicElement.from_rational(self.prime, other, self.precision)
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("p-adic division by zero")
-        if self.is_zero():
-            return self
-        return PadicElement(
-            self.prime,
-            self.unit / other.unit,
-            self.valuation - other.valuation,
-            min(self.precision, other.precision),
-        )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError
-            return PadicElement(self.prime, self.unit**n, self.valuation * n, self.precision)
-        if n == 0:
-            return PadicElement(self.prime, Fraction(1), 0, self.precision or 1)
-        if self.is_zero():
-            return self
-        return PadicElement(self.prime, self.unit**n, self.valuation * n, self.precision)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicElement):
-            return NotImplemented
-        return (
-            self.prime == other.prime
-            and self.rational == other.rational
-            and self.precision == other.precision
-        )
-
     def __repr__(self):
         if self.is_zero():
             return f"PadicElement({self.prime}, 0)"
@@ -371,9 +241,6 @@ class PowerSeries:
     def __getitem__(self, i: int) -> int | Fraction:
         return self.coefficients[i]
 
-    def __len__(self):
-        return self.truncation_order
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation_order, other.truncation_order)
         return PowerSeries.from_list(
@@ -386,11 +253,7 @@ class PowerSeries:
             [self[i] - other[i] for i in range(n)], n
         )
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries.from_list(
-                [c * other for c in self.coefficients], self.truncation_order
-            )
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation_order, other.truncation_order)
         out = [0] * n
         for i, a in enumerate(self.coefficients[:n]):
@@ -401,8 +264,6 @@ class PowerSeries:
                 if b:
                     out[i + j] += a * b
         return PowerSeries.from_list(out, n)
-
-    __rmul__ = __mul__
 
     def multiplicative_inverse(self) -> "PowerSeries":
         """1/self; requires an invertible constant term."""

@@ -351,11 +351,12 @@ def _rational_points_small(curve: WeierstrassCurve) -> list:
     return points
 
 
-def find_semistable_examples(
-    count: int = 10, max_coeff: int = 10, want_torsion: bool = False
-) -> list:
-    """Deterministic scan over small Weierstrass coefficients for semistable
-    curves carrying a rational point of the requested kind.
+_SCAN_MAX_COEFF = 10
+
+
+def find_semistable_examples(count: int = 10, want_torsion: bool = False) -> list:
+    """Deterministic scan over Weierstrass coefficients |a4|, |a6| <= 10
+    for semistable curves carrying a rational point of the requested kind.
 
     Returns (curve, point) pairs; points are non-torsion by Mazur's bound
     unless ``want_torsion``, in which case they have finite order > 1.
@@ -363,7 +364,7 @@ def find_semistable_examples(
     """
     found = []
     seen_j = set()
-    by_abs = sorted(range(-max_coeff, max_coeff + 1), key=lambda v: (abs(v), v))
+    by_abs = sorted(range(-_SCAN_MAX_COEFF, _SCAN_MAX_COEFF + 1), key=lambda v: (abs(v), v))
     for a1, a3 in ((1, 0), (1, 1), (0, 1), (0, 0)):
         for a2 in (0, -1, 1):
             for a4 in by_abs:

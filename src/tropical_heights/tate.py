@@ -489,7 +489,8 @@ def normalize_parameter(q: PadicElement, z: PadicElement) -> PadicElement:
     if 0 <= z.val() < ell:
         return z
     k = z.val() // ell
-    return z * q ** (-k)
+    unit = Fraction(z.unit) / Fraction(q.unit) ** k
+    return PadicElement(q.prime, unit, z.valuation - k * ell, min(z.precision, q.precision))
 
 
 def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
@@ -504,11 +505,13 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     denominator.  So x = A / p^2e and y = B / p^3e with integers A, B in
     [0, p^K), and every summand with n > K // ell + 1 vanishes mod p^K.
 
-    With q and z known mod p^known, the curve is certified only mod
-    p^known, and its equation multiplies a4 by x: its residue at the point
-    is certified mod p^(known - 2e).  Fewer than the 3 ell + 6 digits that
-    membership needs raise PrecisionError.  K = known + 4e leaves x right
-    mod p^(K - 2e) and y mod p^(K - 3e), finer than p^known, so v(x) and
+    Only q's digits certify the curve: with q known mod p^known, the curve
+    is certified only mod p^known, and its equation multiplies a4 by x: its
+    residue at the point is certified mod p^(known - 2e).  Fewer than the
+    3 ell + 6 digits that membership needs raise PrecisionError.  An error
+    in z moves the point along the curve, so z's digits need only certify
+    e itself (e < z.known_mod).  K = known + 4e leaves x right mod
+    p^(K - 2e) and y mod p^(K - 3e), finer than p^known, so v(x) and
     v(2y + a1 x + a3) up to ell/2 are the exact series'; the partials of
     the equation have valuations >= -4e in x and >= -3e in y, so rounding
     keeps the residue at valuation >= K - 6e = known - 2e >= 3 ell + 6.
@@ -518,8 +521,11 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     if z.rational == 1:
         raise InputError("z in q^Z maps to the origin")
     p = q.prime
-    known = min(q.known_mod, z.known_mod)
+    known = q.known_mod
     e = val_p(1 - z.rational, p)
+    if e >= z.known_mod:
+        raise PrecisionError(
+            f"v(1 - z) = {e} is not certified by z, known mod {p}^{z.known_mod}")
     needed = 3 * ell + 6
     if known - 2 * e < needed:
         raise PrecisionError(

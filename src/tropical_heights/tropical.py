@@ -42,6 +42,12 @@ def _ceil_sqrt(x: Fraction) -> int:
     return r if Fraction(r) ** 2 == x else r + 1
 
 
+# lattice-translate shells around a certified minimizer in generated term lists
+_TERM_MARGIN = 2
+# points on which theta_characteristic certifies its constant offset
+_GRID_POINTS = 50
+
+
 @dataclass(frozen=True)
 class TropicalTheta:
     """Finite Fourier data (u, a_u) over degeneration data.
@@ -53,7 +59,7 @@ class TropicalTheta:
 
     data: DegenerationData
     terms: dict
-    margin: int = 2
+    margin: int = _TERM_MARGIN
 
     def __post_init__(self):
         if not self.terms:
@@ -129,17 +135,13 @@ class TropicalTheta:
         return self.value(nu) + trivialization_valuation_real(self.data, nu)
 
 
-def generate_theta_terms(
-    data: DegenerationData,
-    margin: int = 2,
-    constant: Fraction | int = 0,
-) -> TropicalTheta:
+def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -> TropicalTheta:
     """Build a certified-sufficient Fourier term list from (G, l).
 
     Terms are indexed by u = F w over a coordinate box of lattice vectors
     w, with coefficients c(w) + constant, where c is the trivialization
     valuation.  The box is sized so that for every point of the fundamental
-    parallelotope the true minimizer lies at least ``margin`` shells away
+    parallelotope the true minimizer lies at least ``_TERM_MARGIN`` shells away
     from the boundary: a Babai bound on the quadratic part gives a radius
     that provably contains all minimizers.
     """
@@ -152,7 +154,7 @@ def generate_theta_terms(
         spread = max(abs(h[i]), abs(1 + h[i]))
         coord = _ceil_sqrt(r2 * ginv[i][i])
         extra = spread.numerator // spread.denominator + 1
-        bounds.append(extra + coord + margin)
+        bounds.append(extra + coord + _TERM_MARGIN)
     total = 1
     for b in bounds:
         total *= 2 * b + 1
@@ -168,7 +170,7 @@ def generate_theta_terms(
             sum(f[i][j] * w[j] for j in range(g)) for i in range(g)
         )
         terms[u] = trivialization_valuation(data, w) + Fraction(constant)
-    return TropicalTheta(data=data, terms=terms, margin=margin)
+    return TropicalTheta(data=data, terms=terms, margin=_TERM_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,9 @@ class ThetaCharacteristic:
     base_constant: Fraction  # r' in the decomposition r = -[k,k]/2 + r'
 
 
-def evaluation_grid(data: DegenerationData, min_count: int = 50) -> list:
-    """Deterministic rational grid inside the fundamental parallelotope.
+def evaluation_grid(data: DegenerationData) -> list:
+    """Deterministic grid of _GRID_POINTS rationals inside the fundamental
+    parallelotope.
 
     Denominator-7 lattice points (which avoid cell walls for generic data)
     visited in a strided order for coverage, topped up with denominator-53
@@ -226,18 +229,18 @@ def evaluation_grid(data: DegenerationData, min_count: int = 50) -> list:
     strides = [3, 5, 2, 6][:g] + [3] * max(0, g - 4)
     total = 7**g
     points = []
-    for k in range(min(total, min_count)):
+    for k in range(min(total, _GRID_POINTS)):
         digits = [(k // 7**i) % 7 for i in range(g)]
         t = [Fraction((strides[i] * (digits[i] + k) + i) % 7, 7) for i in range(g)]
         points.append(data.from_lattice_coords(t))
     j = 1
-    while len(points) < min_count:
+    while len(points) < _GRID_POINTS:
         points.append(data.from_lattice_coords([Fraction(j % 52 + 1, 53)] * g))
         j += 1
     return points
 
 
-def theta_characteristic(theta: TropicalTheta, grid_size: int = 50) -> ThetaCharacteristic:
+def theta_characteristic(theta: TropicalTheta) -> ThetaCharacteristic:
     """Solve for the translation relating the normalized theta to the
     normalized tropical Riemann theta, and certify the constant offset on a
     deterministic grid (exact equality at every point)."""
@@ -258,7 +261,7 @@ def theta_characteristic(theta: TropicalTheta, grid_size: int = 50) -> ThetaChar
     r = theta.normalized_value(base) - normalized_tropical_riemann_theta(
         data, [b + ki for b, ki in zip(base, k)]
     )
-    for nu in evaluation_grid(data, grid_size):
+    for nu in evaluation_grid(data):
         shifted = [x + ki for x, ki in zip(nu, k)]
         value = theta.normalized_value(nu) - normalized_tropical_riemann_theta(
             data, shifted

@@ -52,9 +52,13 @@ def brute_force_closest(gram, target, radius: int = 4) -> Fraction:
     return Fraction(best, den * den)
 
 
-def random_positive_definite(rng: random.Random, rank: int, max_entry: int = 25):
+_MAX_ENTRY = 25
+_MAX_DET = 400
+
+
+def random_positive_definite(rng: random.Random, rank: int):
     """Random symmetric positive definite integer matrix with entries
-    bounded by max_entry (A^T A plus a diagonal shift, redrawn until the
+    bounded by _MAX_ENTRY (A^T A plus a diagonal shift, redrawn until the
     bound holds)."""
     while True:
         a = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
@@ -66,7 +70,7 @@ def random_positive_definite(rng: random.Random, rank: int, max_entry: int = 25)
             ]
             for i in range(rank)
         ]
-        if all(abs(x) <= max_entry for row in gram for x in row):
+        if all(abs(x) <= _MAX_ENTRY for row in gram for x in row):
             return gram
 
 
@@ -83,15 +87,13 @@ def random_unimodular(rng: random.Random, rank: int):
     return m
 
 
-def random_principally_polarized(
-    rng: random.Random, rank: int, max_det: int = 400
-) -> DegenerationData:
-    """Synthetic principally polarized data: G symmetric positive definite,
-    F unimodular, M = F^{-T} G (so the polarization map is F), linear part
-    parity-matched to the diagonal of G."""
+def random_principally_polarized(rng: random.Random, rank: int) -> DegenerationData:
+    """Synthetic principally polarized data: G symmetric positive definite
+    with |det G| <= _MAX_DET, F unimodular, M = F^{-T} G (so the polarization
+    map is F), linear part parity-matched to the diagonal of G."""
     while True:
         gram = random_positive_definite(rng, rank)
-        if abs(int(determinant(gram))) > max_det:
+        if abs(int(determinant(gram))) > _MAX_DET:
             continue
         f = random_unimodular(rng, rank)
         m = mat_mul(transpose(int_matrix_inverse(f)), gram)
@@ -116,10 +118,18 @@ def random_principally_polarized(
 # ---------------------------------------------------------------------------
 
 
-def suite_cvp(seed: int = 0, count: int = 100) -> dict:
+# cases per suite run
+_CVP_CASES = 100
+_QUANTIZATION_CASES = 20
+_THETA_CHAR_CASES = 20
+_TROP_INVARIANCE_CASES = 60
+_DUAL_ROUTE_CASES = 20
+
+
+def suite_cvp(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
-    for case in range(count):
+    for case in range(_CVP_CASES):
         rank = rng.choice([1, 2, 3, 4])
         gram = random_positive_definite(rng, rank)
         t = [
@@ -133,13 +143,13 @@ def suite_cvp(seed: int = 0, count: int = 100) -> dict:
                 {"case": case, "gram": gram, "target": [str(x) for x in t],
                  "solver": str(val), "oracle": str(oracle)}
             )
-    return {"suite": "cvp", "cases": count, "passed": not failures, "failures": failures}
+    return {"suite": "cvp", "cases": _CVP_CASES, "passed": not failures, "failures": failures}
 
 
-def suite_quantization(seed: int = 0, count: int = 20) -> dict:
+def suite_quantization(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
-    for case in range(count):
+    for case in range(_QUANTIZATION_CASES):
         rank = rng.choice([1, 2, 3])
         data = random_principally_polarized(rng, rank)
         theta = generate_theta_terms(data)
@@ -151,15 +161,15 @@ def suite_quantization(seed: int = 0, count: int = 20) -> dict:
                  "violations": [(rep, str(v)) for rep, v in report.violations]}
             )
     return {
-        "suite": "quantization", "cases": count,
+        "suite": "quantization", "cases": _QUANTIZATION_CASES,
         "passed": not failures, "failures": failures,
     }
 
 
-def suite_theta_characteristic(seed: int = 0, count: int = 20) -> dict:
+def suite_theta_characteristic(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
-    for case in range(count):
+    for case in range(_THETA_CHAR_CASES):
         rank = rng.choice([1, 2, 3])
         data = random_principally_polarized(rng, rank)
         shift = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -177,17 +187,17 @@ def suite_theta_characteristic(seed: int = 0, count: int = 20) -> dict:
                  f"decomposition constant {tc.base_constant} != shift {shift}"}
             )
     return {
-        "suite": "theta-char", "cases": count,
+        "suite": "theta-char", "cases": _THETA_CHAR_CASES,
         "passed": not failures, "failures": failures,
     }
 
 
-def suite_trop_invariance(seed: int = 0, count: int = 60) -> dict:
+def suite_trop_invariance(seed: int = 0) -> dict:
     """Lattice invariance of the normalized value, concavity of the raw
     value on segments, and tensor additivity."""
     rng = random.Random(seed)
     failures = []
-    for case in range(count):
+    for case in range(_TROP_INVARIANCE_CASES):
         rank = rng.choice([1, 2])
         data = random_principally_polarized(rng, rank)
         theta = generate_theta_terms(data)
@@ -229,16 +239,16 @@ def suite_trop_invariance(seed: int = 0, count: int = 60) -> dict:
                 failures.append({"case": f"tensor-{case}", "property": "additivity"})
                 break
     return {
-        "suite": "trop-invariance", "cases": count + 10,
+        "suite": "trop-invariance", "cases": _TROP_INVARIANCE_CASES + 10,
         "passed": not failures, "failures": failures,
     }
 
 
-def suite_tate_dual_route(seed: int = 0, count: int = 20) -> dict:
+def suite_tate_dual_route(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
     primes = [2, 3, 5, 7]
-    for case in range(count):
+    for case in range(_DUAL_ROUTE_CASES):
         p = primes[case % 4]
         ell = rng.randint(1, 6)
         unit_q = rng.choice([u for u in (1, 2, 3, 4, 5, 6, 7) if u % p != 0])
@@ -258,7 +268,7 @@ def suite_tate_dual_route(seed: int = 0, count: int = 20) -> dict:
                  "parameter_route": str(lam_param), "component_route": str(report.lambda_v)}
             )
     return {
-        "suite": "tate-dual-route", "cases": count,
+        "suite": "tate-dual-route", "cases": _DUAL_ROUTE_CASES,
         "passed": not failures, "failures": failures,
     }
 

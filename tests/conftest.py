@@ -14,11 +14,11 @@ def rank1_tate_data(ell: int) -> DegenerationData:
 def semistable_examples():
     from tropical_heights.heights import find_semistable_examples
 
-    return find_semistable_examples(count=12, max_coeff=10)
+    return find_semistable_examples(count=12)
 
 
 @pytest.fixture(scope="session")
 def torsion_examples():
     from tropical_heights.heights import find_semistable_examples
 
-    return find_semistable_examples(count=6, max_coeff=10, want_torsion=True)
+    return find_semistable_examples(count=6, want_torsion=True)

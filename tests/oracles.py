@@ -1,4 +1,6 @@
-"""Superseded paths of the library, kept as references for differential
+"""Test-side references and helpers.
+
+Superseded paths of the library, kept as references for differential
 tests: each was replaced by a closed form or a faster method, and the tests
 check the replacement against it.
 
@@ -10,8 +12,19 @@ check the replacement against it.
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
   integers mod a power of p.
+
+Helpers that only tests call, so that every function in the library has a
+caller in it:
+
+* ``naive_height`` of a rational, the size the doubling estimates divide
+  by 4^n;
+* ``is_integral`` for a Weierstrass model;
+* ``quadratic_value`` x^T G x, which certifies a closest-vector answer;
+* ``coordinates_from_uniformizer``, the inverse of the elliptic log, for
+  round trips at the archimedean place.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -151,6 +164,41 @@ def exact_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
         x += f(qn * zr) + f(qn / zr)
         y += g(qn * zr) + h(qn / zr)
     return CurvePoint.affine(x - 2 * s1, y + s1)
+
+
+# -- helpers that only tests call -------------------------------------------
+
+
+def naive_height(x: Fraction) -> float:
+    """log max(|numerator|, denominator) of a rational number."""
+    x = Fraction(x)
+    return math.log(max(abs(x.numerator), x.denominator, 1))
+
+
+def is_integral(curve) -> bool:
+    return all(
+        getattr(curve, n).denominator == 1 for n in ("a1", "a2", "a3", "a4", "a6")
+    )
+
+
+def quadratic_value(gram, x) -> Fraction:
+    n = len(x)
+    return sum(
+        Fraction(x[i]) * gram[i][j] * Fraction(x[j]) for i in range(n) for j in range(n)
+    )
+
+
+def coordinates_from_uniformizer(ctx, u):
+    """(x, y) on the original model from a uniformizer (round-trip support)."""
+    with mp.workprec(ctx.precision_bits + 40):
+        eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
+        q = ctx.q
+        x_q = arch._x_series(u, q, eps, ctx.sigma1)
+        eta_q = arch._eta_series(u, q, eps)
+        curve = ctx.curve
+        x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - arch._mp(curve.b2) / 12
+        y = (ctx.alpha3 * eta_q - arch._mp(curve.a1) * x - arch._mp(curve.a3)) / 2
+        return x, y
 
 
 # -- archimedean place: q by bisection on j, u by bisection on x ------------

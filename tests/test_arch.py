@@ -7,7 +7,6 @@ import pytest
 from tropical_heights import arch
 from tropical_heights.arch import (
     arch_context,
-    coordinates_from_uniformizer,
     elliptic_log,
     local_height_arch,
     local_height_from_uniformizer,
@@ -15,7 +14,7 @@ from tropical_heights.arch import (
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
 
-from oracles import _find_real_q, bisection_elliptic_log
+from oracles import _find_real_q, bisection_elliptic_log, coordinates_from_uniformizer
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)

@@ -106,50 +106,30 @@ def test_padic_construction_and_valuation():
     assert x.known_mod == 12
     zero = PadicElement.exact_zero(5)
     assert zero.is_zero() and zero.val() is INFINITY
-
-
-def test_padic_residue():
-    x = PadicElement.from_rational(5, F(1, 7), 6)
-    # 1/7 mod 5^6: inverse of 7
-    r = x.residue(6)
-    assert (7 * r) % 5**6 == 1
-
-
-@given(
-    st.integers(min_value=-400, max_value=400),
-    st.integers(min_value=-400, max_value=400),
-    st.sampled_from([2, 3, 5, 7]),
-)
-@settings(max_examples=80)
-def test_padic_ring_ops_match_exact_rationals(a, b, p):
-    xa = PadicElement.from_rational(p, a, 12)
-    xb = PadicElement.from_rational(p, b, 12)
-    try:
-        total = xa + xb
-    except PrecisionError:
-        return
-    assert total.rational == a + b
-    prod = xa * xb
-    assert prod.rational == a * b
-    if a + b != 0 and a != 0 and b != 0:
-        k = min(total.known_mod, 8)
-        assert (total.residue(k) - (a + b)) % p**k == 0
-
-
-def test_padic_cancellation_is_flagged():
-    p = 5
-    a = PadicElement(p, F(1), 0, 3)          # known mod 5^3
-    b = PadicElement(p, F(-1 - 5**4), 0, 3)  # differs only past precision
+    with pytest.raises(InputError):
+        PadicElement(6, F(1), 0, 5)           # not a prime
+    with pytest.raises(InputError):
+        PadicElement(5, F(10, 3), 0, 5)       # unit part divisible by p
+    with pytest.raises(InputError):
+        PadicElement(5, F(3, 25), 2, 5)       # unit part with p in the denominator
     with pytest.raises(PrecisionError):
-        a + b
+        PadicElement(5, F(2), 1, 0)           # no certified digits
+    with pytest.raises(PrecisionError):
+        PadicElement.from_rational(5, 3, -1)
 
 
-def test_padic_division():
-    x = PadicElement.from_rational(7, 98, 10)
-    y = PadicElement.from_rational(7, 7, 10)
-    assert (x / y).rational == 14
-    with pytest.raises(ZeroDivisionError):
-        x / PadicElement.exact_zero(7)
+def test_padic_value_semantics():
+    """Equal iff prime, rational and precision agree: the unit/valuation
+    split of a rational is unique, so the dataclass's field equality is it."""
+    x = PadicElement.from_rational(5, F(50, 7), 10)
+    assert x == PadicElement(5, F(2, 7), 2, 10)
+    assert hash(x) == hash(PadicElement(5, F(2, 7), 2, 10))
+    assert x != PadicElement.from_rational(5, F(50, 7), 11)  # precision
+    assert x != PadicElement.from_rational(7, F(50, 7), 10)  # prime
+    assert x != PadicElement.from_rational(5, F(51, 7), 10)  # rational
+    assert x != PadicElement(5, F(2, 7), 3, 10)              # valuation
+    assert PadicElement.exact_zero(3) == PadicElement.from_rational(3, 0, 40)
+    assert PadicElement.exact_zero(3) != PadicElement.exact_zero(5)
 
 
 # -- power series -------------------------------------------------------------

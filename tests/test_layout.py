@@ -1,0 +1,61 @@
+"""Every function in the library has a caller outside tests.
+
+A def in ``src/`` passes when its name appears in ``src/`` outside its own
+body, or in ``perfbench/`` or ``scripts/``.  A method passes only on an
+attribute access (``.name``) or a quoted name, so that a same-named free
+function elsewhere does not count as its caller.  Paths that only tests
+call belong in ``tests/oracles.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# public wire-format and API names, kept for callers outside the repository
+PUBLIC = {"point_from_dict", "curve_to_dict", "theta_to_dict", "ComponentGroup.reduce"}
+
+
+def _sources(directory: str) -> dict:
+    return {path: path.read_text() for path in sorted((ROOT / directory).rglob("*.py"))}
+
+
+def _definitions(tree: ast.AST):
+    """(qualified name, is_method, node) for every def, nested ones included."""
+    for parent in ast.walk(tree):
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(parent, ast.ClassDef):
+                    yield f"{parent.name}.{child.name}", True, child
+                else:
+                    yield child.name, False, child
+
+
+def _uncalled() -> list:
+    library = _sources("src")
+    outside = "\n".join(
+        text for directory in ("perfbench", "scripts") for text in _sources(directory).values()
+    )
+    missing = []
+    for path, text in library.items():
+        lines = text.splitlines()
+        others = "\n".join(t for p, t in library.items() if p != path)
+        for qualified, method, node in _definitions(ast.parse(text)):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or qualified in PUBLIC:
+                continue
+            # the file without the definition's own lines, decorators included
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            rest = "\n".join(lines[:first] + lines[node.end_lineno:])
+            if method:
+                pattern = rf"\.{name}\b|['\"]{name}['\"]"
+            else:
+                pattern = rf"\b{name}\b"
+            if not any(re.search(pattern, t) for t in (rest, others, outside)):
+                missing.append(f"{path.relative_to(ROOT)}: {qualified}")
+    return missing
+
+
+def test_every_library_def_has_a_caller_outside_tests():
+    assert _uncalled() == []

@@ -15,6 +15,7 @@ from tropical_heights.errors import (
 from oracles import (
     exact_tate_curve_point,
     inverse_j_coefficients,
+    is_integral,
     j_from_parameter,
     reversion_tate_parameter,
 )
@@ -70,7 +71,7 @@ def test_minimal_model_roundtrip():
     rng = random.Random(6)
     for p in (2, 3, 5, 7):
         scaled = E37.transform(F(1, p), 0, 0, 0)  # a_i multiplied by p^i
-        assert scaled.is_integral()
+        assert is_integral(scaled)
         minimal, trans = minimal_model_at(scaled, p)
         assert val_p(minimal.discriminant, p) == val_p(E37.discriminant, p)
         # the recorded transformation maps points along
@@ -355,6 +356,30 @@ def test_normalize_parameter():
     assert 0 <= normalize_parameter(q, z_neg).val() < 3
 
 
+@pytest.mark.parametrize("p, q_value, z_value", [
+    (5, 5**3 * F(2, 3), 5 * F(4, 7)),
+    (2, 2**2 * 3, 1 + 2**2 * 5),
+    (3, 3 * F(5, 2), F(7, 4)),
+    (7, 7**2 * 3, 7 * 2),
+])
+def test_normalize_parameter_moves_z_by_powers_of_q(p, q_value, z_value):
+    """z q^j for j = +-1, +-2 normalizes to z's unit and valuation, with the
+    precision min(z.precision, q.precision), and both routes give z's
+    height there."""
+    q = PadicElement.from_rational(p, q_value, 40)
+    curve = tate_curve(q)
+    z0 = PadicElement.from_rational(p, z_value, 40)
+    height = local_height_from_parameter(q, z0)
+    for j in (-2, -1, 1, 2):
+        for precision in (30, 50):
+            z = PadicElement.from_rational(p, z_value * F(q_value) ** j, precision)
+            moved = normalize_parameter(q, z)
+            assert moved == PadicElement(p, z0.unit, z0.valuation, min(precision, 40)), j
+            assert local_height_from_parameter(q, z) == height
+            report = local_height_multiplicative(curve, p, tate_curve_point(q, z))
+            assert report.lambda_v == height, (j, precision)
+
+
 def test_tate_point_on_curve():
     rng = random.Random(17)
     for p, ell in [(2, 3), (3, 2), (5, 1), (7, 2)]:
@@ -396,8 +421,9 @@ def test_eval_int_series_matches_fraction_sum():
 
 def test_tate_curve_point_matches_exact_sum_oracle():
     """The sums on integers mod p^K agree with the exact rational sums to
-    p^known, and both points give the parameter route's height and the same
-    component; inputs too close to 1 for the certified digits are refused."""
+    p^known, the digits the oracle certifies, and both points give the
+    parameter route's height and the same component; inputs too close to 1
+    for q's certified digits, or for z's to certify v(1 - z), are refused."""
     rng = random.Random(37)
     units = (1, 2, 3, 5, F(2, 3), F(5, 7), F(4, 3))
     primes = (2, 3, 5, 7, 11, 1009)
@@ -415,9 +441,10 @@ def test_tate_curve_point_matches_exact_sum_oracle():
             z_value = rng.choice(p_units[1:]) * p ** rng.randint(0, ell - 1)
         z = PadicElement.from_rational(p, z_value, precision)
         known = min(q.known_mod, z.known_mod)
-        e = val_p(1 - normalize_parameter(q, z).rational, p)
+        z0 = normalize_parameter(q, z)
+        e = val_p(1 - z0.rational, p)
         case = (p, ell, precision, z_value)
-        if known - 2 * e < 3 * ell + 6:
+        if e >= z0.known_mod or q.known_mod - 2 * e < 3 * ell + 6:
             with pytest.raises(PrecisionError):
                 tate_curve_point(q, z)
             refused += 1
@@ -433,15 +460,54 @@ def test_tate_curve_point_matches_exact_sum_oracle():
     assert 0 < refused < 8
 
 
+def test_tate_curve_point_guard_reads_q_digits():
+    """q and z drawn with independent precisions, z also moved by q^j: the
+    curve is certified by q's digits alone, and z's need only certify
+    e = v(1 - z).  Every input that a guard on min(q.known_mod, z.known_mod)
+    answers is answered, more are, and both routes agree on every answer."""
+    rng = random.Random(5)
+    units = (1, 2, 3, 5, F(2, 3), F(5, 7), F(4, 3))
+    primes = (2, 3, 5, 7, 11, 1009)
+    answered = answered_by_min = 0
+    for trial in range(400):
+        p = primes[trial % 6]
+        ell = rng.randint(1, 6)
+        p_units = [u for u in units if val_p(u, p) == 0]
+        q_value = rng.choice(p_units) * p**ell
+        q = PadicElement.from_rational(p, q_value, rng.randint(20, 80))
+        depth = rng.randint(0, 4)
+        if depth:
+            z_value = 1 + rng.choice(p_units) * p**depth  # z = 1 mod p^depth
+        else:
+            z_value = rng.choice(p_units[1:]) * p ** rng.randint(0, ell - 1)
+        z_value *= F(q_value) ** rng.choice((-1, 0, 0, 1))
+        z = PadicElement.from_rational(p, z_value, rng.randint(20, 80))
+        z0 = normalize_parameter(q, z)
+        e = val_p(1 - z0.rational, p)
+        needed = 3 * ell + 6
+        by_min = min(q.known_mod, z0.known_mod) - 2 * e >= needed
+        case = (p, ell, q.precision, z.precision, z_value)
+        try:
+            point = tate_curve_point(q, z)
+        except PrecisionError:
+            assert not by_min, case
+            assert e >= z0.known_mod or q.known_mod - 2 * e < needed, case
+            continue
+        answered += 1
+        answered_by_min += by_min
+        report = local_height_multiplicative(tate_curve(q), p, point)
+        assert report.lambda_v == local_height_from_parameter(q, z), case
+    assert answered > answered_by_min
+
+
 def test_tate_curve_point_stays_small():
-    """Numerators below p^(K + 3e), for the modulus K = known + 4e, over
-    the powers of p that 1 - z = p^e u puts in the denominators."""
+    """Numerators below p^(K + 3e), for the modulus K = q.known_mod + 4e,
+    over the powers of p that 1 - z = p^e u puts in the denominators."""
     p, e = 2, 3
     q = PadicElement.from_rational(p, p * F(5, 3), 60)
     z = PadicElement.from_rational(p, 1 + p**e * F(5, 7), 60)
-    known = min(q.known_mod, z.known_mod)
     point = tate_curve_point(q, z)
-    bound = p ** (known + 4 * e + 3 * e)
+    bound = p ** (q.known_mod + 4 * e + 3 * e)
     assert 0 <= point.x.numerator < bound and point.x.denominator == p ** (2 * e)
     assert 0 <= point.y.numerator < bound and point.y.denominator == p ** (3 * e)
 

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank1_tate_data
+from oracles import quadratic_value
 from tropical_heights import degeneration, linalg, tropical
-from tropical_heights.cvp import closest_lattice_point, quadratic_value
+from tropical_heights.cvp import closest_lattice_point
 from tropical_heights.degeneration import DegenerationData
 from tropical_heights.errors import (
     InputError,
@@ -338,8 +339,8 @@ def test_tensor_rank_mismatch():
 
 def test_evaluation_grid_is_deterministic_and_reduced():
     d = rank1_tate_data(3)
-    grid1 = evaluation_grid(d, 50)
-    grid2 = evaluation_grid(d, 50)
+    grid1 = evaluation_grid(d)
+    grid2 = evaluation_grid(d)
     assert grid1 == grid2
     assert len(grid1) >= 50
     for nu in grid1:
