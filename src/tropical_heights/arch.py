@@ -4,15 +4,19 @@ uniformization C*/q^Z.
 The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
 small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
 period ratio tau, which the arithmetic-geometric mean gives in closed form
-from the real roots of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cohen, GTM 138,
-Alg. 7.4.7); the q-expansion of j only checks it.  Points are mapped to the
-uniformizer u by inverting the Tate coordinate series along the real locus,
-which is either the real annulus |q| < |u| <= 1 or, for the twisted real
-form, the circles |u| = 1 and |u| = sqrt(q).  Each real component is an arc
-on which x is monotone; Newton steps with dx/d(log u) = 2Y + X, kept inside
-the arc, solve for u (Cremona-Thongjunthug, J. Number Theory 133, 2013),
-and a 2-torsion point, where that derivative vanishes, takes its arc end
-in closed form.  The height is then
+from the real roots e_i of t^3 + p t + r, t = x + b2/12 (Cohen, GTM 138,
+Alg. 7.4.7); the same AGMs give the real period Omega, and the q-expansion
+of j only checks q.  The real locus is either the real annulus |q| < |u|
+<= 1 or, for the twisted real form, the circles |u| = 1 and |u| = sqrt(q).
+Each real component is an arc u = u0 exp(k theta), 0 <= theta <= pi, from
+the origin (or a 2-torsion point on the egg) to a 2-torsion point, with
+theta = 2 pi z / Omega for the elliptic logarithm z of a point of the
+identity component, which Carlson's R_F gives in closed form:
+z = R_F(t - e1, t - e2, t - e3) (Carlson, Numer. Algorithms 10, 1995;
+Cremona-Thongjunthug, J. Number Theory 133, 2013).  A point on the egg is
+first moved to the identity component by adding the 2-torsion point
+(e3, .); a 2-torsion point takes its arc end in closed form; the sign of
+2y + a1 x + a3 picks u or its inverse class.  The height is then
 
     lambda'(P) = (ell/2) B2(t) - log|theta(u)|,   t = -log|u| / ell,
 
@@ -30,8 +34,6 @@ from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
 
 _TERM_GUARD = 30
-_NEWTON_GUARD = 200
-_SEED_BITS = 32
 
 
 def _sigma_sum(k: int, q, eps):
@@ -81,10 +83,10 @@ def _mp(value):
 
 
 def _real_q(curve: WeierstrassCurve):
-    """(q, real roots t of t^3 + p t + r): q = e^{2 pi i tau} from the
-    periods by the AGM (Cohen, GTM 138, Alg. 7.4.7), with tau on the real
-    branch of the discriminant sign: tau = i s with s >= 1 when disc > 0,
-    tau = (1 + i s)/2 with s >= 1 when disc < 0."""
+    """(q, real roots t of t^3 + p t + r, real period Omega): q = e^{2 pi i
+    tau} from the periods by the AGM (Cohen, GTM 138, Alg. 7.4.7), with tau
+    on the real branch of the discriminant sign: tau = i s with s >= 1 when
+    disc > 0, tau = (1 + i s)/2 with s >= 1 when disc < 0."""
     # 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(t^3 + p t + r) with t = x + b2/12:
     # the trigonometric or Cardano form, then two Newton steps
     p, r = -_mp(curve.c4) / 48, -_mp(curve.c6) / 864
@@ -102,12 +104,13 @@ def _real_q(curve: WeierstrassCurve):
         e1, e2, e3 = roots
         a = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
         b = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
-        return mp.exp(-2 * mp.pi * max(a / b, b / a)), roots
-    # beta = |3 e1 + b2/4| and alpha = sqrt(3 e1^2 + b2 e1/2 + b4/2) at t
+        return mp.exp(-2 * mp.pi * max(a / b, b / a)), roots, mp.pi / a
+    # beta = |3 e1 + b2/4| and alpha = sqrt(3 e1^2 + b2 e1/2 + b4/2) at t;
+    # Omega = 2 pi / agm(2 sqrt(alpha), sqrt(2 alpha + 3 e1)), signed e1
     beta, alpha = 3 * abs(roots[0]), mp.sqrt(3 * roots[0] ** 2 + p)
     a = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha + beta))
     b = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha - beta))
-    return -mp.exp(-mp.pi * a / b), roots
+    return -mp.exp(-mp.pi * a / b), roots, 2 * mp.pi / (a if roots[0] > 0 else b)
 
 
 @dataclass
@@ -121,6 +124,8 @@ class ArchContext:
     scale2: mp.mpf               # alpha^2 relating normalized x-coordinates
     alpha3: complex              # alpha^3 (imaginary when scale2 < 0)
     sigma1: mp.mpf               # sum n q^n / (1 - q^n), the x-series constant
+    roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
+    omega: mp.mpf                # the real period
     torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
 
     @property
@@ -133,7 +138,7 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
     with mp.workprec(precision_bits + 40):
         eps = mp.mpf(2) ** (-(precision_bits + _TERM_GUARD))
         j = _mp(curve.j_invariant)
-        q, roots = _real_q(curve)
+        q, roots, omega = _real_q(curve)
         c4q = _c4_of_q(q, eps)
         c6q = _c6_of_q(q, eps)
         c4e, c6e = _mp(curve.c4), _mp(curve.c6)
@@ -157,6 +162,8 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
             scale2=scale2,
             alpha3=alpha**3,
             sigma1=_sigma_sum(1, q, eps),
+            roots=tuple(roots),
+            omega=omega,
             torsion_x=tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots)),
         )
         jq = _j_of_q(q, eps)
@@ -169,32 +176,24 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
 
 
 def _x_series(u, q, eps, sigma1):
+    """Normalized x at u on the real locus.  A complex u sits on |u| = 1 or
+    |u| = sqrt(q), where the term at q^n/u is the conjugate of the term at
+    q^n u or at q^(n-1) u, so one complex term per n does."""
+
     def f(t):
         return t / (1 - t) ** 2
 
-    total = f(u) - 2 * sigma1
+    circle = isinstance(u, mp.mpc)
+    if circle:  # |u| = sqrt(q) < 1/2 counts the n = 0 term twice
+        total = (2 if abs(u) < 0.5 else 1) * mp.re(f(u)) - 2 * sigma1
+    else:
+        total = f(u) - 2 * sigma1
     qn = mp.mpf(1)
     while True:
         qn *= q
         if abs(qn) < eps:
             return total
-        total += f(qn * u) + f(qn / u)
-
-
-def _eta_series(u, q, eps):
-    """2Y + X = sum over n of g(q^n u) with g(t) = t(1+t)/(1-t)^3, odd
-    under t -> 1/t."""
-
-    def g(t):
-        return t * (1 + t) / (1 - t) ** 3
-
-    total = g(u)
-    qn = mp.mpf(1)
-    while True:
-        qn *= q
-        if abs(qn) < eps:
-            return total
-        total += g(qn * u) - g(qn / u)
+        total += 2 * mp.re(f(qn * u)) if circle else f(qn * u) + f(qn / u)
 
 
 def _theta_product(u, q, eps):
@@ -207,13 +206,20 @@ def _theta_product(u, q, eps):
         total *= (1 - qn * u) * (1 - qn / u)
 
 
-def _normalized_x(ctx: ArchContext, x):
-    return (x + _mp(ctx.curve.b2) / 12) / ctx.scale2 - mp.mpf(1) / 12
-
-
-def _eta_target(ctx: ArchContext, point: CurvePoint):
-    curve = ctx.curve
-    return _mp(2 * point.y + curve.a1 * point.x + curve.a3) / ctx.alpha3
+def _carlson_log(ctx: ArchContext, t):
+    """Elliptic logarithm z in (0, Omega/2] of a point of the identity
+    component, t > e1: R_F(t - e1, t - e2, t - e3) (Carlson 1995).  With
+    one real root it takes the real form of the integral for one quadratic
+    factor (Byrd-Friedman 239.00 with F(phi, k) in Carlson's R_F), in which
+    A^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + p; for t - e1 < A the angle passes
+    pi/2, that form gives F(pi - phi) and z = Omega/2 - w."""
+    if len(ctx.roots) == 3:
+        e1, e2, e3 = ctx.roots
+        return mp.elliprf(t - e1, t - e2, t - e3)
+    e1 = ctx.roots[0]
+    s, a = t - e1, mp.sqrt(3 * e1**2 - _mp(ctx.curve.c4) / 48)
+    w = mp.elliprf((s - a) ** 2 / s, s + 3 * e1 + a * a / s, (s + a) ** 2 / s)
+    return w if s >= a else ctx.omega / 2 - w
 
 
 def elliptic_log(ctx: ArchContext, point: CurvePoint):
@@ -222,14 +228,17 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
     working precision cannot separate the point from u = 1."""
     if point.infinity:
         raise InputError("the origin has no uniformizer")
-    if not ctx.curve.contains(point):
+    curve = ctx.curve
+    if not curve.contains(point):
         raise InputError("point is not on the curve")
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
         q = ctx.q
-        x_target = _normalized_x(ctx, _mp(point.x))
-        eta_target = _eta_target(ctx, point)
-        tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
+        t = _mp(point.x + curve.b2 / 12)
+        x_target = t / ctx.scale2 - mp.mpf(1) / 12
+        # 2y + a1 x + a3 = alpha^3 (2Y + X) has the sign of 2Y + X, or of
+        # its imaginary part when alpha is imaginary
+        eta = 2 * point.y + curve.a1 * point.x + curve.a3
         # x_target and the end values carry about precision_bits + 30 bits,
         # so a component test needs no wider slack than 2^-precision_bits
         slack = mp.mpf(2) ** -ctx.precision_bits
@@ -248,70 +257,28 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
                 ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
         else:
             k, ends, x_ends = -ctx.ell / mp.pi, (1, mp.mpf(-1)), (None, tx[0])
-        if eta_target == 0:
-            # 2-torsion: an arc end, where dx/dtheta vanishes
-            i = 1 if x_ends[0] is None else min((0, 1), key=lambda i: abs(x_ends[i] - x_target))
+        egg = x_ends[0] is not None
+        if eta == 0:
+            # 2-torsion: an arc end in closed form (the egg's shift below
+            # divides by t - e3, the one-root R_F form by t - e1)
+            i = min((0, 1), key=lambda i: abs(x_ends[i] - x_target)) if egg else 1
             u = ends[i]
-            err = mp.re(_x_series(u, q, eps, ctx.sigma1)) - x_target
         else:
-            u, err, eta_u = _newton_on_arc(ctx, ends[0], k, x_ends, x_target, tiny)
-            if not ctx.twisted:
-                if abs(eta_target) > tiny and mp.sign(mp.re(eta_u)) != mp.sign(mp.re(eta_target)):
-                    u = q / u
-            elif abs(mp.im(eta_target)) > tiny and mp.sign(mp.im(eta_u)) != mp.sign(mp.im(eta_target)):
-                u = mp.conj(u)  # inverse class on either circle
+            if egg:  # add (e3, .), which moves the point to the identity component
+                e1, e2, e3 = ctx.roots
+                t = e3 + (e1 - e3) * (e2 - e3) / (t - e3)
+            elif abs(x_target) * mp.mpf(2) ** (-2 * (ctx.precision_bits + 5)) > 1:
+                raise PrecisionError("point too close to the origin")
+            u = ends[0] * mp.exp(k * 2 * mp.pi * _carlson_log(ctx, t) / ctx.omega)
+            # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < theta < pi:
+            # positive on the identity arc and negative on the egg (k < 0),
+            # the other way round on the circles (k = i)
+            if (eta > 0) != (egg == ctx.twisted):
+                u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
+        err = _x_series(u, q, eps, ctx.sigma1) - x_target
         if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2)):
             raise PrecisionError("uniformizer round-trip failed; raise precision")
         return mp.mpc(u) if ctx.twisted else u
-
-
-def _newton_on_arc(ctx: ArchContext, start, k, x_ends, x_target, tiny):
-    """Solve x(u) = x_target on the arc u = start exp(k theta), 0 < theta <
-    pi; returns (u, x(u) - x_target, 2Y + X at the last Newton point).
-
-    Newton runs in w = sin^2(theta/2), in which x has a simple pole at the
-    origin (x ~ A/w, A = 1/(4 k^2)) and is smooth through the 2-torsion ends.
-    The seed fits that pole, or a line on the egg, to the end values; a step
-    that leaves the bracket bisects it instead.  Steps run at 32 bits until
-    they converge, then at doubling precisions, so that only the last step
-    and the round-trip check run at the full working precision.
-    """
-    if x_ends[0] is None:
-        if abs(x_target) * tiny**2 > 1:
-            raise PrecisionError("point too close to the origin")
-        pole = mp.re(1 / (4 * k**2))
-        w = pole / (x_target - x_ends[1] + pole)
-    else:
-        w = (x_target - x_ends[0]) / (x_ends[1] - x_ends[0])
-    if not 0 < w < 1:
-        w = mp.mpf(1) / 2
-    # each converged step doubles the digits, so it doubles the precision
-    rungs = [ctx.precision_bits + 40]
-    while rungs[0] > 2 * _SEED_BITS:
-        rungs.insert(0, rungs[0] // 2 + 4)
-    lo, hi, bits, done = mp.mpf(0), mp.mpf(1), _SEED_BITS, False
-    for _ in range(_NEWTON_GUARD):
-        with mp.workprec(bits):
-            eps = mp.mpf(2) ** -bits
-            theta = 2 * mp.asin(mp.sqrt(w))
-            u = start * mp.exp(k * theta)
-            err = mp.re(_x_series(u, ctx.q, eps, ctx.sigma1)) - x_target
-            if done:
-                return u, err, eta_u
-            eta_u = _eta_series(u, ctx.q, eps)
-            slope = 2 * mp.re(k * eta_u) / mp.sin(theta)  # dx/dw; dx/dlog(u) = eta
-            # below the truncation noise the sign of err says nothing
-            if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (20 - bits):
-                lo, hi = (lo, w) if err * slope > 0 else (w, hi)
-            step = w - err / slope
-            if not lo < step < hi:
-                step = (lo + hi) / 2
-            shrink = abs(step - w) / w
-        w = step
-        if shrink < mp.mpf(2) ** (4 - bits // 2):  # w now holds about bits - 8 bits
-            done = bits == rungs[-1]
-            bits = next((b for b in rungs if b > bits), bits)
-    raise PrecisionError("Newton on the uniformizer did not converge")
 
 
 def local_height_from_uniformizer(ctx: ArchContext, u) -> float:

@@ -556,16 +556,16 @@ def theta_valuation(q: PadicElement, z: PadicElement) -> Fraction:
     """Valuation of theta(z) = (1-z) prod (1-q^n z)(1-q^n/z), in v-units.
 
     With z normalized to 0 <= v(z) < v(q), every factor 1 - q^n z and
-    1 - q^n / z (n >= 1) is a unit, so v(theta(z)) = v(1 - z).  Raises
-    OnDivisorError when theta vanishes to working precision.
+    1 - q^n / z (n >= 1) is a unit, so v(theta(z)) = v(1 - z), certified by
+    z's digits (a shift folds q's into them).  Raises OnDivisorError when
+    theta vanishes to working precision.
     """
     z = normalize_parameter(q, z)
     zr = z.rational
     if zr == 1:
         raise OnDivisorError("z lies on the divisor (z in q^Z)")
-    known = min(q.known_mod, z.known_mod)
     lead = val_p(1 - zr, q.prime)
-    if lead is INFINITY or lead >= known:
+    if lead is INFINITY or lead >= z.known_mod:
         raise OnDivisorError("theta(z) vanishes to working precision")
     return Fraction(lead)
 

@@ -8,7 +8,9 @@ check the replacement against it.
   (``series_compose_invert`` on ``PowerSeries``), and j evaluated back from
   a parameter, against ``tate.tate_parameter``'s fixed point;
 * the real q by bisection on j, and the uniformizer u by bisection on the
-  x-series, against ``arch``'s AGM and Newton steps;
+  x-series and by Newton steps on it (the library's route before Carlson's
+  R_F, with the two-sided x- and eta-series), against ``arch``'s AGM and
+  R_F;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
   integers mod a power of p.
@@ -193,12 +195,153 @@ def coordinates_from_uniformizer(ctx, u):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
         q = ctx.q
-        x_q = arch._x_series(u, q, eps, ctx.sigma1)
-        eta_q = arch._eta_series(u, q, eps)
+        x_q = x_series(u, q, eps, ctx.sigma1)
+        eta_q = eta_series(u, q, eps)
         curve = ctx.curve
         x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - arch._mp(curve.b2) / 12
         y = (ctx.alpha3 * eta_q - arch._mp(curve.a1) * x - arch._mp(curve.a3)) / 2
         return x, y
+
+
+# -- archimedean place: the two-sided series, u by Newton on the arc --------
+
+
+def x_series(u, q, eps, sigma1):
+    """The Tate x-series at any u in C*, both sums in full: the reference
+    for ``arch._x_series``, which sums one side on the real locus."""
+
+    def f(t):
+        return t / (1 - t) ** 2
+
+    total = f(u) - 2 * sigma1
+    qn = mp.mpf(1)
+    while True:
+        qn *= q
+        if abs(qn) < eps:
+            return total
+        total += f(qn * u) + f(qn / u)
+
+
+def eta_series(u, q, eps):
+    """2Y + X = sum over n of g(q^n u) with g(t) = t(1+t)/(1-t)^3, odd
+    under t -> 1/t."""
+
+    def g(t):
+        return t * (1 + t) / (1 - t) ** 3
+
+    total = g(u)
+    qn = mp.mpf(1)
+    while True:
+        qn *= q
+        if abs(qn) < eps:
+            return total
+        total += g(qn * u) - g(qn / u)
+
+
+def normalized_x(ctx, x):
+    return (x + arch._mp(ctx.curve.b2) / 12) / ctx.scale2 - mp.mpf(1) / 12
+
+
+def eta_target(ctx, point: CurvePoint):
+    curve = ctx.curve
+    return arch._mp(2 * point.y + curve.a1 * point.x + curve.a3) / ctx.alpha3
+
+
+_NEWTON_GUARD = 200
+_SEED_BITS = 32
+
+
+def newton_elliptic_log(ctx, point: CurvePoint):
+    """Uniformizer u of a real point by Newton steps on the x-series along
+    its arc, the library's route before Carlson's R_F; the reference for
+    ``arch.elliptic_log``, normalized the same way."""
+    if point.infinity:
+        raise InputError("the origin has no uniformizer")
+    if not ctx.curve.contains(point):
+        raise InputError("point is not on the curve")
+    with mp.workprec(ctx.precision_bits + 40):
+        eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
+        q = ctx.q
+        x_target = normalized_x(ctx, arch._mp(point.x))
+        eta_t = eta_target(ctx, point)
+        tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
+        slack = mp.mpf(2) ** -ctx.precision_bits
+        root, tx = (mp.sqrt(q) if q > 0 else None), ctx.torsion_x
+        # each real component is an arc u = ends[0] exp(k theta), 0 <= theta
+        # <= pi, on which x is monotone
+        if ctx.twisted:
+            k, ends, x_ends = mp.mpc(0, 1), (1, mp.mpf(-1)), (None, tx[0])
+            if q > 0 and x_target > tx[0] + slack * (1 + abs(tx[0])):
+                ends, x_ends = (root, -root), (tx[2], tx[1])
+        elif q > 0:
+            k, ends, x_ends = -ctx.ell / (2 * mp.pi), (1, root), (None, tx[2])
+            if x_target < tx[2] - slack * (1 + abs(tx[2])):
+                ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])
+        else:
+            k, ends, x_ends = -ctx.ell / mp.pi, (1, mp.mpf(-1)), (None, tx[0])
+        if eta_t == 0:
+            i = 1 if x_ends[0] is None else min((0, 1), key=lambda i: abs(x_ends[i] - x_target))
+            u = ends[i]
+            err = mp.re(x_series(u, q, eps, ctx.sigma1)) - x_target
+        else:
+            u, err, eta_u = _newton_on_arc(ctx, ends[0], k, x_ends, x_target, tiny)
+            if not ctx.twisted:
+                if abs(eta_t) > tiny and mp.sign(mp.re(eta_u)) != mp.sign(mp.re(eta_t)):
+                    u = q / u
+            elif abs(mp.im(eta_t)) > tiny and mp.sign(mp.im(eta_u)) != mp.sign(mp.im(eta_t)):
+                u = mp.conj(u)  # inverse class on either circle
+        if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2)):
+            raise PrecisionError("uniformizer round-trip failed; raise precision")
+        return mp.mpc(u) if ctx.twisted else u
+
+
+def _newton_on_arc(ctx, start, k, x_ends, x_target, tiny):
+    """Solve x(u) = x_target on the arc u = start exp(k theta), 0 < theta <
+    pi; returns (u, x(u) - x_target, 2Y + X at the last Newton point).
+
+    Newton runs in w = sin^2(theta/2), in which x has a simple pole at the
+    origin (x ~ A/w, A = 1/(4 k^2)) and is smooth through the 2-torsion ends.
+    The seed fits that pole, or a line on the egg, to the end values; a step
+    that leaves the bracket bisects it instead.  Steps run at 32 bits until
+    they converge, then at doubling precisions, so that only the last step
+    and the round-trip check run at the full working precision.
+    """
+    if x_ends[0] is None:
+        if abs(x_target) * tiny**2 > 1:
+            raise PrecisionError("point too close to the origin")
+        pole = mp.re(1 / (4 * k**2))
+        w = pole / (x_target - x_ends[1] + pole)
+    else:
+        w = (x_target - x_ends[0]) / (x_ends[1] - x_ends[0])
+    if not 0 < w < 1:
+        w = mp.mpf(1) / 2
+    # each converged step doubles the digits, so it doubles the precision
+    rungs = [ctx.precision_bits + 40]
+    while rungs[0] > 2 * _SEED_BITS:
+        rungs.insert(0, rungs[0] // 2 + 4)
+    lo, hi, bits, done = mp.mpf(0), mp.mpf(1), _SEED_BITS, False
+    for _ in range(_NEWTON_GUARD):
+        with mp.workprec(bits):
+            eps = mp.mpf(2) ** -bits
+            theta = 2 * mp.asin(mp.sqrt(w))
+            u = start * mp.exp(k * theta)
+            err = mp.re(x_series(u, ctx.q, eps, ctx.sigma1)) - x_target
+            if done:
+                return u, err, eta_u
+            eta_u = eta_series(u, ctx.q, eps)
+            slope = 2 * mp.re(k * eta_u) / mp.sin(theta)  # dx/dw; dx/dlog(u) = eta
+            # below the truncation noise the sign of err says nothing
+            if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (20 - bits):
+                lo, hi = (lo, w) if err * slope > 0 else (w, hi)
+            step = w - err / slope
+            if not lo < step < hi:
+                step = (lo + hi) / 2
+            shrink = abs(step - w) / w
+        w = step
+        if shrink < mp.mpf(2) ** (4 - bits // 2):  # w now holds about bits - 8 bits
+            done = bits == rungs[-1]
+            bits = next((b for b in rungs if b > bits), bits)
+    raise PrecisionError("Newton on the uniformizer did not converge")
 
 
 # -- archimedean place: q by bisection on j, u by bisection on x ------------
@@ -286,14 +429,14 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
         q = ctx.q
-        x_target = arch._normalized_x(ctx, arch._mp(point.x))
-        eta_target = arch._eta_target(ctx, point)
+        x_target = normalized_x(ctx, arch._mp(point.x))
+        eta_z = eta_target(ctx, point)
         iterations = ctx.precision_bits + 50
         disc_positive = ctx.curve.discriminant > 0
         tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
 
         def x_at(u):
-            val = arch._x_series(u, q, eps, ctx.sigma1)
+            val = x_series(u, q, eps, ctx.sigma1)
             return val.real if isinstance(val, mp.mpc) else val
 
         if not ctx.twisted:
@@ -316,9 +459,9 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
                     raise PrecisionError("point too close to the origin")
                 u = _bisect_monotone(x_at, lo, hi, x_target, iterations)
             u = mp.mpf(u)
-            eta_u = arch._eta_series(u, q, eps)
+            eta_u = eta_series(u, q, eps)
             eta_u = eta_u.real if isinstance(eta_u, mp.mpc) else eta_u
-            eta_t = eta_target.real if isinstance(eta_target, mp.mpc) else eta_target
+            eta_t = eta_z.real if isinstance(eta_z, mp.mpc) else eta_z
             if abs(eta_t) > tiny and mp.sign(eta_u) != mp.sign(eta_t):
                 u = q / u
         else:
@@ -344,11 +487,11 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
             else:
                 theta = _bisect_monotone(x_egg, mp.mpf(0), mp.pi, x_target, iterations)
                 u = mp.sqrt(q) * mp.exp(1j * theta)
-            eta_u = arch._eta_series(u, q, eps)
-            eta_t_im = eta_target.imag if isinstance(eta_target, mp.mpc) else mp.mpf(0)
+            eta_u = eta_series(u, q, eps)
+            eta_t_im = eta_z.imag if isinstance(eta_z, mp.mpc) else mp.mpf(0)
             if abs(eta_t_im) > tiny and mp.sign(eta_u.imag) != mp.sign(eta_t_im):
                 u = mp.conj(u)  # inverse class on either circle
-        check = arch._x_series(u, q, eps, ctx.sigma1)
+        check = x_series(u, q, eps, ctx.sigma1)
         check = check.real if isinstance(check, mp.mpc) else check
         if abs(check - x_target) > (1 + abs(x_target)) * mp.mpf(2) ** (
             -(ctx.precision_bits // 2)

@@ -14,7 +14,13 @@ from tropical_heights.arch import (
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
 
-from oracles import _find_real_q, bisection_elliptic_log, coordinates_from_uniformizer
+from oracles import (
+    _find_real_q,
+    bisection_elliptic_log,
+    coordinates_from_uniformizer,
+    newton_elliptic_log,
+    x_series,
+)
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -166,10 +172,11 @@ def _component(ctx, u):
 
 
 def test_agm_and_newton_match_bisection_oracles(semistable_examples):
-    """q from the AGM against bisection on j, and u from Newton against
-    bisection on x, at 128 and 256 bits, on every real-locus branch.  The
-    acceptance curves (one component, both twists) run u at 128 bits only,
-    as 11a and [1,0,1,4,-6] cover their branches at 256."""
+    """q from the AGM against bisection on j, and u three ways, Carlson's
+    R_F against Newton and bisection on x, at 128 and 256 bits, on every
+    real-locus branch.  The acceptance curves (one component, both twists)
+    run u at 128 bits only, as 11a and [1,0,1,4,-6] cover their branches
+    at 256."""
     named = [
         (E37, [CurvePoint.affine(2, 2), CurvePoint.affine(0, 0)]),
         (E11, [CurvePoint.affine(5, 5)]),
@@ -188,10 +195,27 @@ def test_agm_and_newton_match_bisection_oracles(semistable_examples):
             for point in points:
                 u = elliptic_log(ctx, point)
                 ref = bisection_elliptic_log(ctx, point)
+                newton = newton_elliptic_log(ctx, point)
                 assert abs(u - ref) < abs(ref) * mp.mpf(2) ** -(bits - 8), (curve, point)
+                assert abs(newton - ref) < abs(ref) * mp.mpf(2) ** -(bits - 8), (curve, point)
+                assert abs(u - newton) < abs(ref) * mp.mpf(2) ** -(bits - 8), (curve, point)
                 branches.add((ctx.twisted, curve.discriminant > 0, _component(ctx, u)))
     # untwisted and twisted, one and two components, identity and egg
     assert len(branches) == 6, branches
+
+
+def test_elliptic_log_keeps_its_digits_near_two_torsion():
+    """Near a 2-torsion arc end x is stationary in u, so inverting x loses
+    digits (the Newton and bisection references both lose about 45 bits
+    here); R_F reads u from x's own digits and keeps 2^-(bits + 20)
+    against a 512-bit reference."""
+    curve = WeierstrassCurve.from_coeffs(0, 0, 1, 9, -14)  # twisted, disc < 0
+    point = CurvePoint.affine(F(806, 625), F(-8329, 15625))  # u ~ -1
+    ref = newton_elliptic_log(arch_context(curve, 512), point)
+    for bits in (128, 256):
+        u = elliptic_log(arch_context(curve, bits), point)
+        with mp.workprec(552):
+            assert abs(u - ref) < mp.mpf(2) ** -(bits + 20), (bits, u)
 
 
 def test_branch_tolerance_scales_with_precision():
@@ -250,7 +274,67 @@ def test_arch_work_counts(monkeypatch):
     twisted_ctx = arch_context(E_TWIST2, 128)
     for c, point in [(ctx, CurvePoint.affine(2, 2)),          # 37a, identity
                      (ctx, CurvePoint.affine(0, 0)),          # 37a, egg
-                     (twisted_ctx, CurvePoint.affine(-2, 2))]:  # the egg |u| = sqrt(q)
+                     (twisted_ctx, CurvePoint.affine(-2, 2)),  # the egg |u| = sqrt(q)
+                     (twisted_ctx, CurvePoint.affine(-2, 0)),  # 2-torsion on it
+                     (arch_context(E11, 128), CurvePoint.affine(5, 5))]:  # |u| = 1
         _, work = run(lambda: elliptic_log(c, point))
-        assert work["_x_series"] <= 12, (point, work)
+        # R_F gives u; the one series call is the round-trip check
+        assert work["_x_series"] == 1, (point, work)
         assert work["_sigma_sum"] == 0, (point, work)
+
+
+def test_real_period_from_the_agm_matches_carlson(semistable_examples):
+    """Omega from _real_q's AGMs against 2 R_F(0, e1 - e2, e1 - e3) on the
+    roots from mpmath's polynomial solver, to 2^-200 at 256 bits."""
+    curves = [E37, E11, E_TWIST2] + [curve for curve, _ in semistable_examples]
+    for curve in curves:
+        ctx = arch_context(curve, 256)
+        with mp.workprec(296):
+            p, r = -arch._mp(curve.c4) / 48, -arch._mp(curve.c6) / 864
+            roots = mp.polyroots([1, 0, p, r], maxsteps=200, extraprec=200)
+            e1 = max((e for e in roots if abs(mp.im(e)) < 2**-250), key=mp.re)
+            e2, e3 = [e for e in roots if e is not e1]
+            ref = mp.re(2 * mp.elliprf(0, e1 - e2, e1 - e3))
+            assert abs(ctx.omega - ref) < abs(ref) * mp.mpf(2) ** -200, curve
+
+
+def test_one_sided_x_series_matches_full_sum():
+    """On |u| = 1 and |u| = sqrt(q) the one-sided sum is the full series'
+    real value; real u keeps both sides."""
+    for curve in (E37, E_TWIST2, E11):
+        ctx = arch_context(curve, 128)
+        with mp.workprec(168):
+            eps = mp.mpf(2) ** -158
+            q, radii = ctx.q, [1] + ([mp.sqrt(ctx.q)] if ctx.q > 0 else [])
+            for radius in radii:
+                for theta in (0.1, 1, 2, 3.1):
+                    u = radius * mp.expj(theta)
+                    full = x_series(u, q, eps, ctx.sigma1)
+                    assert abs(mp.im(full)) < mp.mpf(2) ** -150 * abs(full)
+                    one = arch._x_series(u, q, eps, ctx.sigma1)
+                    assert abs(one - mp.re(full)) < mp.mpf(2) ** -150 * abs(full)
+            u = mp.mpf("0.3")
+            assert arch._x_series(u, q, eps, ctx.sigma1) == x_series(u, q, eps, ctx.sigma1)
+
+
+def test_arch_height_is_newton_oracle_float(semistable_examples):
+    """Through R_F and through the Newton oracle, local_height_arch returns
+    the same float: P, -P, 2P and 4P of the acceptance curves (twisted ones
+    included), the egg-branch curves, 37a's egg points and 2-torsion."""
+    cases = [(curve, [point]) for curve, point in semistable_examples]
+    cases += [(WeierstrassCurve.from_coeffs(1, -1, 0, -11, a6), [CurvePoint.affine(x, y)])
+              for a6, (x, y) in zip((-10, -9, -8, -7), [(-2, 2), (-1, 1), (F(-9, 4), F(19, 8)), (-2, 3)])]
+    cases += [(E37, [CurvePoint.affine(0, 0), CurvePoint.affine(-1, -1)]),
+              (CM1728, [CurvePoint.affine(x, 0) for x in (-1, 0, 1)]),
+              (E_TWIST2, [CurvePoint.affine(-2, 0)])]
+    count = 0
+    for curve, points in cases:
+        ctx = arch_context(curve, 128)
+        for point in points:
+            doubled = curve.double(point)
+            targets = dict.fromkeys([point, curve.negate(point), doubled, curve.double(doubled)])
+            for target in [t for t in targets if not t.infinity]:
+                newton = local_height_from_uniformizer(ctx, newton_elliptic_log(ctx, target))
+                assert local_height_arch(ctx, target) == newton, (curve, target)
+                count += 1
+    assert count >= 60, count

@@ -565,6 +565,16 @@ def test_theta_valuation_on_divisor():
         theta_valuation(q, PadicElement.from_rational(5, 1, 30))
 
 
+def test_theta_valuation_reads_z_digits():
+    # q known mod 5^7 does not cap v(1 - z): z's 20 digits certify 8
+    q = PadicElement.from_rational(5, 25, 5)
+    assert q.known_mod == 7
+    assert theta_valuation(q, PadicElement.from_rational(5, 1 + 5**8, 20)) == 8
+    # shifted by q, z keeps only q's relative precision: 8 is not certified
+    with pytest.raises(OnDivisorError):
+        theta_valuation(q, PadicElement.from_rational(5, 25 * (1 + 5**8), 20))
+
+
 def test_theta_fourier_vs_product():
     # min-plus value of the Fourier data equals the product valuation plus
     # the parameter's quadratic normalization on the skeleton
