@@ -113,9 +113,10 @@ def _real_q(curve: WeierstrassCurve):
     return -mp.exp(-mp.pi * a / b), roots, 2 * mp.pi / (a if roots[0] > 0 else b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchContext:
-    """Everything needed to evaluate archimedean local heights on a curve."""
+    """Everything needed to evaluate archimedean local heights on a curve;
+    immutable, so one context serves every point of the curve."""
 
     curve: WeierstrassCurve
     precision_bits: int
@@ -176,9 +177,13 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
 
 
 def _x_series(u, q, eps, sigma1):
-    """Normalized x at u on the real locus.  A complex u sits on |u| = 1 or
-    |u| = sqrt(q), where the term at q^n/u is the conjugate of the term at
-    q^n u or at q^(n-1) u, so one complex term per n does."""
+    """Normalized x at u on the real locus, summed while |q^n| >= eps.  A
+    complex u sits on |u| = 1 or |u| = sqrt(q), where the term at q^n/u is
+    the conjugate of the term at q^n u or at q^(n-1) u, so one complex term
+    per n does.  For eps <= |q| and |q| <= |u| <= 1 the terms left out sum
+    to less than 1.2 eps/|q|: they have n >= 2, where |q^n u| <= |q|^n and
+    |q^n/u| <= |q|^(n-1) <= |q| <= e^-pi bound |f(t)| by |t| / (1 - |q|)^2,
+    and their sum is geometric."""
 
     def f(t):
         return t / (1 - t) ** 2
@@ -232,7 +237,6 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
     if not curve.contains(point):
         raise InputError("point is not on the curve")
     with mp.workprec(ctx.precision_bits + 40):
-        eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
         q = ctx.q
         t = _mp(point.x + curve.b2 / 12)
         x_target = t / ctx.scale2 - mp.mpf(1) / 12
@@ -275,8 +279,10 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
             # the other way round on the circles (k = i)
             if (eta > 0) != (egg == ctx.twisted):
                 u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
-        err = _x_series(u, q, eps, ctx.sigma1) - x_target
-        if abs(err) > (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2)):
+        # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
+        tol = (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2))
+        err = _x_series(u, q, abs(q) * tol * mp.mpf(2) ** -21, ctx.sigma1) - x_target
+        if abs(err) > tol:
             raise PrecisionError("uniformizer round-trip failed; raise precision")
         return mp.mpc(u) if ctx.twisted else u
 

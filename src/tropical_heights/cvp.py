@@ -1,7 +1,8 @@
 """Exact closest-vector enumeration for positive definite integer Gram
 matrices.
 
-Strategy: an LDL^T decomposition over Q turns the quadratic form into a sum
+Strategy: the LDL^T decomposition over Q (``linalg.ldl_decompose``, which
+the caller computes once per lattice) turns the quadratic form into a sum
 of weighted squares; Babai-style rounding gives the initial radius, and a
 depth-first Fincke-Pohst enumeration with exact per-coordinate interval
 bounds certifies the true minimum.  No floating point anywhere.
@@ -11,9 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-
-
-from .linalg import ldl_decompose
 
 
 def floor_sqrt(x: Fraction) -> int:
@@ -28,15 +26,16 @@ def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def closest_lattice_point(gram, target) -> tuple[list, Fraction]:
-    """Minimize (w + target)^T G (w + target) over integer vectors w.
+def closest_lattice_point(ldl, target) -> tuple[list, Fraction]:
+    """Minimize (w + target)^T G (w + target) over integer vectors w, given
+    ldl = (L, D) with G = L diag(D) L^T from ``linalg.ldl_decompose``.
 
     Returns (argmin, minimum).  The result is certified: the enumeration
     visits every integer point whose form value could beat the incumbent.
     """
     n = len(target)
     t = [Fraction(x) for x in target]
-    lmat, diag = ldl_decompose(gram)
+    lmat, diag = ldl
 
     def form_value(x):
         # G = L D L^T gives (x+t)^T G (x+t) = sum_i d_i y_i^2 with

@@ -68,7 +68,7 @@ class DegenerationData:
         if not is_symmetric(self.gram):
             raise InputError("gram matrix must be symmetric")
         try:
-            ldl_decompose(self.gram)
+            self.ldl
         except InputError:
             raise InputError("gram matrix must be positive definite") from None
         self.polarization_matrix  # raises InputError unless F is integral
@@ -99,6 +99,12 @@ class DegenerationData:
     @cached_property
     def covolume(self) -> int:
         return abs(int(determinant(self.embedding)))
+
+    @cached_property
+    def ldl(self) -> tuple:
+        """(L, D) with G = L diag(D) L^T, L unit lower-triangular: the
+        factorization every closest-vector search on this lattice reads."""
+        return ldl_decompose(self.gram)
 
     @cached_property
     def gram_inverse(self) -> list:

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, p-adic valuations, truncated p-adics,
-and dense rational power series.
+"""Exact scalar arithmetic: rationals, primality and factoring, p-adic
+valuations, truncated p-adics, and dense rational power series.
 
 Rational numbers are ``fractions.Fraction`` throughout the package: the
 stdlib type already guarantees reduced form with positive denominator and
@@ -15,8 +15,10 @@ integers modulo a power of p.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, PrecisionError
 
@@ -93,6 +95,60 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factorize(n: int) -> dict:
+    """{prime: exponent} of |n|: trial division below 10^5, then Pollard
+    rho, which is slow on a cofactor with two large prime factors."""
+    n = abs(int(n))
+    if n in (0, 1):
+        return {}
+    out: dict = {}
+
+    def record(p):
+        out[p] = out.get(p, 0) + 1
+
+    for p in (2, 3, 5):
+        while n % p == 0:
+            record(p)
+            n //= p
+    f = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while f * f <= n and f < 100000:
+        while n % f == 0:
+            record(f)
+            n //= f
+        f += wheel[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            record(m)
+            continue
+        d = _pollard_rho(m)
+        stack.extend([d, m // d])
+    return dict(sorted(out.items()))
+
+
+def _pollard_rho(n: int) -> int:
+    if n % 2 == 0:
+        return 2
+    rng = random.Random(n)
+    while True:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(2, n)
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(abs(x - y), n)
+        if d != n:
+            return d
 
 
 def val_p(x: Fraction | int, p: int):

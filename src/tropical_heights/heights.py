@@ -13,23 +13,29 @@ a power of the duplication resultant Delta^2 with the sizes in floating
 point.  The factor one half is the divisor-degree bookkeeping between the
 origin divisor and the x-line bundle; it is pinned here by the torsion and
 doubling calibration tests rather than assumed.
+
+What belongs to the curve alone (the factored discriminant, the LocalModel
+at each prime, the bad places, the ArchContext at each precision and the
+oracle's integral model) is computed once per curve object and kept on it
+by ``CurveModel``; each call computes only what depends on the point.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
-from .arch import arch_context, local_height_arch
+from .arch import ArchContext, arch_context, local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import AdditiveReductionError, InputError
-from .exact import is_prime, val_p
-from .tate import LocalModel, local_height_report
+from .exact import factorize, val_p
+from .tate import LocalModel, local_height_report  # noqa: F401 (perfbench's tracer wraps it)
 
 
 @dataclass(frozen=True)
@@ -45,60 +51,72 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Factoring (trial division + Pollard rho), desk scale
+# Per-curve facts
 # ---------------------------------------------------------------------------
 
 
-def factorize(n: int) -> dict:
-    n = abs(int(n))
-    if n in (0, 1):
-        return {}
-    out: dict = {}
+@dataclass(frozen=True)
+class CurveModel:
+    """What one curve tells every height on it, each fact computed on first
+    use: its primes, the LocalModel at each prime asked for, the bad places,
+    the ArchContext at each precision and the oracle's integral model.
+    ``CurveModel.at(curve)`` keeps it in the curve's ``__dict__``, beside the
+    curve's cached invariants, so it lives and dies with the curve object.
+    """
 
-    def record(p):
-        out[p] = out.get(p, 0) + 1
+    curve: WeierstrassCurve
+    _local: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _arch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    for p in (2, 3, 5):
-        while n % p == 0:
-            record(p)
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            record(f)
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            record(m)
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
-    return dict(sorted(out.items()))
+    @classmethod
+    def at(cls, curve: WeierstrassCurve) -> "CurveModel":
+        model = curve.__dict__.get("_curve_model")
+        if model is None:
+            model = curve.__dict__["_curve_model"] = cls(curve)
+        return model
 
+    @cached_property
+    def scale(self) -> int:
+        """lcm of the coefficient denominators: x -> scale^2 x gives an integral model."""
+        names = ("a1", "a2", "a3", "a4", "a6")
+        return lcm(*(getattr(self.curve, name).denominator for name in names))
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+    @cached_property
+    def primes(self) -> tuple:
+        """The primes of the discriminant and of the coefficient denominators,
+        in one factorization (disc's denominator divides a power of scale)."""
+        return tuple(factorize(self.curve.discriminant.numerator * self.scale))
+
+    def local(self, p: int) -> LocalModel:
+        """The LocalModel at p, built on first use."""
+        if p not in self._local:
+            self._local[p] = LocalModel.at(self.curve, p)
+        return self._local[p]
+
+    @cached_property
+    def bad_places(self) -> tuple:
+        """The LocalModel at each prime with v_p(minimal discriminant) > 0."""
+        models = [self.local(p) for p in self.primes]
+        return tuple(m for m in models if val_p(m.minimal.discriminant, m.prime) > 0)
+
+    @cached_property
+    def is_semistable(self) -> bool:
+        return all(m.reduction.kind != "additive" for m in self.bad_places)
+
+    def arch(self, precision_bits: int) -> ArchContext:
+        """The ArchContext at this precision.  A context that raises is not
+        kept, so every later call raises again."""
+        if precision_bits not in self._arch:
+            self._arch[precision_bits] = arch_context(self.curve, precision_bits)
+        return self._arch[precision_bits]
+
+    @cached_property
+    def duplication(self) -> tuple:
+        """The oracle's (b, Delta^2): the b-invariants, as ints, of the
+        integral model x -> scale^2 x and its duplication resultant."""
+        work = self.curve.transform(Fraction(1, self.scale), 0, 0, 0)
+        b = tuple(int(x) for x in (work.b2, work.b4, work.b6, work.b8))
+        return b, work.discriminant.numerator ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +213,10 @@ def doubling_oracle(
     """
     if point.infinity:
         return DoublingOracleResult(0.0, (), True)
-    scale = 1
-    for name in ("a1", "a2", "a3", "a4", "a6"):
-        den = getattr(curve, name).denominator
-        scale = scale * den // gcd(scale, den)
-    work = curve.transform(Fraction(1, scale), 0, 0, 0)
-    moved = WeierstrassCurve.transform_point(point, Fraction(1, scale), 0, 0, 0)
-    b = tuple(int(x) for x in (work.b2, work.b4, work.b6, work.b8))  # work is integral
-    res = work.discriminant.numerator ** 2
-    n, d = moved.x.numerator, moved.x.denominator
+    model = CurveModel.at(curve)
+    b, res = model.duplication
+    x = point.x * model.scale**2  # on the integral model
+    n, d = x.numerator, x.denominator
     estimates = []
     seen = {(n, d)}
     exact_steps = min(n_max, _EXACT_STEPS)
@@ -239,32 +252,21 @@ class GlobalHeightReport:
     checked_good_primes: tuple    # primes off the list verified to give 0
 
 
-def _models(curve: WeierstrassCurve, extra: set = frozenset()) -> list:
-    """LocalModel at each prime with v_p(minimal discriminant) > 0 and at
-    each prime in ``extra``, sorted by prime."""
-    primes = set(extra)
-    for name in ("a1", "a2", "a3", "a4", "a6"):
-        primes.update(factorize(getattr(curve, name).denominator))
-    primes.update(factorize(curve.discriminant.numerator))
-    primes.update(factorize(curve.discriminant.denominator))
-    models = [LocalModel.at(curve, p) for p in sorted(primes)]
-    return [m for m in models
-            if m.prime in extra or val_p(m.minimal.discriminant, m.prime) > 0]
-
-
 def bad_primes(curve: WeierstrassCurve) -> list:
     """Primes with v_p(minimal discriminant) > 0."""
-    return [m.prime for m in _models(curve)]
+    return [m.prime for m in CurveModel.at(curve).bad_places]
 
 
 def is_semistable(curve: WeierstrassCurve) -> bool:
-    return all(m.reduction.kind != "additive" for m in _models(curve))
+    return CurveModel.at(curve).is_semistable
 
 
 def place_list(curve: WeierstrassCurve, point: CurvePoint) -> list:
     """The LocalModel of each place where lambda' can be nonzero: the bad
     primes and the primes of the x-denominator, sorted by prime."""
-    return _models(curve, set(factorize(point.x.denominator)))
+    model = CurveModel.at(curve)
+    primes = {m.prime for m in model.bad_places} | set(factorize(point.x.denominator))
+    return [model.local(p) for p in sorted(primes)]
 
 
 def global_height(
@@ -276,20 +278,20 @@ def global_height(
         raise InputError("global height of the origin is not defined here")
     if not curve.contains(point):
         raise InputError("point is not on the curve")
+    model = CurveModel.at(curve)
     places = place_list(curve, point)
     additive = []
     reports = []
-    for model in places:
+    for place in places:
         try:
-            reports.append(model.local_height(point))
+            reports.append(place.local_height(point))
         except AdditiveReductionError:
-            additive.append(model.prime)
+            additive.append(place.prime)
     if additive:
         raise AdditiveReductionError(
             f"additive reduction at {additive}; restrict to semistable curves"
         )
-    ctx = arch_context(curve, config.precision_bits)
-    arch_value = local_height_arch(ctx, point)
+    arch_value = local_height_arch(model.arch(config.precision_bits), point)
     total = arch_value + sum(rep.real_value for rep in reports)
     oracle = doubling_oracle(curve, point, config.n_max)
     # place coverage tripwire: lambda' vanishes at good primes off the list
@@ -299,11 +301,8 @@ def global_height(
     candidates = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
                   if p not in covered]
     for p in rng.sample(candidates, min(5, len(candidates))):
-        rep = local_height_report(curve, p, point)
-        if rep.lambda_v != 0:
-            raise InputError(
-                f"place coverage violated: nonzero local height at good prime {p}"
-            )
+        if model.local(p).local_height(point).lambda_v != 0:
+            raise InputError(f"place coverage violated: nonzero local height at good prime {p}")
         checked.append(p)
     return GlobalHeightReport(
         curve=curve,

@@ -182,7 +182,7 @@ def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     """Half the squared lattice distance min over w of (t+w)^T G (t+w) / 2,
     where t are the lattice coordinates of nu.  Exact, via certified CVP."""
     t = data.to_lattice_coords([Fraction(x) for x in nu])
-    _, minimum = closest_lattice_point(data.gram, t)
+    _, minimum = closest_lattice_point(data.ldl, t)
     return minimum / 2
 
 
@@ -200,7 +200,7 @@ def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
     """Lattice vector (X*-coordinates) closest to nu, with the half squared
     distance."""
     t = data.to_lattice_coords([Fraction(x) for x in nu])
-    w, minimum = closest_lattice_point(data.gram, t)
+    w, minimum = closest_lattice_point(data.ldl, t)
     return data.from_lattice_coords([-x for x in w]), minimum / 2
 
 

@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
-from tropical_heights import tate
+from tropical_heights import heights, tate
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import AdditiveReductionError, InputError
 from tropical_heights.exact import PadicElement
@@ -233,10 +236,66 @@ def test_minimal_model_search_counts(monkeypatch):
     z = PadicElement.from_rational(3, 2 * 3, 30)
     curve, point = tate.tate_curve(q), tate.tate_curve_point(q, z)
     assert run(lambda: tate.local_height_multiplicative(curve, 3, point)) == 1
-    assert run(lambda: is_semistable(E11)) == 1
+    # the places are kept on the curve object: cold counts need fresh curves
+    e11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
+    assert run(lambda: is_semistable(e11)) == 1
+    assert run(lambda: is_semistable(e11)) == 0
     # one search per place, whose model gives the report too, and one for
     # each of the five good primes of the coverage tripwire: disc = -431
-    curve = WeierstrassCurve.from_coeffs(1, 0, 0, 0, -1)
-    assert run(lambda: global_height(curve, CurvePoint.affine(1, 0))) == 6
+    curve, point = WeierstrassCurve.from_coeffs(1, 0, 0, 0, -1), CurvePoint.affine(1, 0)
+    assert run(lambda: global_height(curve, point)) == 6
     # 37a at 5 * (0, 0) = (1/4, -5/8): places 37 (bad) and 2 (x-denominator)
-    assert run(lambda: global_height(E37, CurvePoint.affine(F(1, 4), F(-5, 8)))) == 7
+    e37, fifth = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0), CurvePoint.affine(F(1, 4), F(-5, 8))
+    assert run(lambda: global_height(e37, fifth)) == 7
+    # a repeat on the same curve object searches nothing
+    assert run(lambda: global_height(curve, point)) == 0
+    assert run(lambda: global_height(e37, fifth)) == 0
+
+
+# -- per-curve facts are worked out once per curve object ------------------------
+
+
+def test_curve_facts_are_built_once(monkeypatch):
+    contexts, factored = [], []
+    for name, log in (("arch_context", contexts), ("factorize", factored)):
+        inner = getattr(heights, name)
+
+        def wrapper(*args, inner=inner, log=log):
+            log.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(heights, name, wrapper)
+    curve, P = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0), CurvePoint.affine(0, 0)
+    for target in (P, curve.negate(P), curve.double(P)):
+        global_height(curve, target, RunConfig(precision_bits=128))
+    # one context; the discriminant once, then each point's x-denominator
+    assert len(contexts) == 1
+    assert factored == [curve.discriminant.numerator, 1, 1, 1]
+    global_height(curve, P, RunConfig(precision_bits=160))
+    assert len(contexts) == 2
+    assert factored[4:] == [1]
+
+
+def test_warm_curve_reports_equal_cold(semistable_examples):
+    """P, -P and 2P on a curve object already used give the same reports,
+    field by field and floats by ==, as on a fresh equal curve."""
+    for curve, point in semistable_examples:
+        targets = (point, curve.negate(point), curve.double(point))
+        for target in targets:
+            global_height(curve, target)
+        for target in targets:
+            warm = global_height(curve, target)
+            fresh = WeierstrassCurve(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+            cold = global_height(fresh, target)
+            for f in fields(warm):
+                assert getattr(warm, f.name) == getattr(cold, f.name), (curve, target, f.name)
+
+
+def test_curve_model_dies_with_the_curve():
+    # 5077a, which no other test uses, so no equal curve is alive elsewhere
+    curve = WeierstrassCurve.from_coeffs(0, 0, 1, -7, 6)
+    global_height(curve, CurvePoint.affine(0, 2))
+    ref = weakref.ref(curve)
+    del curve
+    gc.collect()
+    assert ref() is None

@@ -205,7 +205,7 @@ def test_cvp_against_box_oracle():
         gram = random_positive_definite(rng, rank)
         t = [F(rng.randint(-8, 8), rng.randint(2, 9)) for _ in range(rank)]
         t = [x - round(x) for x in t]
-        w, val = closest_lattice_point(gram, t)
+        w, val = closest_lattice_point(linalg.ldl_decompose(gram), t)
         assert val == brute_force_closest(gram, t, radius=4)
         assert quadratic_value(gram, [a + b for a, b in zip(w, t)]) == val
 
