@@ -1,5 +1,5 @@
 """Profile of the normalized tropical theta function for a rank-1
-multiplicative degeneration: exact value table, cell breakpoints, theta
+multiplicative degeneration: exact value table, breakpoints, theta
 characteristic and component-group quantization.
 
 Usage: python scripts/rank1_profile.py [ell] [points-per-period]
@@ -8,10 +8,10 @@ Usage: python scripts/rank1_profile.py [ell] [points-per-period]
 import sys
 from fractions import Fraction
 
-from tropical_heights.cells import domains_of_linearity
 from tropical_heights.degeneration import DegenerationData
 from tropical_heights.exact import bernoulli2, format_rational
 from tropical_heights.tropical import (
+    breakpoints,
     generate_theta_terms,
     quantization_check,
     theta_characteristic,
@@ -37,8 +37,7 @@ def main():
             f"  {format_rational(closed):>24}"
         )
 
-    cells = domains_of_linearity(theta)
-    print("\nbreakpoints:", ", ".join(format_rational(b) for b in cells.breakpoints()))
+    print("\nbreakpoints:", ", ".join(format_rational(b) for b in breakpoints(theta)))
 
     tc = theta_characteristic(theta)
     print(

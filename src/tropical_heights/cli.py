@@ -34,6 +34,7 @@ from .serialize import (
 )
 from .tate import local_height_report
 from .tropical import (
+    breakpoints,
     closest_lattice_vector,
     normalized_tropical_riemann_theta,
     theta_characteristic,
@@ -159,15 +160,12 @@ def cmd_trop_eval(args) -> int:
             ]
         )
     payload = {"columns": ["point", "value", "normalized_value"], "rows": rows}
+    if args.breakpoints:
+        payload["breakpoints"] = [format_rational(b) for b in breakpoints(theta)]
     fmt = "csv" if args.format == "table" else args.format
     _emit(payload, fmt)
-    if args.breakpoints:
-        if theta.data.rank != 1:
-            raise InputError("breakpoint lists are a rank-1 feature")
-        from .cells import domains_of_linearity
-
-        complex_ = domains_of_linearity(theta)
-        print("breakpoints:", ",".join(format_rational(b) for b in complex_.breakpoints()))
+    if args.breakpoints and fmt == "csv":
+        print("breakpoints:", ",".join(payload["breakpoints"]))
     return 0
 
 

@@ -341,3 +341,65 @@ def tensor_normalized(t1: TropicalTheta, t2: TropicalTheta) -> TropicalTheta:
             if u not in terms or val < terms[u]:
                 terms[u] = val
     return TropicalTheta(data=data, terms=terms, margin=min(t1.margin, t2.margin))
+
+
+# ---------------------------------------------------------------------------
+# Rank-1 breakpoints
+# ---------------------------------------------------------------------------
+
+
+def breakpoints(theta: TropicalTheta) -> list:
+    """Sorted ends of the domains of linearity of a rank-1 theta on the
+    window [-P, 2P], P the period: the corners of the exact lower envelope
+    of the lines a_u + u nu.
+
+    The domains are closed intervals, one per active term.  A domain whose
+    midpoint lies in [0, P) must reappear one period on, with active term
+    u - F, whenever that translate lies in the window; Fourier data that
+    breaks this is refused as not lattice-periodic.
+    """
+    data = theta.data
+    if data.rank != 1:
+        raise InputError("breakpoint lists are a rank-1 feature")
+    period = Fraction(data.embedding[0][0])
+    lo, hi = sorted((-period, 2 * period))
+    # smallest intercept per slope
+    by_slope = {}
+    for (slope,), a in theta.terms.items():
+        if slope not in by_slope or a < by_slope[slope]:
+            by_slope[slope] = a
+    # lower envelope: largest slope dominates near -inf, so activity order
+    # left to right is by decreasing slope; a stack prunes dominated lines.
+    env = []  # (slope, intercept), active left to right
+    for s in sorted(by_slope, reverse=True):
+        a = by_slope[s]
+        while len(env) >= 2:
+            (s1, a1), (s2, a2) = env[-2:]
+            # the new line meets env[-2] before env[-1] took over from it
+            if (a - a1) / (s1 - s) <= (a2 - a1) / (s1 - s2):
+                env.pop()
+            else:
+                break
+        env.append((s, a))
+    cuts = [lo]
+    for (s1, a1), (s2, a2) in zip(env, env[1:]):
+        cuts.append((a2 - a1) / (s1 - s2))
+    cuts.append(hi)
+    domains = {}  # (left, right) -> active slope
+    for (s, _), left, right in zip(env, cuts, cuts[1:]):
+        left, right = max(lo, left), min(hi, right)
+        if left < right:
+            domains[left, right] = s
+    # f(nu + P) picks up the cocycle, moving the active term from u to u - F
+    f = data.polarization_matrix[0][0]
+    for (left, right), s in domains.items():
+        shifted = (left + period, right + period)
+        if (
+            0 <= (left + right) / 2 / period < 1
+            and lo <= shifted[0] and shifted[1] <= hi
+            and domains.get(shifted) != s - f
+        ):
+            raise InputError(
+                f"cell complex is not lattice-periodic: term {(s,)} fails at generator 0"
+            )
+    return sorted({x for interval in domains for x in interval})

@@ -1,8 +1,8 @@
 """Test-side references and helpers.
 
-Superseded paths of the library, kept as references for differential
-tests: each was replaced by a closed form or a faster method, and the tests
-check the replacement against it.
+Superseded or retired paths of the library, kept as references for
+tests: the first three were replaced by a closed form or a faster method,
+and the tests check the replacement against them.
 
 * the Tate parameter by compositional inversion of the j-expansion
   (``series_compose_invert`` on ``PowerSeries``), and j evaluated back from
@@ -13,7 +13,11 @@ check the replacement against it.
   R_F;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
-  integers mod a power of p.
+  integers mod a power of p;
+* the rank-2 domains of linearity by exact half-plane clipping, with their
+  lattice-periodicity check: the library keeps only the rank-1 envelope
+  (``tropical.breakpoints``), and the tests check rank-2 cell shapes and
+  areas against this reference.
 
 Helpers that only tests call, so that every function in the library has a
 caller in it:
@@ -27,6 +31,7 @@ caller in it:
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -35,6 +40,7 @@ from tropical_heights import arch
 from tropical_heights.curves import CurvePoint
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import PadicElement, PowerSeries, _reciprocal, val_p
+from tropical_heights.linalg import mat_vec
 from tropical_heights.tate import (
     _eval_int_series,
     _integers,
@@ -498,3 +504,138 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
         ):
             raise PrecisionError("uniformizer round-trip failed; raise precision")
         return u
+
+
+# -- rank-2 domains of linearity by half-plane clipping ----------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    active_term: tuple
+    vertices: tuple  # coordinate tuples (Fractions), counter-clockwise
+
+
+@dataclass(frozen=True)
+class CellComplex:
+    cells: tuple
+    quotient_cells: tuple  # one representative cell per lattice orbit
+
+
+def _window_corners(data):
+    """Corners of the lattice window {M t : t in [-1, 2]^2}, CCW."""
+    corners_t = [(-1, -1), (2, -1), (2, 2), (-1, 2)]
+    pts = [tuple(mat_vec(data.embedding, [Fraction(a), Fraction(b)])) for a, b in corners_t]
+    if polygon_area2(pts) < 0:
+        pts.reverse()
+    return pts
+
+
+def polygon_area2(pts):
+    """Twice the signed area of a polygon (shoelace)."""
+    total = Fraction(0)
+    n = len(pts)
+    for i in range(n):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def _clip_halfplane(poly, normal, offset):
+    """Keep the part of poly with normal . p <= offset (exact)."""
+    if not poly:
+        return []
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur, nxt = poly[i], poly[(i + 1) % n]
+        c_in = normal[0] * cur[0] + normal[1] * cur[1] <= offset
+        n_in = normal[0] * nxt[0] + normal[1] * nxt[1] <= offset
+        if c_in:
+            out.append(cur)
+        if c_in != n_in:
+            # intersection of segment with the boundary line
+            d = normal[0] * (nxt[0] - cur[0]) + normal[1] * (nxt[1] - cur[1])
+            t = (offset - normal[0] * cur[0] - normal[1] * cur[1]) / d
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    # drop consecutive duplicates
+    dedup = []
+    for p in out:
+        if not dedup or p != dedup[-1]:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def _cells_rank2(theta) -> list:
+    window = _window_corners(theta.data)
+    cells = []
+    items = list(theta.terms.items())
+    for u, a in items:
+        poly = window
+        for v, b in items:
+            if v == u:
+                continue
+            # a + <u, nu> <= b + <v, nu>  <=>  <u - v, nu> <= b - a
+            normal = (Fraction(u[0] - v[0]), Fraction(u[1] - v[1]))
+            if normal == (0, 0):
+                if a > b:
+                    poly = []
+                    break
+                continue
+            poly = _clip_halfplane(poly, normal, Fraction(b - a))
+            if len(poly) < 3:
+                poly = []
+                break
+        if poly and abs(polygon_area2(poly)) > 0:
+            cells.append(Cell(active_term=u, vertices=tuple(poly)))
+    return cells
+
+
+def _quotient(theta, cells) -> list:
+    """Representatives: cells whose vertex centroid lies in the fundamental
+    parallelotope [0,1)^2 of lattice coordinates."""
+    reps = []
+    for cell in cells:
+        n = len(cell.vertices)
+        centroid = [sum(Fraction(v[i]) for v in cell.vertices) / n for i in range(2)]
+        if all(0 <= x < 1 for x in theta.data.to_lattice_coords(centroid)):
+            reps.append(cell)
+    return reps
+
+
+def _assert_periodicity(theta, cells, reps):
+    """A quotient cell translated by a lattice generator, where the
+    translate is itself a cell of the complex, must carry the matching
+    term shift."""
+    data = theta.data
+    keys = {}
+    for cell in cells:
+        keys.setdefault(frozenset(cell.vertices), set()).add(cell.active_term)
+    f = data.polarization_matrix
+    for cell in reps:
+        for j in range(2):
+            step = [data.embedding[i][j] for i in range(2)]
+            shifted = frozenset(
+                tuple(Fraction(v[i]) + step[i] for i in range(2)) for v in cell.vertices
+            )
+            if shifted in keys:
+                # f(nu + M e_j) picks up the cocycle, moving the active
+                # term from u to u - F e_j
+                moved_term = tuple(cell.active_term[i] - f[i][j] for i in range(2))
+                if moved_term not in keys[shifted]:
+                    raise InputError(
+                        "cell complex is not lattice-periodic: "
+                        f"term {cell.active_term} fails at generator {j}"
+                    )
+
+
+def rank2_domains_of_linearity(theta) -> CellComplex:
+    """Maximal rank-2 domains of linearity, clipped to the fundamental
+    parallelotope plus one lattice margin layer on every side.  Cells are
+    closed; shared edges belong to all adjacent cells."""
+    cells = _cells_rank2(theta)
+    reps = _quotient(theta, cells)
+    _assert_periodicity(theta, cells, reps)
+    return CellComplex(cells=tuple(cells), quotient_cells=tuple(reps))

@@ -78,7 +78,15 @@ def test_trop_eval_breakpoints(theta_file, capsys):
     code = main(["trop-eval", theta_file, "--points", "0", "--breakpoints"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "breakpoints:" in out
+    assert "breakpoints: -5,0,5,10" in out.splitlines()
+
+
+def test_trop_eval_breakpoints_json(theta_file, capsys):
+    code = main(["--format", "json", "trop-eval", theta_file, "--points", "0", "--breakpoints"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["rows"] == [["0", "0", "0"]]
+    assert payload["breakpoints"] == ["-5", "0", "5", "10"]
 
 
 def test_trop_eval_malformed_json(tmp_path, capsys):

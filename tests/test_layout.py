@@ -1,10 +1,13 @@
-"""Every function in the library has a caller outside tests.
+"""Every module and every function in the library has a caller outside
+tests.
 
-A def in ``src/`` passes when its name appears in ``src/`` outside its own
-body, or in ``perfbench/`` or ``scripts/``.  A method passes only on an
-attribute access (``.name``) or a quoted name, so that a same-named free
-function elsewhere does not count as its caller.  Paths that only tests
-call belong in ``tests/oracles.py``.
+A module in ``src/`` passes when another file in ``src/``, ``perfbench/``
+or ``scripts/`` imports it; the package ``__init__`` and the ``cli`` entry
+point are exempt.  A def in ``src/`` passes when its name appears in
+``src/`` outside its own body, or in ``perfbench/`` or ``scripts/``.  A
+method passes only on an attribute access (``.name``) or a quoted name, so
+that a same-named free function elsewhere does not count as its caller.
+Paths that only tests call belong in ``tests/oracles.py``.
 """
 
 import ast
@@ -13,8 +16,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+PACKAGE = "tropical_heights"
 # public wire-format and API names, kept for callers outside the repository
 PUBLIC = {"point_from_dict", "curve_to_dict", "theta_to_dict", "ComponentGroup.reduce"}
+# the package itself and the console-script entry point of pyproject.toml
+ENTRY_MODULES = {"__init__", "cli"}
 
 
 def _sources(directory: str) -> dict:
@@ -59,3 +65,40 @@ def _uncalled() -> list:
 
 def test_every_library_def_has_a_caller_outside_tests():
     assert _uncalled() == []
+
+
+def _package_imports(text: str) -> set:
+    """Bare names of the package modules that a file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"{PACKAGE}.{node.module or ''}" if node.level else node.module or ""
+            targets = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            if parts[0] == PACKAGE and len(parts) > 1 and parts[1]:
+                found.add(parts[1])
+    return found
+
+
+def _unimported() -> list:
+    imports = {
+        path: _package_imports(text)
+        for directory in ("src", "perfbench", "scripts")
+        for path, text in _sources(directory).items()
+    }
+    missing = []
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        if path.stem in ENTRY_MODULES:
+            continue
+        if not any(path.stem in names for p, names in imports.items() if p != path):
+            missing.append(str(path.relative_to(ROOT)))
+    return missing
+
+
+def test_every_library_module_is_imported_outside_tests():
+    assert _unimported() == []

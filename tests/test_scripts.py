@@ -14,6 +14,7 @@ def test_rank1_profile_script():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert "breakpoints: -5, 0, 5, 10" in result.stdout.splitlines()
     assert "theta characteristic: k = -5/2, kappa = 5/2, r = -5/8" in result.stdout
     assert (
         "component-group values (all in (1/10)Z): 0, -2/5, -3/5, -3/5, -2/5"
