@@ -13,7 +13,6 @@ from .degeneration import (
 from .exact import (
     INFINITY,
     PadicElement,
-    PowerSeries,
     bernoulli2,
     val_p,
 )

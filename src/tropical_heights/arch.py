@@ -5,9 +5,11 @@ The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
 small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
 period ratio tau, which the arithmetic-geometric mean gives in closed form
 from the real roots e_i of t^3 + p t + r, t = x + b2/12 (Cohen, GTM 138,
-Alg. 7.4.7); the same AGMs give the real period Omega, and the q-expansion
-of j only checks q.  The real locus is either the real annulus |q| < |u|
-<= 1 or, for the twisted real form, the circles |u| = 1 and |u| = sqrt(q).
+Alg. 7.4.7); the same AGMs give the real period Omega.  c4(q), c6(q),
+sigma_1 and j = c4^3 / Delta, which only checks q, are the integer
+q-expansions of ``tate`` summed by Horner's rule.  The real locus is
+either the real annulus |q| < |u| <= 1 or, for the twisted real form, the
+circles |u| = 1 and |u| = sqrt(q).
 Each real component is an arc u = u0 exp(k theta), 0 <= theta <= pi, from
 the origin (or a 2-torsion point on the egg) to a 2-torsion point, with
 theta = 2 pi z / Omega for the elliptic logarithm z of a point of the
@@ -32,50 +34,26 @@ import mpmath as mp
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
+from .tate import (
+    discriminant_coefficients,
+    eisenstein4_coefficients,
+    eisenstein6_coefficients,
+    sigma_coefficients,
+)
 
 _TERM_GUARD = 30
 
 
-def _sigma_sum(k: int, q, eps):
-    """sum n^k q^n / (1 - q^n), truncated when |q|^n < eps."""
-    total = mp.mpf(0)
-    qn = mp.mpf(1)
-    n = 1
-    while True:
-        qn *= q
-        if abs(qn) < eps:
-            return total
-        total += (n**k) * qn / (1 - qn)
-        n += 1
-        if n > 100000:
-            raise PrecisionError("sigma series failed to converge")
-
-
-def _c4_of_q(q, eps):
-    return 1 + 240 * _sigma_sum(3, q, eps)
-
-
-def _c6_of_q(q, eps):
-    return -(1 - 504 * _sigma_sum(5, q, eps))
-
-
-def _disc_of_q(q, eps):
-    prod = mp.mpf(1)
-    qn = mp.mpf(1)
-    n = 1
-    while True:
-        qn *= q
-        if abs(qn) < eps:
-            break
-        prod *= (1 - qn) ** 24
-        n += 1
-        if n > 100000:
-            raise PrecisionError("discriminant product failed to converge")
-    return q * prod
-
-
-def _j_of_q(q, eps):
-    return _c4_of_q(q, eps) ** 3 / _disc_of_q(q, eps)
+def _q_expansions(q, eps) -> tuple:
+    """(c4, c6, sigma_1, Delta) at q: the integer q-expansions of ``tate``
+    summed by Horner's rule up to the first power with |q|^n < eps."""
+    order = int(mp.log(eps) / mp.log(abs(q))) + 1
+    if order > 100000:
+        raise PrecisionError("q-series failed to converge")
+    lists = (eisenstein4_coefficients(order), eisenstein6_coefficients(order),
+             sigma_coefficients(1, order), discriminant_coefficients(order + 1)[1:])
+    e4, e6, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
+    return e4, -e6, sigma1, q * disc_over_q
 
 
 def _mp(value):
@@ -140,8 +118,7 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
         eps = mp.mpf(2) ** (-(precision_bits + _TERM_GUARD))
         j = _mp(curve.j_invariant)
         q, roots, omega = _real_q(curve)
-        c4q = _c4_of_q(q, eps)
-        c6q = _c6_of_q(q, eps)
+        c4q, c6q, sigma1, disc = _q_expansions(q, eps)
         c4e, c6e = _mp(curve.c4), _mp(curve.c6)
         if c4e != 0 and c6e != 0:
             scale2 = (c6e * c4q) / (c6q * c4e)
@@ -153,24 +130,21 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
             if ratio < 0:
                 raise PrecisionError("inconsistent quartic-twist data at j=1728")
             scale2 = mp.sqrt(ratio)
+        if abs(c4q**3 / disc - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
+            raise PrecisionError("q-inversion did not reproduce j to tolerance")
         alpha = mp.sqrt(mp.mpc(scale2))
-        ell = -mp.log(abs(q))
-        ctx = ArchContext(
+        return ArchContext(
             curve=curve,
             precision_bits=precision_bits,
             q=q,
-            ell=ell,
+            ell=-mp.log(abs(q)),
             scale2=scale2,
             alpha3=alpha**3,
-            sigma1=_sigma_sum(1, q, eps),
+            sigma1=sigma1,
             roots=tuple(roots),
             omega=omega,
             torsion_x=tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots)),
         )
-        jq = _j_of_q(q, eps)
-        if abs(jq - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
-            raise PrecisionError("q-inversion did not reproduce j to tolerance")
-        return ctx
 
 
 # -- Tate coordinate series over C ------------------------------------------

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals, primality and factoring, p-adic
-valuations, truncated p-adics, and dense rational power series.
+valuations and truncated p-adics.  The package's power series are the
+integer q-expansions of the Tate curve, plain int lists in ``tate``.
 
 Rational numbers are ``fractions.Fraction`` throughout the package: the
 stdlib type already guarantees reduced form with positive denominator and
@@ -260,78 +261,3 @@ class PadicElement:
             f"PadicElement({self.prime}, {self.unit}*{self.prime}^{self.valuation}"
             f" + O({self.prime}^{self.known_mod}))"
         )
-
-
-# ---------------------------------------------------------------------------
-# Dense rational power series
-# ---------------------------------------------------------------------------
-
-
-def _reciprocal(c):
-    """1/c, kept an int when c = +-1 so that integer series stay integer."""
-    return c if c in (1, -1) else 1 / Fraction(c)
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series sum(c[i] x^i, i < truncation_order).
-
-    Coefficients are ints or Fractions: integer series stay in int
-    arithmetic, which is exact and much cheaper than Fraction arithmetic.
-    """
-
-    coefficients: tuple
-    # truncation_order == len(coefficients); kept explicit per data contract
-    truncation_order: int
-
-    @classmethod
-    def from_list(cls, coeffs, order: int | None = None) -> "PowerSeries":
-        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs)
-        if order < len(coeffs):
-            coeffs = coeffs[:order]
-        coeffs += [0] * (order - len(coeffs))
-        return cls(tuple(coeffs), order)
-
-    def __getitem__(self, i: int) -> int | Fraction:
-        return self.coefficients[i]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation_order, other.truncation_order)
-        return PowerSeries.from_list(
-            [self[i] + other[i] for i in range(n)], n
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation_order, other.truncation_order)
-        return PowerSeries.from_list(
-            [self[i] - other[i] for i in range(n)], n
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation_order, other.truncation_order)
-        out = [0] * n
-        for i, a in enumerate(self.coefficients[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries.from_list(out, n)
-
-    def multiplicative_inverse(self) -> "PowerSeries":
-        """1/self; requires an invertible constant term."""
-        if self[0] == 0:
-            raise InputError("constant term is not a unit")
-        n = self.truncation_order
-        inv = [0] * n
-        inv[0] = _reciprocal(self[0])
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                if self[i]:
-                    acc += self[i] * inv[k - i]
-            inv[k] = -acc * inv[0]
-        return PowerSeries.from_list(inv, n)

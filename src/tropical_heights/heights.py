@@ -46,8 +46,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.precision_bits < 53 or self.n_max < 2 or self.tolerance <= 0:
-            raise InputError("RunConfig bounds must be positive")
+        bounds = (("precision_bits", self.precision_bits >= 53, "at least 53"),
+                  ("n_max", self.n_max >= 2, "at least 2"),
+                  ("tolerance", 0 < self.tolerance < math.inf, "finite and positive"))
+        for name, ok, bound in bounds:
+            if not ok:
+                raise InputError(f"RunConfig.{name} = {getattr(self, name)!r} must be {bound}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Fraction-free-ish Gaussian elimination determinant."""
+    """Determinant by Gaussian elimination over Fractions: the product of
+    the pivots, negated once per row swap."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)

@@ -2,6 +2,9 @@
 reduction types, multiplicative-reduction parameters and the normalized
 canonical local heights at non-archimedean places.
 
+The Tate curve's integer q-expansions are int lists from one sigma_k
+sieve; ``arch`` evaluates the same lists at its real q.
+
 All local height values are exact rationals in v-units (a uniformizer has
 valuation one); multiply by log p only at global assembly time.
 """
@@ -24,7 +27,6 @@ from .errors import (
 from .exact import (
     INFINITY,
     PadicElement,
-    PowerSeries,
     bernoulli2,
     is_prime,
     val_p,
@@ -47,48 +49,48 @@ def sigma_coefficients(k: int, order: int) -> list:
 
 
 def eisenstein4_coefficients(order: int) -> list:
-    s3 = sigma_coefficients(3, order)
-    return [1 if n == 0 else 240 * s3[n] for n in range(order)]
+    return [1] + [240 * c for c in sigma_coefficients(3, order)[1:]]
 
 
 def eisenstein6_coefficients(order: int) -> list:
-    s5 = sigma_coefficients(5, order)
-    return [1 if n == 0 else -504 * s5[n] for n in range(order)]
+    return [1] + [-504 * c for c in sigma_coefficients(5, order)[1:]]
 
 
-def tate_a4_coefficients(order: int) -> list:
+def tate_coefficients(order: int) -> tuple:
+    """(a4, a6) of the Tate curve from one sieve of sigma_3 and sigma_5:
+    a4 = -5 sigma_3 and a6 = -(5 sigma_3 + 7 sigma_5) / 12."""
     s3 = sigma_coefficients(3, order)
-    return [-5 * c for c in s3]
+    num = [5 * a + 7 * b for a, b in zip(s3, sigma_coefficients(5, order))]
+    if any(c % 12 for c in num):
+        raise AssertionError("5 sigma3 + 7 sigma5 must be divisible by 12")
+    return [-5 * c for c in s3], [-c // 12 for c in num]
 
 
-def tate_a6_coefficients(order: int) -> list:
-    s3 = sigma_coefficients(3, order)
-    s5 = sigma_coefficients(5, order)
-    out = []
-    for n in range(order):
-        num = 5 * s3[n] + 7 * s5[n]
-        if num % 12 != 0:
-            raise AssertionError("5 sigma3 + 7 sigma5 must be divisible by 12")
-        out.append(-num // 12)
+def _series_mul(a: list, b: list) -> list:
+    """Product of two int series, truncated to the shorter one."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
     return out
 
 
-def _integers(series: PowerSeries, what: str) -> list:
-    """The coefficients of ``series`` as ints; ``what`` names the identity
-    that guarantees they are integral."""
+def _series_div(a: list, b: list) -> list:
+    """a / b for an int series b with constant term 1 and len(b) >= len(a),
+    truncated to len(a)."""
     out = []
-    for c in series.coefficients:
-        if Fraction(c).denominator != 1:
-            raise AssertionError(f"{what} must stay integral")
-        out.append(int(c))
+    for k, c in enumerate(a):
+        out.append(c - sum(b[i] * out[k - i] for i in range(1, k + 1)))
     return out
 
 
 def discriminant_coefficients(order: int) -> list:
     """q-expansion of q prod (1-q^n)^24, computed as (E4^3 - E6^2)/1728."""
-    e4 = PowerSeries.from_list(eisenstein4_coefficients(order))
-    e6 = PowerSeries.from_list(eisenstein6_coefficients(order))
-    diff = _integers(e4 * e4 * e4 - e6 * e6, "E4^3 - E6^2")
+    e4, e6 = eisenstein4_coefficients(order), eisenstein6_coefficients(order)
+    e4_cubed = _series_mul(_series_mul(e4, e4), e4)
+    diff = [a - b for a, b in zip(e4_cubed, _series_mul(e6, e6))]
     if any(c % 1728 for c in diff):
         raise AssertionError("E4^3 - E6^2 must be divisible by 1728")
     return [c // 1728 for c in diff]
@@ -96,9 +98,9 @@ def discriminant_coefficients(order: int) -> list:
 
 def j_times_q_coefficients(order: int) -> list:
     """Integer expansion of q*j(q) = 1 + 744 q + 196884 q^2 + ..."""
-    e4 = PowerSeries.from_list(eisenstein4_coefficients(order))
-    disc_over_q = PowerSeries.from_list(discriminant_coefficients(order + 1)[1:])
-    return _integers(e4 * e4 * e4 * disc_over_q.multiplicative_inverse(), "q j(q)")
+    e4 = eisenstein4_coefficients(order)
+    e4_cubed = _series_mul(_series_mul(e4, e4), e4)
+    return _series_div(e4_cubed, discriminant_coefficients(order + 1)[1:])
 
 
 def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
@@ -473,9 +475,7 @@ def tate_curve(q: PadicElement) -> WeierstrassCurve:
     """Curve y^2 + x y = x^3 + a4(q) x + a6(q) with exact rational
     representatives of the coefficient series."""
     ell = q.val()
-    order = q.known_mod // ell + 2
-    a4 = _eval_int_series(tate_a4_coefficients(order), q)
-    a6 = _eval_int_series(tate_a6_coefficients(order), q)
+    a4, a6 = (_eval_int_series(c, q) for c in tate_coefficients(q.known_mod // ell + 2))
     return WeierstrassCurve(Fraction(1), Fraction(0), Fraction(0), a4, a6)
 
 

@@ -5,12 +5,13 @@ tests: the first three were replaced by a closed form or a faster method,
 and the tests check the replacement against them.
 
 * the Tate parameter by compositional inversion of the j-expansion
-  (``series_compose_invert`` on ``PowerSeries``), and j evaluated back from
+  (``series_compose_invert`` on int lists), and j evaluated back from
   a parameter, against ``tate.tate_parameter``'s fixed point;
-* the real q by bisection on j, and the uniformizer u by bisection on the
-  x-series and by Newton steps on it (the library's route before Carlson's
-  R_F, with the two-sided x- and eta-series), against ``arch``'s AGM and
-  R_F;
+* the real q by bisection on j (from Lambert sums and mpmath's
+  q-Pochhammer symbol, not the integer q-expansions), and the uniformizer
+  u by bisection on the x-series and by Newton steps on it (the library's
+  route before Carlson's R_F, with the two-sided x- and eta-series),
+  against ``arch``'s AGM and R_F;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
   integers mod a power of p;
@@ -39,11 +40,12 @@ import mpmath as mp
 from tropical_heights import arch
 from tropical_heights.curves import CurvePoint
 from tropical_heights.errors import InputError, PrecisionError
-from tropical_heights.exact import PadicElement, PowerSeries, _reciprocal, val_p
+from tropical_heights.exact import PadicElement, val_p
 from tropical_heights.linalg import mat_vec
 from tropical_heights.tate import (
     _eval_int_series,
-    _integers,
+    _series_div,
+    _series_mul,
     discriminant_coefficients,
     eisenstein4_coefficients,
     j_times_q_coefficients,
@@ -51,48 +53,44 @@ from tropical_heights.tate import (
 )
 
 
-# -- power series: composition and reversion --------------------------------
+# -- power series: composition and reversion on int lists -------------------
 
 
-def identity(order: int) -> PowerSeries:
-    return PowerSeries.from_list([0, 1], order)
+def identity(order: int) -> list:
+    return [0, 1] + [0] * (order - 2)
 
 
-def truncate(s: PowerSeries, order: int) -> PowerSeries:
-    return PowerSeries.from_list(s.coefficients[:order], order)
-
-
-def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer(inner(x)); inner must have zero constant term."""
+def compose(outer: list, inner: list) -> list:
+    """outer(inner(x)), truncated to the shorter list; inner must have zero
+    constant term."""
     if inner[0] != 0:
         raise InputError("composition needs inner constant term 0")
-    n = min(outer.truncation_order, inner.truncation_order)
-    result = PowerSeries.from_list([outer[n - 1]], n)
+    n = min(len(outer), len(inner))
+    result = [outer[n - 1]] + [0] * (n - 1)
     # Horner scheme in the truncated ring.
     for k in range(n - 2, -1, -1):
-        result = result * inner + PowerSeries.from_list([outer[k]], n)
+        result = _series_mul(result, inner)
+        result[0] += outer[k]
     return result
 
 
-def series_compose_invert(s: PowerSeries) -> PowerSeries:
-    """Compositional inverse of s(x) = x + O(x^2) (unit leading coefficient
-    allowed), truncated to the same order.
+def series_compose_invert(s: list) -> list:
+    """Compositional inverse of s(x) = +-x + O(x^2), truncated to the same
+    order; integer in, integer out.
 
     Solves s(g(x)) = x coefficient by coefficient; the triangular structure
     makes each new coefficient of g a linear problem.
     """
     if s[0] != 0:
         raise InputError("series must vanish at 0")
-    if s.truncation_order < 2 or s[1] == 0:
+    if len(s) < 2 or s[1] not in (1, -1):
         raise InputError("leading coefficient is not a unit")
-    n = s.truncation_order
-    g = [0, _reciprocal(s[1])]
-    for k in range(2, n):
-        partial = PowerSeries.from_list(g + [0], k + 1)
-        composed = compose(truncate(s, k + 1), partial)
+    g = [0, s[1]]
+    for k in range(2, len(s)):
+        composed = compose(s[: k + 1], g + [0])
         # coefficient of x^k in s(g + t x^k) is composed[k] + s1 * t
         g.append(-composed[k] * g[1])
-    return PowerSeries.from_list(g, n)
+    return g
 
 
 # -- Tate parameter by reversion of the j-expansion -------------------------
@@ -103,9 +101,8 @@ def inverse_j_coefficients(order: int) -> list:
 
     Obtained by compositional inversion of w(q) = q / (q j(q)).
     """
-    jq = PowerSeries.from_list(j_times_q_coefficients(order))
-    w = identity(order) * jq.multiplicative_inverse()
-    return _integers(series_compose_invert(w), "reversion of w(q)")
+    w = [0] + _series_div(identity(order)[1:], j_times_q_coefficients(order))
+    return series_compose_invert(w)
 
 
 def reversion_tate_parameter(curve, p: int, precision: int = 20) -> PadicElement:
@@ -353,6 +350,22 @@ def _newton_on_arc(ctx, start, k, x_ends, x_target, tiny):
 # -- archimedean place: q by bisection on j, u by bisection on x ------------
 
 
+def lambert_sum(k: int, q, eps):
+    """sum n^k q^n / (1 - q^n), truncated when |q|^n < eps: the sigma_k
+    series summed without the library's integer q-expansions."""
+    total, qn, n = mp.mpf(0), q, 1
+    while abs(qn) >= eps:
+        total += n**k * qn / (1 - qn)
+        qn, n = qn * q, n + 1
+    return total
+
+
+def lambert_j(q, eps):
+    """j = c4^3 / Delta with c4 = 1 + 240 sum n^3 q^n / (1 - q^n) and
+    Delta = q (q; q)_inf^24 from mpmath's q-Pochhammer symbol."""
+    return (1 + 240 * lambert_sum(3, q, eps)) ** 3 / (q * mp.qp(q) ** 24)
+
+
 def _find_real_q(j_target, disc_positive: bool, eps):
     """Real q with j(q) = j_target and sign(q) = sign(disc).
 
@@ -382,7 +395,7 @@ def _find_real_q(j_target, disc_positive: bool, eps):
         lo = max(lo, 1 / (4 * abs(j_target)))
 
     def f(x):
-        return arch._j_of_q(sign * x, eps)
+        return lambert_j(sign * x, eps)
 
     # j decreases in |q| on the positive branch and increases with |q|
     # toward the corner value 1728 on the negative branch.
@@ -606,29 +619,37 @@ def _quotient(theta, cells) -> list:
 
 
 def _assert_periodicity(theta, cells, reps):
-    """A quotient cell translated by a lattice generator, where the
-    translate is itself a cell of the complex, must carry the matching
-    term shift."""
+    """A quotient cell that the window does not clip, translated by a
+    lattice generator, must be a cell of the complex carrying the matching
+    term shift whenever the translate lies in the window [-1, 2]^2 of
+    lattice coordinates."""
     data = theta.data
     keys = {}
     for cell in cells:
         keys.setdefault(frozenset(cell.vertices), set()).add(cell.active_term)
+
+    def coords(vertices):
+        return [c for v in vertices for c in data.to_lattice_coords(v)]
+
     f = data.polarization_matrix
     for cell in reps:
+        if not all(-1 < c < 2 for c in coords(cell.vertices)):
+            continue  # clipped, or touching the window's edge
         for j in range(2):
             step = [data.embedding[i][j] for i in range(2)]
             shifted = frozenset(
                 tuple(Fraction(v[i]) + step[i] for i in range(2)) for v in cell.vertices
             )
-            if shifted in keys:
-                # f(nu + M e_j) picks up the cocycle, moving the active
-                # term from u to u - F e_j
-                moved_term = tuple(cell.active_term[i] - f[i][j] for i in range(2))
-                if moved_term not in keys[shifted]:
-                    raise InputError(
-                        "cell complex is not lattice-periodic: "
-                        f"term {cell.active_term} fails at generator {j}"
-                    )
+            if not all(-1 <= c <= 2 for c in coords(shifted)):
+                continue
+            # f(nu + M e_j) picks up the cocycle, moving the active
+            # term from u to u - F e_j
+            moved_term = tuple(cell.active_term[i] - f[i][j] for i in range(2))
+            if moved_term not in keys.get(shifted, ()):
+                raise InputError(
+                    "cell complex is not lattice-periodic: "
+                    f"term {cell.active_term} fails at generator {j}"
+                )
 
 
 def rank2_domains_of_linearity(theta) -> CellComplex:

@@ -18,6 +18,7 @@ from oracles import (
     _find_real_q,
     bisection_elliptic_log,
     coordinates_from_uniformizer,
+    lambert_sum,
     newton_elliptic_log,
     x_series,
 )
@@ -255,7 +256,7 @@ def test_branch_tolerance_scales_with_precision():
 def test_arch_work_counts(monkeypatch):
     """Series evaluations per call, independent of machine speed."""
     counts = {}
-    for name in ("_j_of_q", "_x_series", "_sigma_sum"):
+    for name in ("_q_expansions", "_x_series"):
         inner = getattr(arch, name)
 
         def wrapper(*args, _name=name, _inner=inner):
@@ -265,12 +266,13 @@ def test_arch_work_counts(monkeypatch):
         monkeypatch.setattr(arch, name, wrapper)
 
     def run(call):
-        counts.update(_j_of_q=0, _x_series=0, _sigma_sum=0)
+        counts.update(_q_expansions=0, _x_series=0)
         result = call()
         return result, dict(counts)
 
+    # each _q_expansions call gives one value of j = c4^3 / Delta
     ctx, work = run(lambda: arch_context(E37, 128))
-    assert work["_j_of_q"] <= 2
+    assert work["_q_expansions"] <= 2
     twisted_ctx = arch_context(E_TWIST2, 128)
     for c, point in [(ctx, CurvePoint.affine(2, 2)),          # 37a, identity
                      (ctx, CurvePoint.affine(0, 0)),          # 37a, egg
@@ -280,7 +282,29 @@ def test_arch_work_counts(monkeypatch):
         _, work = run(lambda: elliptic_log(c, point))
         # R_F gives u; the one series call is the round-trip check
         assert work["_x_series"] == 1, (point, work)
-        assert work["_sigma_sum"] == 0, (point, work)
+        assert work["_q_expansions"] == 0, (point, work)
+
+
+def test_q_expansions_match_lambert_sums(semistable_examples):
+    """c4, c6, sigma_1 and Delta from the integer q-expansions against
+    Lambert sums and q (q; q)_inf^24, to 2^-(bits + 20), at the q of the
+    acceptance curves, 37a, 11a, a twisted curve, j = 0 and j = 1728.
+    Both sides sum to 2^-(bits + 60): at the context's own cut-off,
+    2^-(bits + 30), the tail left out of c6 is near 504 N^5 2^-(bits + 30)
+    with N about 26 at 256 bits."""
+    j0 = WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)
+    curves = [E37, E11, E_TWIST2, j0, CM1728] + [curve for curve, _ in semistable_examples]
+    for bits in (128, 256):
+        for curve in curves:
+            q = arch_context(curve, bits).q
+            with mp.workprec(bits + 60):
+                eps = mp.mpf(2) ** -(bits + 60)
+                c4, c6, sigma1, disc = arch._q_expansions(q, eps)
+                tol = mp.mpf(2) ** -(bits + 20)
+                assert abs(c4 - 1 - 240 * lambert_sum(3, q, eps)) < tol, (curve, bits)
+                assert abs(c6 + 1 - 504 * lambert_sum(5, q, eps)) < tol, (curve, bits)
+                assert abs(sigma1 - lambert_sum(1, q, eps)) < abs(sigma1) * tol, (curve, bits)
+                assert abs(disc - q * mp.qp(q) ** 24) < abs(disc) * tol, (curve, bits)
 
 
 def test_real_period_from_the_agm_matches_carlson(semistable_examples):

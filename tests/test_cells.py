@@ -139,3 +139,23 @@ def test_non_periodic_data_rejected(ell, terms, tmp_path, capsys):
     path.write_text(json.dumps(theta_to_dict(theta)))
     assert main(["trop-eval", str(path), "--breakpoints"]) == 2
     assert "not lattice-periodic" in capsys.readouterr().err
+
+
+def test_rank2_non_periodic_data_rejected():
+    # terms a^2 + b^2 over M = G = 3 I: the cells have side 2, not 3, so
+    # the translate of the cell at the origin lies in the window but is no cell
+    d = DegenerationData(
+        rank=2, embedding=[[3, 0], [0, 3]], gram=[[3, 0], [0, 3]], linear_part=[-3, -3],
+    )
+    terms = {(a, b): a * a + b * b for a in range(-4, 5) for b in range(-4, 5)}
+    with pytest.raises(InputError, match="not lattice-periodic"):
+        rank2_domains_of_linearity(TropicalTheta(d, terms, margin=1))
+
+
+def test_rank2_seeded_data_passes_the_periodicity_check():
+    # skewed embeddings clip quotient cells at the window's edge; periodic
+    # data must not be refused for it
+    rng = random.Random(7)
+    for _ in range(6):
+        data = random_principally_polarized(rng, 2)
+        assert rank2_domains_of_linearity(generate_theta_terms(data)).quotient_cells, data

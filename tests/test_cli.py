@@ -240,6 +240,21 @@ def test_global_height_tolerance_from_config(curve_file, capsys):
     assert json.loads(out)["discrepancy"] >= 1e-30
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_global_height_refuses_non_finite_tolerance(value, curve_file, capsys):
+    code = main(["--format", "json", "--tolerance", value, "global-height",
+                 curve_file, "--point", "0,0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RunConfig.tolerance" in captured.err
+
+
+def test_global_height_error_names_the_field(curve_file, capsys):
+    assert main(["--precision", "40", "global-height", curve_file, "--point", "0,0"]) == 2
+    assert "RunConfig.precision_bits = 40 must be at least 53" in capsys.readouterr().err
+
+
 def test_verify_command(capsys):
     assert main(["--seed", "1", "verify", "cvp"]) == 0
     payload = json.loads(capsys.readouterr().out)

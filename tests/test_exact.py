@@ -9,7 +9,6 @@ from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import (
     INFINITY,
     PadicElement,
-    PowerSeries,
     bernoulli2,
     format_rational,
     is_prime,
@@ -17,6 +16,7 @@ from tropical_heights.exact import (
     val_p,
 )
 from tropical_heights.heights import factorize
+from tropical_heights.tate import _series_div, _series_mul
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97
@@ -137,36 +137,35 @@ def test_padic_value_semantics():
 
 def test_series_inverse_identity():
     x = identity(6)
-    assert series_compose_invert(x).coefficients == x.coefficients
+    assert series_compose_invert(x) == x
 
 
 def test_series_inverse_catalan_signs():
     # invert(x + x^2) = x - x^2 + 2x^3 - 5x^4 + ...; Lagrange inversion gives
     # signed Catalan numbers 1, -1, 2, -5, 14
-    s = PowerSeries.from_list([0, 1, 1], 6)
-    inv = series_compose_invert(s)
-    assert list(inv.coefficients) == [F(0), F(1), F(-1), F(2), F(-5), F(14)]
+    inv = series_compose_invert([0, 1, 1, 0, 0, 0])
+    assert inv == [0, 1, -1, 2, -5, 14]
 
 
 def test_series_inverse_rejects_bad_leading_terms():
     with pytest.raises(InputError):
-        series_compose_invert(PowerSeries.from_list([1, 1], 4))
+        series_compose_invert([1, 1, 0, 0])
     with pytest.raises(InputError):
-        series_compose_invert(PowerSeries.from_list([0, 0, 1], 4))
+        series_compose_invert([0, 0, 1, 0])
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=0, max_size=6))
 @settings(max_examples=60)
 def test_series_inverse_roundtrip(tail):
-    s = PowerSeries.from_list([0, 1] + tail, 9)
+    s = ([0, 1] + tail + [0] * 9)[:9]
     g = series_compose_invert(s)
-    assert compose(s, g).coefficients == identity(9).coefficients
-    assert compose(g, s).coefficients == identity(9).coefficients
+    assert compose(s, g) == identity(9)
+    assert compose(g, s) == identity(9)
 
 
 def test_series_ring_ops():
-    a = PowerSeries.from_list([1, 2, 3], 5)
-    b = PowerSeries.from_list([0, 1], 5)
-    assert (a * b).coefficients[1] == 1
-    inv = a.multiplicative_inverse()
-    assert (a * inv).coefficients == PowerSeries.from_list([1], 5).coefficients
+    a = [1, 2, 3, 0, 0]
+    b = [0, 1, 0, 0, 0]
+    assert _series_mul(a, b)[1] == 1
+    inv = _series_div([1, 0, 0, 0, 0], a)
+    assert _series_mul(a, inv) == [1, 0, 0, 0, 0]

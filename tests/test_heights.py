@@ -180,10 +180,13 @@ def test_global_height_model_independence():
 
 
 def test_run_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="precision_bits = 10 must be at least 53"):
         RunConfig(precision_bits=10)
-    with pytest.raises(InputError):
-        RunConfig(tolerance=0)
+    with pytest.raises(InputError, match="n_max = 1 must be at least 2"):
+        RunConfig(n_max=1)
+    for bad in (0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="tolerance = .* must be finite and positive"):
+            RunConfig(tolerance=bad)
 
 
 def test_find_semistable_examples_deterministic(semistable_examples):

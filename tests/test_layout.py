@@ -8,6 +8,9 @@ point are exempt.  A def in ``src/`` passes when its name appears in
 method passes only on an attribute access (``.name``) or a quoted name, so
 that a same-named free function elsewhere does not count as its caller.
 Paths that only tests call belong in ``tests/oracles.py``.
+
+The library's line count stays below the budget that ROADMAP item 7 sets
+for the round.
 """
 
 import ast
@@ -21,6 +24,8 @@ PACKAGE = "tropical_heights"
 PUBLIC = {"point_from_dict", "curve_to_dict", "theta_to_dict", "ComponentGroup.reduce"}
 # the package itself and the console-script entry point of pyproject.toml
 ENTRY_MODULES = {"__init__", "cli"}
+# lines of src/ at which the round's size budget (ROADMAP item 7) is spent
+SRC_LINE_BUDGET = 3750
 
 
 def _sources(directory: str) -> dict:
@@ -102,3 +107,8 @@ def _unimported() -> list:
 
 def test_every_library_module_is_imported_outside_tests():
     assert _unimported() == []
+
+
+def test_library_stays_below_its_line_budget():
+    lines = sum(len(text.splitlines()) for text in _sources("src").values())
+    assert lines < SRC_LINE_BUDGET
