@@ -46,14 +46,28 @@ _TERM_GUARD = 30
 
 def _q_expansions(q, eps) -> tuple:
     """(c4, c6, sigma_1, Delta) at q: the integer q-expansions of ``tate``
-    summed by Horner's rule up to the first power with |q|^n < eps."""
-    order = int(mp.log(eps) / mp.log(abs(q))) + 1
-    if order > 100000:
-        raise PrecisionError("q-series failed to converge")
-    lists = (eisenstein4_coefficients(order), eisenstein6_coefficients(order),
-             sigma_coefficients(1, order), discriminant_coefficients(order + 1)[1:])
+    summed by Horner's rule, each to less than eps (relative to q for
+    sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
+    240 zeta(3) n^3, 504 zeta(5) n^5, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
+    rel = eps * abs(q)
+    lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3)),
+             eisenstein6_coefficients(_terms(q, eps, 523, 5)),
+             sigma_coefficients(1, _terms(q, rel, 1, 2)),
+             discriminant_coefficients(_terms(q, rel, 2, 6))[1:])
     e4, e6, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
     return e4, -e6, sigma1, q * disc_over_q
+
+
+def _terms(q, eps, growth, power) -> int:
+    """Terms of sum c_n q^n, |c_n| <= growth n^power, that leave out less
+    than eps: the first n with growth n^power |q|^n < eps / 2, past which
+    the bound falls by more than half per term (|q| <= e^-pi)."""
+    n = int(mp.log(eps / (2 * growth)) / mp.log(abs(q)))
+    if n > 100000:
+        raise PrecisionError("q-series failed to converge")
+    while growth * n**power * abs(q) ** n >= eps / 2:
+        n += 1
+    return n
 
 
 def _mp(value):

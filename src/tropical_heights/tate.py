@@ -2,6 +2,8 @@
 reduction types, multiplicative-reduction parameters and the normalized
 canonical local heights at non-archimedean places.
 
+A p-minimal model is rebuilt from (c4, c6) by one closed form at every
+prime (Kraus's conditions at p = 2, 3), with no search over residues.
 The Tate curve's integer q-expansions are int lists from one sigma_k
 sieve; ``arch`` evaluates the same lists at its real q.
 
@@ -127,7 +129,7 @@ def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
 
 @dataclass(frozen=True)
 class Transformation:
-    """Composable Weierstrass substitution x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    """Weierstrass substitution x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
 
     u: Fraction
     r: Fraction
@@ -138,14 +140,6 @@ class Transformation:
     def identity(cls) -> "Transformation":
         return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
-    def then(self, other: "Transformation") -> "Transformation":
-        return Transformation(
-            u=self.u * other.u,
-            r=self.u**2 * other.r + self.r,
-            s=self.s + self.u * other.s,
-            t=self.u**3 * other.t + self.s * self.u**2 * other.r + self.t,
-        )
-
     def push_point(self, p: CurvePoint) -> CurvePoint:
         return WeierstrassCurve.transform_point(p, self.u, self.r, self.s, self.t)
 
@@ -154,55 +148,52 @@ _COEFFS = ("a1", "a2", "a3", "a4", "a6")
 
 
 def _p_integral(curve: WeierstrassCurve, p: int) -> bool:
-    vals = [val_p(getattr(curve, n), p) for n in _COEFFS]
-    return all(v is INFINITY or v >= 0 for v in vals)
+    return all(getattr(curve, n).denominator % p for n in _COEFFS)
 
 
 def minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
     """A p-minimal model together with the transformation old -> new.
 
-    First scales into p-integrality, then greedily searches one u = p step
-    at a time over the complete residue ranges r mod p^2, s mod p,
-    t mod p^3; the loop reduces v_p(disc) by 12 each time it succeeds, so
-    termination and minimality are immediate.
+    A p-integral input with v(disc) < 12 or v(c4) < 4 is minimal and comes
+    back unchanged.  Otherwise the minimal model is rebuilt from its
+    invariants c4 / p^4k and c6 / p^6k, with k the largest exponent that
+    leaves c4, c6 and disc p-integral; where Kraus's conditions fail at
+    p = 2 or 3 the rebuilt model is not p-integral, and k steps down.  A
+    p-integral input reached at k = 0 was minimal.  The transformation
+    has u = p^k and the (r, s, t) that carries a1, a2, a3 to the model's.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    trans = Transformation.identity()
-    cur = curve
-    # clear p from denominators
-    worst = 0
-    for i, name in ((1, "a1"), (2, "a2"), (3, "a3"), (4, "a4"), (6, "a6")):
-        v = val_p(getattr(curve, name), p)
-        if v is not INFINITY and v < 0:
-            need = (-v + i - 1) // i
-            worst = max(worst, need)
-    if worst:
-        step = Transformation(Fraction(1, p**worst), Fraction(0), Fraction(0), Fraction(0))
-        cur = cur.transform(step.u, step.r, step.s, step.t)
-        trans = trans.then(step)
+    integral = _p_integral(curve, p)
+    vd, vc4 = val_p(curve.discriminant, p), val_p(curve.c4, p)
+    if integral and (vd < 12 or vc4 < 4):
+        return curve, Transformation.identity()
+    k = min(v // w for v, w in ((vd, 12), (vc4, 4), (val_p(curve.c6, p), 6))
+            if v is not INFINITY)
+    while not (k == 0 and integral):
+        u = Fraction(p) ** k
+        model = _model_from_invariants(curve.c4 / u**4, curve.c6 / u**6, p)
+        if _p_integral(model, p):
+            s = (u * model.a1 - curve.a1) / 2
+            r = (u**2 * model.a2 - curve.a2 + s * curve.a1 + s * s) / 3
+            t = (u**3 * model.a3 - curve.a3 - r * curve.a1) / 2
+            return model, Transformation(u, r, s, t)
+        k -= 1
+    return curve, Transformation.identity()
 
-    while True:
-        vd = val_p(cur.discriminant, p)
-        vc4 = val_p(cur.c4, p)
-        if vd is INFINITY:
-            raise InputError("singular curve")
-        if vd < 12 or (vc4 is not INFINITY and vc4 < 4):
-            break
-        found = None
-        for r, s, t in _substitution_candidates(cur, p):
-            cand = cur.transform(p, r, s, t)
-            if _p_integral(cand, p):
-                found = (
-                    Transformation(Fraction(p), Fraction(r), Fraction(s), Fraction(t)),
-                    cand,
-                )
-                break
-        if not found:
-            break
-        step, cur = found
-        trans = trans.then(step)
-    return cur, trans
+
+def _model_from_invariants(c4: Fraction, c6: Fraction, p: int) -> WeierstrassCurve:
+    """The model with invariants c4, c6 (p-integral, as is their disc) that
+    Kraus's conditions give: b2 = -c6 mod 4 at p = 2, mod 3 at p = 3, 0 at
+    p >= 5, then b4 and b6 from c4 = b2^2 - 24 b4 and c6 = -b2^3 + 36 b2 b4
+    - 216 b6.  It is p-integral iff the conditions hold, as always at p >= 5
+    (Kraus, Acta Arith. 54, 1989; Cremona, Algorithms, 3.2)."""
+    b2 = _mod_p(-c6, p, 2 if p == 2 else 1) if p <= 3 else 0
+    b4 = (b2 * b2 - c4) / 24
+    b6 = (-b2**3 + 36 * b2 * b4 - c6) / 216
+    # b6 mod 2 is its numerator's parity when b6 is 2-integral
+    a1, a3 = (b2 % 2, b6.numerator % 2) if p == 2 else (0, 0)
+    return WeierstrassCurve(a1, Fraction(b2 - a1, 4), a3, (b4 - a1 * a3) / 2, (b6 - a3 * a3) / 4)
 
 
 def _mod_p(x: Fraction, p: int, k: int = 1) -> int:
@@ -212,27 +203,6 @@ def _mod_p(x: Fraction, p: int, k: int = 1) -> int:
     if x.denominator % p == 0:
         raise InputError("value is not p-integral")
     return x.numerator * pow(x.denominator, -1, m) % m
-
-
-def _substitution_candidates(curve: WeierstrassCurve, p: int):
-    """Complete residue triples (r mod p^2, s mod p, t mod p^3) that could
-    make transform(p, r, s, t) p-integral.
-
-    For p >= 5 integrality of a1', a2', a3' pins the triple uniquely; for
-    p in {2, 3} the full (small) ranges are searched.
-    """
-    if p <= 3:
-        for r in range(p**2):
-            for s in range(p):
-                for t in range(p**3):
-                    yield r, s, t
-        return
-    inv2 = pow(2, -1, p**3)
-    inv3 = pow(3, -1, p**2)
-    s = -_mod_p(curve.a1, p) * inv2 % p
-    r = (_mod_p(curve.a2, p, 2) - s * s - s * _mod_p(curve.a1, p, 2)) * (-inv3) % p**2
-    t = (-_mod_p(curve.a3, p, 3) - r * _mod_p(curve.a1, p, 3)) * inv2 % p**3
-    yield r, s, t
 
 
 @dataclass(frozen=True)
@@ -356,9 +326,7 @@ def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: i
         point.y**2 + curve.a1 * point.x * point.y + curve.a3 * point.y
         - (point.x**3 + curve.a2 * point.x**2 + curve.a4 * point.x + curve.a6)
     )
-    if res == 0:
-        return
-    if val_p(res, p) < 3 * ell + 6:
+    if res != 0 and val_p(res, p) < 3 * ell + 6:
         raise InputError("point is not on the curve (even p-adically)")
 
 
@@ -377,9 +345,7 @@ def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
 
 def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
     p = model.prime
-    vx = val_p(point.x, p)
-    vy = val_p(point.y, p)
-    if (vx is not INFINITY and vx < 0) or (vy is not INFINITY and vy < 0):
+    if val_p(point.x, p) < 0 or val_p(point.y, p) < 0:
         return False  # reduces to the origin, which is smooth
     # a point of the curve reduces onto the reduced curve, whose one
     # singular point is where both partial derivatives vanish

@@ -1,8 +1,8 @@
 """Test-side references and helpers.
 
 Superseded or retired paths of the library, kept as references for
-tests: the first three were replaced by a closed form or a faster method,
-and the tests check the replacement against them.
+tests: all but the rank-2 cells were replaced by a closed form or a faster
+method, and the tests check the replacement against them.
 
 * the Tate parameter by compositional inversion of the j-expansion
   (``series_compose_invert`` on int lists), and j evaluated back from
@@ -18,7 +18,11 @@ and the tests check the replacement against them.
 * the rank-2 domains of linearity by exact half-plane clipping, with their
   lattice-periodicity check: the library keeps only the rank-1 envelope
   (``tropical.breakpoints``), and the tests check rank-2 cell shapes and
-  areas against this reference.
+  areas against this reference;
+* the p-minimal model by a stepwise search over residue triples (every
+  triple at p <= 3, the one integral triple at p >= 5), against
+  ``tate.minimal_model_at``'s model rebuilt from (c4, c6) by Kraus's
+  conditions.
 
 Helpers that only tests call, so that every function in the library has a
 caller in it:
@@ -38,12 +42,15 @@ from fractions import Fraction
 import mpmath as mp
 
 from tropical_heights import arch
-from tropical_heights.curves import CurvePoint
+from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
-from tropical_heights.exact import PadicElement, val_p
+from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
 from tropical_heights.linalg import mat_vec
 from tropical_heights.tate import (
+    Transformation,
     _eval_int_series,
+    _mod_p,
+    _p_integral,
     _series_div,
     _series_mul,
     discriminant_coefficients,
@@ -169,6 +176,87 @@ def exact_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
         x += f(qn * zr) + f(qn / zr)
         y += g(qn * zr) + h(qn / zr)
     return CurvePoint.affine(x - 2 * s1, y + s1)
+
+
+# -- minimal models by a search over residues --------------------------------
+
+
+def compose_transformations(first: Transformation, second: Transformation) -> Transformation:
+    """The substitution that applies ``first`` and then ``second``."""
+    return Transformation(
+        u=first.u * second.u,
+        r=first.u**2 * second.r + first.r,
+        s=first.s + first.u * second.s,
+        t=first.u**3 * second.t + first.s * first.u**2 * second.r + first.t,
+    )
+
+
+def scan_minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
+    """A p-minimal model together with the transformation old -> new.
+
+    First scales into p-integrality, then greedily searches one u = p step
+    at a time over the complete residue ranges r mod p^2, s mod p,
+    t mod p^3; the loop reduces v_p(disc) by 12 each time it succeeds, so
+    termination and minimality are immediate.
+    """
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    trans = Transformation.identity()
+    cur = curve
+    # clear p from denominators
+    worst = 0
+    for i, name in ((1, "a1"), (2, "a2"), (3, "a3"), (4, "a4"), (6, "a6")):
+        v = val_p(getattr(curve, name), p)
+        if v is not INFINITY and v < 0:
+            need = (-v + i - 1) // i
+            worst = max(worst, need)
+    if worst:
+        step = Transformation(Fraction(1, p**worst), Fraction(0), Fraction(0), Fraction(0))
+        cur = cur.transform(step.u, step.r, step.s, step.t)
+        trans = compose_transformations(trans, step)
+
+    while True:
+        vd = val_p(cur.discriminant, p)
+        vc4 = val_p(cur.c4, p)
+        if vd is INFINITY:
+            raise InputError("singular curve")
+        if vd < 12 or (vc4 is not INFINITY and vc4 < 4):
+            break
+        found = None
+        for r, s, t in _substitution_candidates(cur, p):
+            cand = cur.transform(p, r, s, t)
+            if _p_integral(cand, p):
+                found = (
+                    Transformation(Fraction(p), Fraction(r), Fraction(s), Fraction(t)),
+                    cand,
+                )
+                break
+        if not found:
+            break
+        step, cur = found
+        trans = compose_transformations(trans, step)
+    return cur, trans
+
+
+def _substitution_candidates(curve: WeierstrassCurve, p: int):
+    """Complete residue triples (r mod p^2, s mod p, t mod p^3) that could
+    make transform(p, r, s, t) p-integral.
+
+    For p >= 5 integrality of a1', a2', a3' pins the triple uniquely; for
+    p in {2, 3} the full (small) ranges are searched.
+    """
+    if p <= 3:
+        for r in range(p**2):
+            for s in range(p):
+                for t in range(p**3):
+                    yield r, s, t
+        return
+    inv2 = pow(2, -1, p**3)
+    inv3 = pow(3, -1, p**2)
+    s = -_mod_p(curve.a1, p) * inv2 % p
+    r = (_mod_p(curve.a2, p, 2) - s * s - s * _mod_p(curve.a1, p, 2)) * (-inv3) % p**2
+    t = (-_mod_p(curve.a3, p, 3) - r * _mod_p(curve.a1, p, 3)) * inv2 % p**3
+    yield r, s, t
 
 
 # -- helpers that only tests call -------------------------------------------

@@ -207,6 +207,14 @@ def test_local_height_additive_exit_code(tmp_path, capsys):
     assert main(["local-height", str(path), "--point", "0,1", "--prime", "2"]) == 3
 
 
+@pytest.mark.parametrize("prime", ["35", "1", "0", "-37"])
+def test_local_height_refuses_a_non_prime(prime, curve_file, capsys):
+    assert main(["local-height", curve_file, "--point", "0,0", "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{prime} is not prime" in captured.err
+
+
 def test_global_height_command(curve_file, capsys):
     code = main(["--format", "json", "global-height", curve_file, "--point", "0,0"])
     assert code == 0

@@ -18,10 +18,14 @@ from oracles import (
     is_integral,
     j_from_parameter,
     reversion_tate_parameter,
+    scan_minimal_model_at,
 )
+from tropical_heights import tate
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
-from tropical_heights.heights import factorize
+from tropical_heights.heights import _rational_points_small, factorize
 from tropical_heights.tate import (
+    LocalHeightReport,
+    LocalModel,
     Transformation,
     _eval_int_series,
     discriminant_coefficients,
@@ -89,6 +93,84 @@ def test_minimal_discriminant_invariant_under_unimodular_changes():
         for p in (2, 3, 11):
             m1, _ = minimal_model_at(moved, p)
             assert val_p(m1.discriminant, p) == val_p(E11.discriminant, p)
+
+
+E_4X = WeierstrassCurve.from_coeffs(0, 0, 0, -4, 0)     # minimal at 2, v(disc) = 12
+E_4X_SCALED = E_4X.transform(F(1, 2), 0, 0, 0)           # a_i multiplied by 2^i
+
+
+def _report_or_error(model: LocalModel, point: CurvePoint):
+    try:
+        return model.local_height(point)
+    except (InputError, PreconditionError, AdditiveReductionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_minimal_model_matches_the_residue_scan():
+    # seeded non-minimal, non-p-integral and unimodularly moved models of
+    # j = 0, j = 1728, 37a, 11a, an additive curve and y^2 = x^3 - 4x (minimal
+    # at 2 although v(disc) = 12 and v(c4) = 6) with its 1/2-scaled model
+    rng = random.Random(15)
+    bases = [E37, E11, E_ADD, E_4X, E_4X_SCALED,
+             WeierstrassCurve.from_coeffs(0, 0, 1, 0, 0),     # j = 0
+             WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)]    # j = 1728
+    seen = {"identity": 0, "moved": 0, "reports": 0, "errors": 0}
+    for base in bases:
+        base_points = _rational_points_small(base)[:4]
+        for p in (2, 3, 5, 7, 11):
+            integral = [rng.randint(-4, 4) for _ in range(6)]
+            moves = [(F(1), 0, 0, 0),
+                     (F(1), *integral[:3]),                            # unimodular
+                     (F(p) ** -rng.randint(1, 2), *integral[3:]),      # non-minimal
+                     (F(p) ** rng.randint(0, 1), *(F(rng.randint(-4, 4), rng.choice([1, p]))
+                                                   for _ in range(3)))]  # not p-integral
+            for move in moves:
+                curve = base.transform(*move)
+                minimal, trans = minimal_model_at(curve, p)
+                ref_minimal, ref_trans = scan_minimal_model_at(curve, p)
+                case = (base, p, move)
+                assert val_p(minimal.discriminant, p) == val_p(ref_minimal.discriminant, p), case
+                assert curve.transform(trans.u, trans.r, trans.s, trans.t) == minimal, case
+                identity = trans == Transformation.identity()
+                assert identity == (ref_trans == Transformation.identity()), case
+                seen["identity" if identity else "moved"] += 1
+                model, ref = LocalModel(p, minimal, trans), LocalModel(p, ref_minimal, ref_trans)
+                assert model.reduction == ref.reduction, case
+                points = _rational_points_small(curve) + [
+                    WeierstrassCurve.transform_point(point, *move) for point in base_points]
+                for point in points:
+                    report = _report_or_error(model, point)
+                    assert report == _report_or_error(ref, point), (case, point)
+                    seen["reports" if isinstance(report, LocalHeightReport) else "errors"] += 1
+    assert seen["identity"] >= 60 and seen["moved"] >= 60 and seen["reports"] >= 600, seen
+
+
+def test_minimal_model_rebuild_counts(monkeypatch):
+    counts = {"rebuilds": 0}
+    inner = tate._model_from_invariants
+
+    def wrapper(*args):
+        counts["rebuilds"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(tate, "_model_from_invariants", wrapper)
+
+    def run(curve, p):
+        counts["rebuilds"] = 0
+        result = minimal_model_at(curve, p)
+        return counts["rebuilds"], result
+
+    # a p-integral minimal input takes the fast exit
+    assert run(E37, 5) == (0, (E37, Transformation.identity()))
+    # one rebuild at p >= 5, and at p = 2 and 3 where Kraus's conditions hold
+    for p in (5, 2, 3):
+        rebuilds, (minimal, _) = run(E37.transform(F(1, p), 0, 0, 0), p)
+        assert rebuilds == 1 and val_p(minimal.discriminant, p) == 0, p
+    # k = 1 fails Kraus's conditions at 2 and k = 0 is the input itself
+    assert run(E_4X, 2) == (1, (E_4X, Transformation.identity()))
+    # k = 2 fails, k = 1 rebuilds y^2 = x^3 - 4x
+    rebuilds, (minimal, trans) = run(E_4X_SCALED, 2)
+    assert rebuilds == 2 and minimal == E_4X and trans.u == 2
 
 
 # -- reduction types ---------------------------------------------------------------
