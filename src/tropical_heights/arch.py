@@ -5,14 +5,15 @@ The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
 small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
 period ratio tau, which the arithmetic-geometric mean gives in closed form
 from the real roots e_i of t^3 + p t + r, t = x + b2/12 (Cohen, GTM 138,
-Alg. 7.4.7); the same AGMs give the real period Omega.  c4(q), c6(q),
-sigma_1 and j = c4^3 / Delta, which only checks q, are the integer
-q-expansions of ``tate`` summed by Horner's rule.  The real locus is
-either the real annulus |q| < |u| <= 1 or, for the twisted real form, the
-circles |u| = 1 and |u| = sqrt(q).
-Each real component is an arc u = u0 exp(k theta), 0 <= theta <= pi, from
-the origin (or a 2-torsion point on the egg) to a 2-torsion point, with
-theta = 2 pi z / Omega for the elliptic logarithm z of a point of the
+Alg. 7.4.7); the same AGMs give the real period Omega, and with it the
+rate d(log u)/dz of the uniformization, whose square scale2 gives t =
+scale2 (X + 1/12) for the Tate curve's X.  c4(q), sigma_1 and j = c4^3 /
+Delta, which only checks q, are the integer q-expansions of ``tate``
+summed by Horner's rule.  The real locus is either the real annulus
+|q| < |u| <= 1 or, for the twisted real form (c6 > 0), the circles
+|u| = 1 and |u| = sqrt(q).  Each real component is an arc u = u0 exp(rate
+z), 0 <= z <= Omega/2, from the origin (or a 2-torsion point on the egg)
+to a 2-torsion point, for the elliptic logarithm z of a point of the
 identity component, which Carlson's R_F gives in closed form:
 z = R_F(t - e1, t - e2, t - e3) (Carlson, Numer. Algorithms 10, 1995;
 Cremona-Thongjunthug, J. Number Theory 133, 2013).  A point on the egg is
@@ -37,7 +38,6 @@ from .errors import InputError, PrecisionError
 from .tate import (
     discriminant_coefficients,
     eisenstein4_coefficients,
-    eisenstein6_coefficients,
     sigma_coefficients,
 )
 
@@ -45,17 +45,16 @@ _TERM_GUARD = 30
 
 
 def _q_expansions(q, eps) -> tuple:
-    """(c4, c6, sigma_1, Delta) at q: the integer q-expansions of ``tate``
+    """(c4, sigma_1, Delta) at q: the integer q-expansions of ``tate``
     summed by Horner's rule, each to less than eps (relative to q for
     sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
-    240 zeta(3) n^3, 504 zeta(5) n^5, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
+    240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
     rel = eps * abs(q)
     lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3)),
-             eisenstein6_coefficients(_terms(q, eps, 523, 5)),
              sigma_coefficients(1, _terms(q, rel, 1, 2)),
              discriminant_coefficients(_terms(q, rel, 2, 6))[1:])
-    e4, e6, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
-    return e4, -e6, sigma1, q * disc_over_q
+    c4, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
+    return c4, sigma1, q * disc_over_q
 
 
 def _terms(q, eps, growth, power) -> int:
@@ -114,8 +113,8 @@ class ArchContext:
     precision_bits: int
     q: mp.mpf
     ell: mp.mpf                  # -log|q|
-    scale2: mp.mpf               # alpha^2 relating normalized x-coordinates
-    alpha3: complex              # alpha^3 (imaginary when scale2 < 0)
+    rate: mp.mpf | mp.mpc        # d(log u)/dz: 2 pi i/Omega, -ell/Omega or -2 ell/Omega
+    scale2: mp.mpf               # rate^2, real: t = scale2 (X(u) + 1/12)
     sigma1: mp.mpf               # sum n q^n / (1 - q^n), the x-series constant
     roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
     omega: mp.mpf                # the real period
@@ -123,7 +122,8 @@ class ArchContext:
 
     @property
     def twisted(self) -> bool:
-        """True when the real locus sits on |u| = 1 (and |u| = sqrt(q))."""
+        """True when the real locus sits on |u| = 1 (and |u| = sqrt(q)):
+        exactly when c6 > 0, which makes the rate imaginary."""
         return self.scale2 < 0
 
 
@@ -132,28 +132,22 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
         eps = mp.mpf(2) ** (-(precision_bits + _TERM_GUARD))
         j = _mp(curve.j_invariant)
         q, roots, omega = _real_q(curve)
-        c4q, c6q, sigma1, disc = _q_expansions(q, eps)
-        c4e, c6e = _mp(curve.c4), _mp(curve.c6)
-        if c4e != 0 and c6e != 0:
-            scale2 = (c6e * c4q) / (c6q * c4e)
-        elif c4e == 0:
-            ratio = c6e / c6q
-            scale2 = mp.sign(ratio) * mp.cbrt(abs(ratio))
-        else:
-            ratio = c4e / c4q
-            if ratio < 0:
-                raise PrecisionError("inconsistent quartic-twist data at j=1728")
-            scale2 = mp.sqrt(ratio)
+        c4q, sigma1, disc = _q_expansions(q, eps)
         if abs(c4q**3 / disc - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
             raise PrecisionError("q-inversion did not reproduce j to tolerance")
-        alpha = mp.sqrt(mp.mpc(scale2))
+        ell = -mp.log(abs(q))
+        # d(log u)/dz = 2 pi i / omega_1 for the period omega_1 that q^Z
+        # leaves: the real period when c6 > 0, else the imaginary one
+        rate = (mp.mpc(0, 2 * mp.pi / omega) if curve.c6 > 0
+                else -ell / omega if q > 0 else -2 * ell / omega)
+        scale2 = mp.re(rate * rate)
         return ArchContext(
             curve=curve,
             precision_bits=precision_bits,
             q=q,
-            ell=-mp.log(abs(q)),
+            ell=ell,
+            rate=rate,
             scale2=scale2,
-            alpha3=alpha**3,
             sigma1=sigma1,
             roots=tuple(roots),
             omega=omega,
@@ -228,27 +222,27 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
         q = ctx.q
         t = _mp(point.x + curve.b2 / 12)
         x_target = t / ctx.scale2 - mp.mpf(1) / 12
-        # 2y + a1 x + a3 = alpha^3 (2Y + X) has the sign of 2Y + X, or of
-        # its imaginary part when alpha is imaginary
+        # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
+        # sign of 2Y + X, or of its imaginary part when alpha is imaginary
         eta = 2 * point.y + curve.a1 * point.x + curve.a3
         # x_target and the end values carry about precision_bits + 30 bits,
         # so a component test needs no wider slack than 2^-precision_bits
         slack = mp.mpf(2) ** -ctx.precision_bits
         root, tx = (mp.sqrt(q) if q > 0 else None), ctx.torsion_x
-        # Each real component is an arc u = ends[0] exp(k theta), 0 <= theta
-        # <= pi, on which x is monotone.  theta = 0 is the origin (x infinite)
-        # on the identity component and a 2-torsion point on the egg; theta =
-        # pi is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
+        # Each real component is an arc u = ends[0] exp(rate z), 0 <= z <=
+        # Omega/2, on which x is monotone.  z = 0 is the origin (x infinite)
+        # on the identity component and a 2-torsion point on the egg; z =
+        # Omega/2 is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
         if ctx.twisted:
-            k, ends, x_ends = mp.mpc(0, 1), (1, mp.mpf(-1)), (None, tx[0])
+            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
             if q > 0 and x_target > tx[0] + slack * (1 + abs(tx[0])):
                 ends, x_ends = (root, -root), (tx[2], tx[1])  # the egg |u| = sqrt(q)
         elif q > 0:
-            k, ends, x_ends = -ctx.ell / (2 * mp.pi), (1, root), (None, tx[2])
+            ends, x_ends = (1, root), (None, tx[2])
             if x_target < tx[2] - slack * (1 + abs(tx[2])):
                 ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
         else:
-            k, ends, x_ends = -ctx.ell / mp.pi, (1, mp.mpf(-1)), (None, tx[0])
+            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
         egg = x_ends[0] is not None
         if eta == 0:
             # 2-torsion: an arc end in closed form (the egg's shift below
@@ -261,10 +255,10 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
                 t = e3 + (e1 - e3) * (e2 - e3) / (t - e3)
             elif abs(x_target) * mp.mpf(2) ** (-2 * (ctx.precision_bits + 5)) > 1:
                 raise PrecisionError("point too close to the origin")
-            u = ends[0] * mp.exp(k * 2 * mp.pi * _carlson_log(ctx, t) / ctx.omega)
-            # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < theta < pi:
-            # positive on the identity arc and negative on the egg (k < 0),
-            # the other way round on the circles (k = i)
+            u = ends[0] * mp.exp(ctx.rate * _carlson_log(ctx, t))
+            # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
+            # positive on the identity arc and negative on the egg (rate < 0),
+            # the other way round on the circles (rate imaginary)
             if (eta > 0) != (egg == ctx.twisted):
                 u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
         # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
@@ -298,5 +292,4 @@ def local_height_from_uniformizer(ctx: ArchContext, u) -> float:
 
 def local_height_arch(ctx: ArchContext, point: CurvePoint) -> float:
     """Archimedean normalized local height of a real rational point."""
-    u = elliptic_log(ctx, point)
-    return local_height_from_uniformizer(ctx, u)
+    return local_height_from_uniformizer(ctx, elliptic_log(ctx, point))

@@ -105,10 +105,14 @@ class WeierstrassCurve:
         if p.infinity:
             return True
         x, y = p.x, p.y
-        return (
-            y**2 + self.a1 * x * y + self.a3 * y
-            == x**3 + self.a2 * x**2 + self.a4 * x + self.a6
-        )
+        a1, a2, a3, a4, a6 = (a.numerator if a.denominator == 1 else a
+                              for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        e, r = divmod(y.denominator, x.denominator)
+        if r == 0 and e * e == x.denominator:  # (X/e^2, Y/e^3): in integers, times e^6
+            x, y, e2 = x.numerator, y.numerator, e * e
+            return (y * (y + a1 * x * e + a3 * e2 * e)
+                    == ((x + a2 * e2) * x + a4 * e2 * e2) * x + a6 * e2**3)
+        return (y + a1 * x + a3) * y == ((x + a2) * x + a4) * x + a6
 
     def negate(self, p: CurvePoint) -> CurvePoint:
         if p.infinity:

@@ -215,7 +215,7 @@ class PadicElement:
         if not is_prime(self.prime):
             raise InputError(f"{self.prime} is not prime")
         if self.unit != 0:
-            if val_p(self.unit, self.prime) != 0:
+            if self.unit.numerator % self.prime == 0 or self.unit.denominator % self.prime == 0:
                 raise InputError("unit part must have valuation 0")
             if self.precision < 1:
                 raise PrecisionError("no certified digits remain")

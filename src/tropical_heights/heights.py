@@ -8,11 +8,11 @@ x-coordinate canonical height
     hhat_x(P) = lim 4^{-n} h(x([2^n] P)),
 
 computed from the doubling sequence alone: a few exact steps on a coprime
-integer pair, which see every torsion point over Q, then exact gcds modulo
-a power of the duplication resultant Delta^2 with the sizes in floating
-point.  The factor one half is the divisor-degree bookkeeping between the
-origin divisor and the x-line bundle; it is pinned here by the torsion and
-doubling calibration tests rather than assumed.
+integer pair when 4x is integral, as for every torsion point over Q, then
+exact gcds modulo a power of the duplication resultant Delta^2 with the
+sizes in floating point.  The factor one half is the divisor-degree
+bookkeeping between the origin divisor and the x-line bundle; it is pinned
+here by the torsion and doubling calibration tests rather than assumed.
 
 What belongs to the curve alone (the factored discriminant, the LocalModel
 at each prime, the bad places, the ArchContext at each precision and the
@@ -159,8 +159,7 @@ def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
     if den == 0:
         return (1, 0)
     g = _common_factor(num, den, res)
-    num //= g
-    den //= g
+    num, den = num // g, den // g
     if den < 0:
         num, den = -num, -den
     return num, den
@@ -207,23 +206,29 @@ def doubling_oracle(
 ) -> DoublingOracleResult:
     """Half the x-coordinate canonical height from the doubling sequence.
 
-    Works on an integral model (points mapped along).  The first
-    ``_EXACT_STEPS`` doublings are exact on a coprime integer pair, so
+    Works on an integral model (points mapped along), on which a torsion
+    point has 4x in Z (Silverman, AEC VII.3.4).  Such a point makes its
+    first ``_EXACT_STEPS`` doublings exact on a coprime integer pair, so
     torsion is detected by cycling or by hitting the origin and gives an
-    exact zero.  The remaining steps keep exact gcds modulo a power of
-    the duplication resultant Delta^2 and the sizes in floating point
+    exact zero; any other point is non-torsion and skips them.  The
+    remaining steps keep exact gcds modulo a power of the duplication
+    resultant Delta^2 and the sizes in floating point
     (``_split_estimates``); the value is the Richardson extrapolation of
-    the last two estimates.
+    the last two estimates.  A point off the curve or n_max < 2 raises
+    InputError.
     """
+    if n_max < 2:
+        raise InputError(f"n_max = {n_max!r} must be at least 2")
+    if not curve.contains(point):
+        raise InputError("point is not on the curve")
     if point.infinity:
         return DoublingOracleResult(0.0, (), True)
     model = CurveModel.at(curve)
     b, res = model.duplication
     x = point.x * model.scale**2  # on the integral model
     n, d = x.numerator, x.denominator
-    estimates = []
-    seen = {(n, d)}
-    exact_steps = min(n_max, _EXACT_STEPS)
+    estimates, seen = [], {(n, d)}
+    exact_steps = min(n_max, _EXACT_STEPS) if 4 % d == 0 else 0
     for step in range(1, exact_steps + 1):
         n, d = _x_double(n, d, b, res)
         if d == 0 or (n, d) in seen:
@@ -231,10 +236,7 @@ def doubling_oracle(
         seen.add((n, d))
         estimates.append(math.log(max(abs(n), d)) / 4**step)
     estimates += _split_estimates(n, d, b, res, exact_steps + 1, n_max)
-    if len(estimates) >= 2:
-        value = (4 * estimates[-1] - estimates[-2]) / 3
-    else:
-        value = estimates[-1]
+    value = (4 * estimates[-1] - estimates[-2]) / 3
     return DoublingOracleResult(value / 2, tuple(estimates), False)
 
 

@@ -8,7 +8,9 @@ method, and the tests check the replacement against them.
   (``series_compose_invert`` on int lists), and j evaluated back from
   a parameter, against ``tate.tate_parameter``'s fixed point;
 * the real q by bisection on j (from Lambert sums and mpmath's
-  q-Pochhammer symbol, not the integer q-expansions), and the uniformizer
+  q-Pochhammer symbol, not the integer q-expansions), alpha^2 = scale2
+  from the ratio of c4, c6 to c4(q), c6(q) (the library's route before
+  the rate of the uniformization), and the uniformizer
   u by bisection on the x-series and by Newton steps on it (the library's
   route before Carlson's R_F, with the two-sided x- and eta-series),
   against ``arch``'s AGM and R_F;
@@ -22,7 +24,9 @@ method, and the tests check the replacement against them.
 * the p-minimal model by a stepwise search over residue triples (every
   triple at p <= 3, the one integral triple at p >= 5), against
   ``tate.minimal_model_at``'s model rebuilt from (c4, c6) by Kraus's
-  conditions.
+  conditions;
+* the doubling oracle with its exact prefix run on every point, against
+  ``heights.doubling_oracle``, which runs it only where 4x is integral.
 
 Helpers that only tests call, so that every function in the library has a
 caller in it:
@@ -41,7 +45,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from tropical_heights import arch
+from tropical_heights import arch, heights
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
@@ -55,6 +59,7 @@ from tropical_heights.tate import (
     _series_mul,
     discriminant_coefficients,
     eisenstein4_coefficients,
+    eisenstein6_coefficients,
     j_times_q_coefficients,
     normalize_parameter,
 )
@@ -259,6 +264,30 @@ def _substitution_candidates(curve: WeierstrassCurve, p: int):
     yield r, s, t
 
 
+# -- doubling oracle with the exact prefix for every point --------------------
+
+
+def exact_prefix_doubling_oracle(curve, point, n_max: int = 10):
+    """``heights.doubling_oracle`` as it was before the 4x in Z gate: every
+    point, torsion or not, makes its first min(n_max, 4) doublings exact on
+    full-size integers before the split steps; the reference for the gate."""
+    model = heights.CurveModel.at(curve)
+    b, res = model.duplication
+    x = point.x * model.scale**2
+    n, d = x.numerator, x.denominator
+    estimates, seen = [], {(n, d)}
+    exact_steps = min(n_max, heights._EXACT_STEPS)
+    for step in range(1, exact_steps + 1):
+        n, d = heights._x_double(n, d, b, res)
+        if d == 0 or (n, d) in seen:
+            return heights.DoublingOracleResult(0.0, tuple(estimates), True)
+        seen.add((n, d))
+        estimates.append(math.log(max(abs(n), d)) / 4**step)
+    estimates += heights._split_estimates(n, d, b, res, exact_steps + 1, n_max)
+    value = (4 * estimates[-1] - estimates[-2]) / 3
+    return heights.DoublingOracleResult(value / 2, tuple(estimates), False)
+
+
 # -- helpers that only tests call -------------------------------------------
 
 
@@ -290,8 +319,14 @@ def coordinates_from_uniformizer(ctx, u):
         eta_q = eta_series(u, q, eps)
         curve = ctx.curve
         x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - arch._mp(curve.b2) / 12
-        y = (ctx.alpha3 * eta_q - arch._mp(curve.a1) * x - arch._mp(curve.a3)) / 2
+        y = (alpha3(ctx) * eta_q - arch._mp(curve.a1) * x - arch._mp(curve.a3)) / 2
         return x, y
+
+
+def alpha3(ctx):
+    """alpha^3 for alpha = sqrt(scale2), imaginary when scale2 < 0: the
+    factor in 2y + a1 x + a3 = alpha^3 (2Y + X)."""
+    return mp.sqrt(mp.mpc(ctx.scale2)) ** 3
 
 
 # -- archimedean place: the two-sided series, u by Newton on the arc --------
@@ -335,7 +370,7 @@ def normalized_x(ctx, x):
 
 def eta_target(ctx, point: CurvePoint):
     curve = ctx.curve
-    return arch._mp(2 * point.y + curve.a1 * point.x + curve.a3) / ctx.alpha3
+    return arch._mp(2 * point.y + curve.a1 * point.x + curve.a3) / alpha3(ctx)
 
 
 _NEWTON_GUARD = 200
@@ -433,6 +468,34 @@ def _newton_on_arc(ctx, start, k, x_ends, x_target, tiny):
             done = bits == rungs[-1]
             bits = next((b for b in rungs if b > bits), bits)
     raise PrecisionError("Newton on the uniformizer did not converge")
+
+
+# -- archimedean place: alpha^2 from a ratio of q-series ---------------------
+
+
+def q_expansion_c6(q, eps):
+    """c6(q) = -E6(q) from ``tate``'s integer expansion by Horner's rule,
+    cut where its n-th coefficient's bound 504 zeta(5) n^5 falls below eps."""
+    return -mp.polyval(eisenstein6_coefficients(arch._terms(q, eps, 523, 5))[::-1], q)
+
+
+def ratio_scale2(curve, q, eps):
+    """alpha^2 with (c4, c6) = (alpha^4 c4(q), alpha^6 c6(q)), read off the
+    ratio c6 c4(q) / (c6(q) c4), or off a root of the one invariant left at
+    j = 0 (c4 = 0) and j = 1728 (c6 = 0): the reference for
+    ``ArchContext.scale2``, which ``arch`` takes from the rate of the
+    uniformization instead."""
+    c4q = arch._q_expansions(q, eps)[0]
+    c6q = q_expansion_c6(q, eps)
+    c4, c6 = arch._mp(curve.c4), arch._mp(curve.c6)
+    if c4 != 0 and c6 != 0:
+        return (c6 * c4q) / (c6q * c4)
+    if c4 == 0:
+        ratio = c6 / c6q
+        return mp.sign(ratio) * mp.cbrt(abs(ratio))
+    if c4 / c4q < 0:
+        raise PrecisionError("inconsistent quartic-twist data at j=1728")
+    return mp.sqrt(c4 / c4q)
 
 
 # -- archimedean place: q by bisection on j, u by bisection on x ------------

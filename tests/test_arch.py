@@ -20,6 +20,8 @@ from oracles import (
     coordinates_from_uniformizer,
     lambert_sum,
     newton_elliptic_log,
+    q_expansion_c6,
+    ratio_scale2,
     x_series,
 )
 
@@ -27,10 +29,11 @@ E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
 CM1728 = WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)   # y^2 = x^3 - x
 E_TWIST2 = WeierstrassCurve.from_coeffs(1, -1, 0, -11, -10)  # twisted, disc > 0
+J0 = WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)        # y^2 = x^3 + 1
 
 
 def test_context_reproduces_j():
-    for curve in (E37, E11, CM1728, WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)):
+    for curve in (E37, E11, CM1728, J0):
         ctx = arch_context(curve, 128)
         assert abs(ctx.q) < math.exp(-math.pi) * 1.0000001
         assert (ctx.q > 0) == (curve.discriminant > 0)
@@ -286,32 +289,65 @@ def test_arch_work_counts(monkeypatch):
 
 
 def test_q_expansions_match_lambert_sums(semistable_examples):
-    """c4, c6, sigma_1 and Delta from the integer q-expansions against
-    Lambert sums and q (q; q)_inf^24 summed to 2^-(bits + 60), to
-    2^-(bits + 20) (sigma_1 and Delta relatively), at the q of the
-    acceptance curves, 37a, 11a, a twisted curve, j = 0 and j = 1728.  The
-    expansions are summed to 2^-(bits + 60) and to the context's own
-    cut-off 2^-(bits + _TERM_GUARD): each series is cut where its tail
-    bound, coefficient growth included, is below the cut-off (the tail of
-    c6 is near 504 N^5 |q|^N)."""
-    j0 = WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)
-    curves = [E37, E11, E_TWIST2, j0, CM1728] + [curve for curve, _ in semistable_examples]
+    """c4, sigma_1 and Delta from the integer q-expansions, and the
+    reference's c6, against Lambert sums and q (q; q)_inf^24 summed to
+    2^-(bits + 60), to 2^-(bits + 20) (sigma_1 and Delta relatively), at
+    the q of the acceptance curves, 37a, 11a, a twisted curve, j = 0 and
+    j = 1728.  The expansions are summed to 2^-(bits + 60) and to the
+    context's own cut-off 2^-(bits + _TERM_GUARD): each series is cut where
+    its tail bound, coefficient growth included, is below the cut-off (the
+    tail of c6 is near 504 N^5 |q|^N)."""
+    curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
     for bits in (128, 256):
         for curve in curves:
             q = arch_context(curve, bits).q
             with mp.workprec(bits + 40):
-                at_context = arch._q_expansions(q, mp.mpf(2) ** -(bits + arch._TERM_GUARD))
+                cut = mp.mpf(2) ** -(bits + arch._TERM_GUARD)
+                at_context = (*arch._q_expansions(q, cut), q_expansion_c6(q, cut))
             with mp.workprec(bits + 60):
                 eps = mp.mpf(2) ** -(bits + 60)
                 tol = mp.mpf(2) ** -(bits + 20)
                 c4_ref = 1 + 240 * lambert_sum(3, q, eps)
                 c6_ref = 504 * lambert_sum(5, q, eps) - 1
                 sigma1_ref, disc_ref = lambert_sum(1, q, eps), q * mp.qp(q) ** 24
-                for c4, c6, sigma1, disc in (arch._q_expansions(q, eps), at_context):
+                full = (*arch._q_expansions(q, eps), q_expansion_c6(q, eps))
+                for c4, sigma1, disc, c6 in (full, at_context):
                     assert abs(c4 - c4_ref) < tol, (curve, bits)
                     assert abs(c6 - c6_ref) < tol, (curve, bits)
                     assert abs(sigma1 - sigma1_ref) < abs(sigma1) * tol, (curve, bits)
                     assert abs(disc - disc_ref) < abs(disc) * tol, (curve, bits)
+
+
+def test_scale2_matches_q_series_ratio(semistable_examples):
+    """scale2 = re(rate^2) from the AGM period against the reference
+    alpha^2 from c4, c6 and c4(q), c6(q), to 2^-(bits + 20) relative at
+    128 and 256 bits, on 37a, 11a, a twisted curve, j = 0, j = 1728 and
+    the acceptance curves."""
+    curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
+    for bits in (128, 256):
+        for curve in curves:
+            ctx = arch_context(curve, bits)
+            with mp.workprec(bits + 40):
+                ref = ratio_scale2(curve, ctx.q, mp.mpf(2) ** -(bits + arch._TERM_GUARD))
+                assert abs(ctx.scale2 - ref) < abs(ref) * mp.mpf(2) ** -(bits + 20), (curve, bits)
+
+
+def test_twisted_is_the_sign_of_c6():
+    """The twisted real form is c6 > 0, on all four real types (one or two
+    components, either twist), at j = 0 for both signs of c6 and at
+    j = 1728 (c6 = 0, untwisted) for both signs of disc; the reference
+    ratio's sign agrees."""
+    curves = [E37, E11, E_TWIST2, WeierstrassCurve.from_coeffs(0, 0, 1, 9, -14),
+              J0, WeierstrassCurve.from_coeffs(0, 0, 0, 0, -1),
+              CM1728, WeierstrassCurve.from_coeffs(0, 0, 0, 1, 0)]
+    kinds = set()
+    for curve in curves:
+        ctx = arch_context(curve, 128)
+        assert ctx.twisted == (curve.c6 > 0), curve
+        with mp.workprec(168):
+            assert (ratio_scale2(curve, ctx.q, mp.mpf(2) ** -158) < 0) == ctx.twisted, curve
+        kinds.add((ctx.twisted, curve.discriminant > 0))
+    assert len(kinds) == 4, kinds
 
 
 def test_real_period_from_the_agm_matches_carlson(semistable_examples):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import compose, identity, series_compose_invert
+from tropical_heights import exact
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import (
     INFINITY,
@@ -116,6 +117,21 @@ def test_padic_construction_and_valuation():
         PadicElement(5, F(2), 1, 0)           # no certified digits
     with pytest.raises(PrecisionError):
         PadicElement.from_rational(5, 3, -1)
+
+
+def test_padic_construction_tests_the_prime_once(monkeypatch):
+    """__post_init__ runs Miller-Rabin once: the unit's valuation is read
+    off its numerator and denominator, not through val_p's own test."""
+    calls, inner = [], exact.is_prime
+    monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or inner(n))
+    for unit, valuation in ((F(2, 7), 2), (F(-3), 0), (F(0), 0)):
+        calls.clear()
+        PadicElement(1009, unit, valuation, 10)
+        assert calls == [1009], (unit, calls)
+    calls.clear()
+    with pytest.raises(InputError):
+        PadicElement(1009, F(2018, 3), 0, 10)
+    assert calls == [1009]
 
 
 def test_padic_value_semantics():

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from dataclasses import fields
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from tropical_heights.heights import (
 )
 from tropical_heights.linalg import determinant
 
-from oracles import is_integral, naive_height
+from oracles import exact_prefix_doubling_oracle, is_integral, naive_height
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -90,6 +91,74 @@ def test_doubling_oracle_torsion_every_mazur_order(order):
         result = doubling_oracle(curve, point, n_max)
         assert result.is_torsion
         assert result.value == 0.0
+
+
+def test_doubling_oracle_gate_keeps_two_torsion_with_quarter_x():
+    """(-1/4, 1/8) on y^2 + xy = x^3 + 4x + 1 has order 2 and x not in Z,
+    but 4x in Z: the exact prefix still runs and sees it.  A gate on
+    x in Z instead would skip it."""
+    curve = WeierstrassCurve.from_coeffs(1, 0, 0, 4, 1)
+    point = CurvePoint.affine(F(-1, 4), F(1, 8))
+    assert is_integral(curve) and curve.torsion_order(point) == 2
+    result = doubling_oracle(curve, point)
+    assert result.is_torsion
+    assert result.value == 0.0
+
+
+def test_doubling_oracle_gate_matches_exact_prefix(semistable_examples):
+    """On 2^k P, k <= 6, of every acceptance curve the oracle gives the
+    reference's float, which runs the exact prefix on every point, and
+    takes at most 5 ms (the best of three calls, each timed alone): 4x is
+    integral only at P and at some 2P, so from 4P on the full-size prefix
+    (up to seconds at 64P) is skipped."""
+    for curve, point in semistable_examples:
+        target = point
+        for k in range(7):
+            result = doubling_oracle(curve, target)
+            reference = exact_prefix_doubling_oracle(curve, target)
+            assert result.value == reference.value, (curve, k)
+            assert not result.is_torsion and not reference.is_torsion
+            elapsed = []
+            for _ in range(3):
+                started = time.perf_counter()
+                doubling_oracle(curve, target)
+                elapsed.append(time.perf_counter() - started)
+            assert min(elapsed) <= 0.005, (curve, k, elapsed)
+            target = curve.double(target)
+
+
+def test_doubling_oracle_refuses_bad_input():
+    with pytest.raises(InputError):
+        doubling_oracle(E37, CurvePoint.affine(1, 1))  # off the curve
+    for n_max in (0, 1):
+        with pytest.raises(InputError):
+            doubling_oracle(E37, CurvePoint.affine(0, 0), n_max)
+
+
+def test_contains_matches_the_curve_equation(semistable_examples):
+    """contains against the curve equation in Fractions: on P, 2P and 4P of
+    the acceptance curves (x = X/e^2, y = Y/e^3, checked in integers) and
+    of a model with fractional coefficients, and on each point with y or x
+    moved by 1/d (d its denominator), which leaves the curve in all but a
+    few cases."""
+
+    def equation(curve, point):
+        x, y = point.x, point.y
+        return y**2 + curve.a1 * x * y + curve.a3 * y == x**3 + curve.a2 * x**2 + curve.a4 * x + curve.a6
+
+    move = (F(1, 2), F(1, 3), F(-2, 5), F(1, 7))
+    off_curve = 0
+    for curve, point in semistable_examples:
+        for model, target in ((curve, point), (curve.transform(*move),
+                                               WeierstrassCurve.transform_point(point, *move))):
+            for _ in range(3):
+                assert model.contains(target) and equation(model, target)
+                for off in (CurvePoint.affine(target.x, target.y + F(1, target.y.denominator)),
+                            CurvePoint.affine(target.x + F(1, target.x.denominator), target.y)):
+                    assert model.contains(off) == equation(model, off), (model, off)
+                    off_curve += not equation(model, off)
+                target = model.double(target)
+    assert off_curve >= 140, off_curve
 
 
 def test_doubling_oracle_matches_naive_limit(semistable_examples):
