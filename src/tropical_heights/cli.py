@@ -149,8 +149,6 @@ def cmd_trop_eval(args) -> int:
     points = _collect_points(args)
     rows = []
     for nu in points:
-        if len(nu) != theta.data.rank:
-            raise InputError(f"point {nu} has wrong rank")
         value = theta.value(nu)
         rows.append(
             [
@@ -185,8 +183,6 @@ def cmd_theta_char(args) -> int:
 def cmd_cvp(args) -> int:
     data = degeneration_from_dict(_load_json(args.input))
     nu = parse_vector(args.point)
-    if len(nu) != data.rank:
-        raise InputError("point has wrong rank")
     closest, half_dist = closest_lattice_vector(data, nu)
     payload = {
         "tropical_riemann_theta": format_rational(tropical_riemann_theta(data, nu)),

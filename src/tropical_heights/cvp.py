@@ -1,88 +1,88 @@
-"""Exact closest-vector enumeration for positive definite integer Gram
-matrices.
+"""Exact closest-vector search for positive definite integer Gram matrices.
 
-Strategy: the LDL^T decomposition over Q (``linalg.ldl_decompose``, which
-the caller computes once per lattice) turns the quadratic form into a sum
-of weighted squares; Babai-style rounding gives the initial radius, and a
-depth-first Fincke-Pohst enumeration with exact per-coordinate interval
-bounds certifies the true minimum.  No floating point anywhere.
+Strategy: ``lattice_form`` turns the LDL^T decomposition of G over Q
+(``linalg.ldl_decompose``, once per lattice) into integers, so that
+S den^2 (w+t)^T G (w+t) = sum_i W_i Y_i^2 with every Y_i an integer linear
+form in w.  A depth-first Schnorr-Euchner search (Math. Programming 66,
+1994) over this sum of squares (Fincke-Pohst, Math. Comp. 44, 1985)
+certifies the true minimum: each level starts at its rounded centre and
+zigzags outward, so the first leaf is Babai's point.  The search runs on
+ints alone; no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import lcm
+
+from .errors import InputError
+from .linalg import ldl_decompose
 
 
-def floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for rational x >= 0, exact."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    p, q = x.numerator, x.denominator
-    return isqrt(p * q) // q
+def lattice_form(gram) -> tuple:
+    """(A, N, W, S) for G = L diag(d) L^T: A_i the lcm of the denominators
+    of column i of L below the diagonal, N[i][j] = A_i L[j][i] for j > i,
+    W_i = S d_i / A_i^2 with S the least integer making every W_i integral.
+
+    Then S den^2 (w+t)^T G (w+t) = sum_i W_i Y_i^2 with T = den t integral
+    and Y_i = A_i (den w_i + T_i) + sum_{j>i} N[i][j] (den w_j + T_j).
+    Raises InputError unless G is positive definite."""
+    lmat, diag = ldl_decompose(gram)
+    columns = list(zip(*lmat))  # on and above the diagonal 1 and 0: no change to the lcm
+    scale = [lcm(*(x.denominator for x in col)) for col in columns]
+    cross = [[a // x.denominator * x.numerator for x in col] for a, col in zip(scale, columns)]
+    ratios = [d / (a * a) for d, a in zip(diag, scale)]
+    s = lcm(*(r.denominator for r in ratios))
+    return scale, cross, [r.numerator * (s // r.denominator) for r in ratios], s
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def closest_lattice_point(ldl, target) -> tuple[list, Fraction]:
+def closest_lattice_point(form, target) -> tuple[list, Fraction]:
     """Minimize (w + target)^T G (w + target) over integer vectors w, given
-    ldl = (L, D) with G = L diag(D) L^T from ``linalg.ldl_decompose``.
+    the ``lattice_form`` of G.
 
-    Returns (argmin, minimum).  The result is certified: the enumeration
-    visits every integer point whose form value could beat the incumbent.
+    Returns (a closest vector, the minimum).  The minimum is certified: the
+    search visits every integer point whose value could beat the incumbent,
+    and only a strictly smaller value replaces it, so on a tie the vector
+    is one minimizer among several.
     """
-    n = len(target)
+    scale, cross, weights, s = form
+    n = len(weights)
+    if len(target) != n:
+        raise InputError(f"target needs {n} coordinates, got {len(target)}")
     t = [Fraction(x) for x in target]
-    lmat, diag = ldl
+    den = lcm(*(x.denominator for x in t))
+    shift = [x.numerator * (den // x.denominator) for x in t]
+    x = list(shift)  # den w + T, fixed from the last coordinate down
+    best, best_x = None, None
 
-    def form_value(x):
-        # G = L D L^T gives (x+t)^T G (x+t) = sum_i d_i y_i^2 with
-        # y_i = (x+t)_i + sum_{j>i} L[j][i] (x+t)_j, so y_i only depends on
-        # coordinates >= i and the enumeration can fix them tail-first.
-        total = Fraction(0)
-        for i in range(n):
-            y = x[i] + t[i] + sum(lmat[j][i] * (x[j] + t[j]) for j in range(i + 1, n))
-            total += diag[i] * y * y
-        return total
-
-    # Babai rounding from the last coordinate down seeds the search radius.
-    seed = [0] * n
-    for i in range(n - 1, -1, -1):
-        c = t[i] + sum(lmat[j][i] * (seed[j] + t[j]) for j in range(i + 1, n))
-        seed[i] = -_round_half_up(c)
-
-    best_val = form_value(seed)
-    best_vec = list(seed)
-    if best_val == 0:
-        return best_vec, best_val
-
-    def recurse(i, tail_sum, x):
-        nonlocal best_val, best_vec
-        c = t[i] + sum(lmat[j][i] * (x[j] + t[j]) for j in range(i + 1, n))
-        budget = best_val - tail_sum
-        if budget < 0:
+    def search(i, partial):
+        nonlocal best, best_x
+        step = scale[i] * den
+        row = cross[i]
+        c = scale[i] * shift[i] + sum(row[j] * x[j] for j in range(i + 1, n))
+        k = -((2 * c + step) // (2 * step))  # -round_half_up(c / step)
+        y = c + k * step  # Y_i at the centre, in [-step/2, step/2)
+        weight = weights[i]
+        if i == 0:
+            # the centre is the least Y_0^2: no other leaf can beat it
+            value = partial + weight * y * y
+            if best is None or value < best:
+                x[0] = shift[0] + k * den
+                best, best_x = value, list(x)
             return
-        r = floor_sqrt(budget / diag[i])  # |x_i + c| <= sqrt(budget/d_i)
-        lo = -c - r - 1
-        hi = -c + r + 1
-        lo_i = lo.numerator // lo.denominator
-        hi_i = -((-hi.numerator) // hi.denominator)
-        for xi in range(lo_i, hi_i + 1):
-            y = xi + c
-            contrib = diag[i] * y * y
-            if contrib > budget:
-                continue
-            x[i] = xi
-            if i == 0:
-                val = tail_sum + contrib
-                if val < best_val:
-                    best_val = val
-                    best_vec = list(x)
-            else:
-                recurse(i - 1, tail_sum + contrib, x)
-        x[i] = 0
+        # zigzag k, k + e, k - e, k + 2e, ... with e toward the nearer side,
+        # so |Y_i| never decreases and the first contribution over budget
+        # ends the level
+        x[i] = shift[i] + k * den
+        e = 1 if y < 0 else -1
+        while True:
+            contrib = weight * y * y
+            if best is not None and partial + contrib > best:
+                return
+            search(i - 1, partial + contrib)
+            x[i] += e * den
+            y += e * step
+            e = -e - 1 if e > 0 else -e + 1
 
-    recurse(n - 1, Fraction(0), [0] * n)
-    return best_vec, best_val
+    search(n - 1, 0)
+    return [(a - b) // den for a, b in zip(best_x, shift)], Fraction(best, s * den * den)

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .cvp import lattice_form
 from .errors import InputError
 from .linalg import (
     determinant,
     int_matrix_inverse,
     is_symmetric,
-    ldl_decompose,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -42,7 +42,8 @@ DEFAULT_ENUMERATION_BOUND = 10**6
 class DegenerationData:
     """Rank, lattice embedding, Gram matrix and linear part.
 
-    Immutable; derived matrices are computed once, on first use.
+    Immutable; derived matrices, and the integer form of G that the
+    closest-vector search reads, are computed once, on first use.
     """
 
     rank: int
@@ -68,7 +69,7 @@ class DegenerationData:
         if not is_symmetric(self.gram):
             raise InputError("gram matrix must be symmetric")
         try:
-            self.ldl
+            self.lattice_form
         except InputError:
             raise InputError("gram matrix must be positive definite") from None
         self.polarization_matrix  # raises InputError unless F is integral
@@ -101,10 +102,10 @@ class DegenerationData:
         return abs(int(determinant(self.embedding)))
 
     @cached_property
-    def ldl(self) -> tuple:
-        """(L, D) with G = L diag(D) L^T, L unit lower-triangular: the
-        factorization every closest-vector search on this lattice reads."""
-        return ldl_decompose(self.gram)
+    def lattice_form(self) -> tuple:
+        """``cvp.lattice_form`` of G: the integer sum of squares that every
+        closest-vector search on this lattice reads."""
+        return lattice_form(self.gram)
 
     @cached_property
     def gram_inverse(self) -> list:
@@ -124,6 +125,8 @@ class DegenerationData:
 
     def to_lattice_coords(self, nu) -> list:
         """X*-vector (rationals) -> Y-coordinates (rationals)."""
+        if len(nu) != self.rank:
+            raise InputError(f"point needs {self.rank} coordinates, got {len(nu)}")
         return mat_vec(self.embedding_inverse, [Fraction(x) for x in nu])
 
     def from_lattice_coords(self, w) -> list:

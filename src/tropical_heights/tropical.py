@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .cvp import closest_lattice_point, floor_sqrt
+from .cvp import closest_lattice_point
 from .degeneration import (
     DegenerationData,
     automorphy_factor,
@@ -38,7 +38,8 @@ from .linalg import mat_vec
 
 
 def _ceil_sqrt(x: Fraction) -> int:
-    r = floor_sqrt(x)
+    """ceil(sqrt(x)) for rational x >= 0, exact."""
+    r = math.isqrt(x.numerator * x.denominator) // x.denominator
     return r if Fraction(r) ** 2 == x else r + 1
 
 
@@ -182,7 +183,7 @@ def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     """Half the squared lattice distance min over w of (t+w)^T G (t+w) / 2,
     where t are the lattice coordinates of nu.  Exact, via certified CVP."""
     t = data.to_lattice_coords([Fraction(x) for x in nu])
-    _, minimum = closest_lattice_point(data.ldl, t)
+    _, minimum = closest_lattice_point(data.lattice_form, t)
     return minimum / 2
 
 
@@ -197,10 +198,10 @@ def tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
 
 
 def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
-    """Lattice vector (X*-coordinates) closest to nu, with the half squared
-    distance."""
+    """A lattice vector (X*-coordinates) closest to nu, with the half
+    squared distance.  On a tie it is one of several closest vectors."""
     t = data.to_lattice_coords([Fraction(x) for x in nu])
-    w, minimum = closest_lattice_point(data.ldl, t)
+    w, minimum = closest_lattice_point(data.lattice_form, t)
     return data.from_lattice_coords([-x for x in w]), minimum / 2
 
 

@@ -14,11 +14,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .cvp import closest_lattice_point
+from .cvp import closest_lattice_point, lattice_form
 from .degeneration import DegenerationData, automorphy_factor, component_group
 from .errors import InputError, TropicalHeightsError
 from .exact import PadicElement
-from .linalg import determinant, int_matrix_inverse, ldl_decompose, mat_mul, transpose
+from .linalg import determinant, int_matrix_inverse, mat_mul, transpose
 from .tate import (
     local_height_from_parameter,
     local_height_multiplicative,
@@ -136,7 +136,7 @@ def suite_cvp(seed: int = 0) -> dict:
             Fraction(rng.randint(-8, 8), rng.randint(2, 9)) for _ in range(rank)
         ]
         t = [x - round(x) for x in t]
-        _, val = closest_lattice_point(ldl_decompose(gram), t)
+        _, val = closest_lattice_point(lattice_form(gram), t)
         oracle = brute_force_closest(gram, t, radius=4)
         if val != oracle:
             failures.append(

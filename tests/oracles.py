@@ -27,6 +27,11 @@ method, and the tests check the replacement against them.
   conditions;
 * the doubling oracle with its exact prefix run on every point, against
   ``heights.doubling_oracle``, which runs it only where 4x is integral.
+* the closest lattice point by a depth-first Fincke-Pohst enumeration
+  in Fractions over the LDL^T factors, from a Babai seed and scanning each
+  level from its lowest to its highest coordinate
+  (``fincke_pohst_closest``), against ``cvp.closest_lattice_point``'s
+  Schnorr-Euchner search on integers.
 
 Helpers that only tests call, so that every function in the library has a
 caller in it:
@@ -286,6 +291,83 @@ def exact_prefix_doubling_oracle(curve, point, n_max: int = 10):
     estimates += heights._split_estimates(n, d, b, res, exact_steps + 1, n_max)
     value = (4 * estimates[-1] - estimates[-2]) / 3
     return heights.DoublingOracleResult(value / 2, tuple(estimates), False)
+
+
+# -- closest vectors: Fincke-Pohst enumeration in Fractions -----------------
+
+
+def floor_sqrt(x: Fraction) -> int:
+    """floor(sqrt(x)) for rational x >= 0, exact."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    p, q = x.numerator, x.denominator
+    return math.isqrt(p * q) // q
+
+
+def _round_half_up(x: Fraction) -> int:
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def fincke_pohst_closest(ldl, target) -> tuple[list, Fraction]:
+    """Minimize (w + target)^T G (w + target) over integer vectors w, given
+    ldl = (L, D) with G = L diag(D) L^T from ``linalg.ldl_decompose``.
+
+    Returns (argmin, minimum).  The result is certified: the enumeration
+    visits every integer point whose form value could beat the incumbent.
+    """
+    n = len(target)
+    t = [Fraction(x) for x in target]
+    lmat, diag = ldl
+
+    def form_value(x):
+        # G = L D L^T gives (x+t)^T G (x+t) = sum_i d_i y_i^2 with
+        # y_i = (x+t)_i + sum_{j>i} L[j][i] (x+t)_j, so y_i only depends on
+        # coordinates >= i and the enumeration can fix them tail-first.
+        total = Fraction(0)
+        for i in range(n):
+            y = x[i] + t[i] + sum(lmat[j][i] * (x[j] + t[j]) for j in range(i + 1, n))
+            total += diag[i] * y * y
+        return total
+
+    # Babai rounding from the last coordinate down seeds the search radius.
+    seed = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = t[i] + sum(lmat[j][i] * (seed[j] + t[j]) for j in range(i + 1, n))
+        seed[i] = -_round_half_up(c)
+
+    best_val = form_value(seed)
+    best_vec = list(seed)
+    if best_val == 0:
+        return best_vec, best_val
+
+    def recurse(i, tail_sum, x):
+        nonlocal best_val, best_vec
+        c = t[i] + sum(lmat[j][i] * (x[j] + t[j]) for j in range(i + 1, n))
+        budget = best_val - tail_sum
+        if budget < 0:
+            return
+        r = floor_sqrt(budget / diag[i])  # |x_i + c| <= sqrt(budget/d_i)
+        lo = -c - r - 1
+        hi = -c + r + 1
+        lo_i = lo.numerator // lo.denominator
+        hi_i = -((-hi.numerator) // hi.denominator)
+        for xi in range(lo_i, hi_i + 1):
+            y = xi + c
+            contrib = diag[i] * y * y
+            if contrib > budget:
+                continue
+            x[i] = xi
+            if i == 0:
+                val = tail_sum + contrib
+                if val < best_val:
+                    best_val = val
+                    best_vec = list(x)
+            else:
+                recurse(i - 1, tail_sum + contrib, x)
+        x[i] = 0
+
+    recurse(n - 1, Fraction(0), [0] * n)
+    return best_vec, best_val
 
 
 # -- helpers that only tests call -------------------------------------------

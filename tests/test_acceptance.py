@@ -21,7 +21,7 @@ from tropical_heights.arch import (
     local_height_from_uniformizer,
 )
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
-from tropical_heights.cvp import closest_lattice_point
+from tropical_heights.cvp import closest_lattice_point, lattice_form
 from tropical_heights.degeneration import component_group
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
 from tropical_heights.heights import (
@@ -31,7 +31,6 @@ from tropical_heights.heights import (
     factorize,
     global_height,
 )
-from tropical_heights.linalg import ldl_decompose
 from tropical_heights.tate import (
     local_height_multiplicative,
     local_height_from_parameter,
@@ -152,7 +151,7 @@ def test_acceptance_cvp_oracle():
         gram = random_positive_definite(rng, rank)
         t = [F(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(rank)]
         t = [x - round(x) for x in t]
-        _, val = closest_lattice_point(ldl_decompose(gram), t)
+        _, val = closest_lattice_point(lattice_form(gram), t)
         assert val == brute_force_closest(gram, t, radius=4), (gram, t)
     _report("CVP vs exhaustive box search x100", started, 30)
 

@@ -18,6 +18,7 @@ from tropical_heights.serialize import (
     theta_to_dict,
 )
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
+from tropical_heights.degeneration import DegenerationData
 from tropical_heights.tropical import generate_theta_terms
 
 
@@ -188,6 +189,20 @@ def test_cvp_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["tropical_riemann_theta"] == "-1/4"
     assert payload["normalized"] == "1/32"
+
+
+@pytest.mark.parametrize("point", ["1/2", "1/2,0,1"])
+def test_point_of_the_wrong_length_exits_2(point, tmp_path, capsys):
+    data = DegenerationData(
+        rank=2, embedding=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]], linear_part=[0, 0]
+    )
+    data_path = tmp_path / "data.json"
+    data_path.write_text(json.dumps(degeneration_to_dict(data)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(theta_to_dict(generate_theta_terms(data))))
+    assert main(["cvp", str(data_path), "--point", point]) == 2
+    assert main(["trop-eval", str(theta_path), "--points", f"0,0;{point}"]) == 2
+    assert "coordinates" in capsys.readouterr().err
 
 
 def test_local_height_command(curve_file, capsys):

@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import rank1_tate_data
-from oracles import quadratic_value
-from tropical_heights import degeneration, linalg, tropical
-from tropical_heights.cvp import closest_lattice_point
+from oracles import fincke_pohst_closest, quadratic_value
+from tropical_heights import cvp, degeneration, linalg, tropical
+from tropical_heights.cvp import closest_lattice_point, lattice_form
 from tropical_heights.degeneration import DegenerationData
 from tropical_heights.errors import (
     InputError,
@@ -27,6 +28,7 @@ from tropical_heights.verify import (
     brute_force_closest,
     random_positive_definite,
     random_principally_polarized,
+    random_unimodular,
 )
 
 
@@ -205,9 +207,83 @@ def test_cvp_against_box_oracle():
         gram = random_positive_definite(rng, rank)
         t = [F(rng.randint(-8, 8), rng.randint(2, 9)) for _ in range(rank)]
         t = [x - round(x) for x in t]
-        w, val = closest_lattice_point(linalg.ldl_decompose(gram), t)
+        w, val = closest_lattice_point(lattice_form(gram), t)
         assert val == brute_force_closest(gram, t, radius=4)
         assert quadratic_value(gram, [a + b for a, b in zip(w, t)]) == val
+
+
+# Skewed Gram matrices whose box prod_i (2 sqrt(r / d_i) + 1), r = sum(d) / 4,
+# exceeds this are redrawn: the Fraction reference scans that box, and at
+# rank 6 an unbounded skew can cost it seconds on one pair.
+_REFERENCE_BOX = 3e4
+
+
+def _skewed(rng, gram):
+    """U^T G U for U = random_unimodular, redrawn until its box is at most
+    _REFERENCE_BOX."""
+    while True:
+        u = random_unimodular(rng, len(gram))
+        skewed = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+        _, diag = linalg.ldl_decompose(skewed)
+        radius = sum(diag) / 4
+        if math.prod(2 * math.sqrt(radius / d) + 1 for d in diag) <= _REFERENCE_BOX:
+            return skewed
+
+
+def test_cvp_matches_fincke_pohst_reference():
+    """The integer Schnorr-Euchner search against the Fraction enumeration
+    it replaced, at ranks 1-6, every other Gram matrix skewed as U^T G U."""
+    rng = random.Random(17)
+    for case in range(360):
+        rank = 1 + case // 2 % 6
+        gram = random_positive_definite(rng, rank)
+        if case % 2:
+            gram = _skewed(rng, gram)
+        t = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rank)]
+        w, val = closest_lattice_point(lattice_form(gram), t)
+        _, expected = fincke_pohst_closest(linalg.ldl_decompose(gram), t)
+        assert val == expected, (gram, t)
+        assert quadratic_value(gram, [a + b for a, b in zip(w, t)]) == val
+
+
+@pytest.mark.parametrize(
+    "data, nu",
+    [
+        (DegenerationData(rank=2, embedding=[[1, 0], [0, 1]], gram=[[1, 0], [0, 1]],
+                          linear_part=[1, 1]), [F(1, 2), F(1, 2)]),
+        (DegenerationData(rank=2, embedding=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]],
+                          linear_part=[0, 0]), [F(1, 3), F(1, 3)]),
+        (rank1_tate_data(5), [F(5, 2)]),
+        (rank1_tate_data(6), [F(-3)]),
+    ],
+)
+def test_closest_vector_at_a_tie_attains_the_distance(data, nu):
+    """Points equidistant from several lattice vectors: whichever one comes
+    back attains the half squared distance."""
+    closest, half = tropical.closest_lattice_vector(data, nu)
+    gap = data.to_lattice_coords([a - b for a, b in zip(nu, closest)])
+    assert all(x.denominator == 1 for x in data.to_lattice_coords(closest))
+    assert quadratic_value(data.gram, gap) / 2 == half
+    assert half == normalized_tropical_riemann_theta(data, nu)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_point_of_the_wrong_length_is_refused(length):
+    data = random_principally_polarized(random.Random(3), 2)
+    theta = generate_theta_terms(data)
+    nu = [F(1, 2)] * length
+    calls = [
+        theta.value,
+        theta.normalized_value,
+        lambda x: normalized_tropical_riemann_theta(data, x),
+        lambda x: tropical_riemann_theta(data, x),
+        lambda x: tropical.closest_lattice_vector(data, x),
+        lambda x: degeneration.trivialization_valuation_real(data, x),
+        lambda x: closest_lattice_point(data.lattice_form, x),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call(nu)
 
 
 # -- theta characteristic --------------------------------------------------------
@@ -352,7 +428,7 @@ def test_evaluation_grid_is_deterministic_and_reduced():
 
 
 def test_linear_algebra_call_counts(monkeypatch):
-    counts = dict.fromkeys(("determinant", "mat_mul", "mat_inverse"), 0)
+    counts = dict.fromkeys(("determinant", "mat_mul", "mat_inverse", "ldl_decompose"), 0)
 
     def count(module, name):
         inner = getattr(module, name)
@@ -364,14 +440,14 @@ def test_linear_algebra_call_counts(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     # linalg's own names catch the calls linalg makes internally
-    for module in (linalg, degeneration, tropical):
+    for module in (linalg, cvp, degeneration, tropical):
         for name in counts:
             if hasattr(module, name):
                 count(module, name)
 
     def run(call):
         d = random_principally_polarized(random.Random(5), 3)
-        counts.update(determinant=0, mat_mul=0, mat_inverse=0)
+        counts.update(dict.fromkeys(counts, 0))
         call(d)
         return counts
 
@@ -387,3 +463,11 @@ def test_linear_algebra_call_counts(monkeypatch):
     assert run(construct)["determinant"] == 1
     assert run(riemann_theta)["mat_mul"] == 1
     assert run(lambda d: theta_characteristic(generate_theta_terms(d)))["mat_inverse"] == 1
+
+    def construct_and_evaluate(d):
+        fresh = DegenerationData(
+            rank=d.rank, embedding=d.embedding, gram=d.gram, linear_part=d.linear_part
+        )
+        riemann_theta(fresh)
+
+    assert run(construct_and_evaluate)["ldl_decompose"] == 1
