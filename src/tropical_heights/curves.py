@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import InputError
 
@@ -99,20 +100,30 @@ class WeierstrassCurve:
     def j_invariant(self) -> Fraction:
         return self.c4**3 / self.discriminant
 
+    @cached_property
+    def integral_scale(self) -> int:
+        """lcm s of the coefficient denominators: x -> s^2 x gives an integral model."""
+        return lcm(*(a.denominator for a in (self.a1, self.a2, self.a3, self.a4, self.a6)))
+
     # -- membership and group law --------------------------------------------
 
-    def contains(self, p: CurvePoint) -> bool:
+    def residue(self, p: CurvePoint) -> Fraction:
+        """Exact value of y^2 + a1 x y + a3 y - (x^3 + a2 x^2 + a4 x + a6) at p,
+        zero exactly when p is on the curve."""
         if p.infinity:
-            return True
+            return Fraction(0)
         x, y = p.x, p.y
         a1, a2, a3, a4, a6 = (a.numerator if a.denominator == 1 else a
                               for a in (self.a1, self.a2, self.a3, self.a4, self.a6))
         e, r = divmod(y.denominator, x.denominator)
         if r == 0 and e * e == x.denominator:  # (X/e^2, Y/e^3): in integers, times e^6
             x, y, e2 = x.numerator, y.numerator, e * e
-            return (y * (y + a1 * x * e + a3 * e2 * e)
-                    == ((x + a2 * e2) * x + a4 * e2 * e2) * x + a6 * e2**3)
-        return (y + a1 * x + a3) * y == ((x + a2) * x + a4) * x + a6
+            return Fraction(y * (y + a1 * x * e + a3 * e2 * e)
+                            - ((x + a2 * e2) * x + a4 * e2 * e2) * x - a6 * e2**3, e2**3)
+        return (y + a1 * x + a3) * y - ((x + a2) * x + a4) * x - a6
+
+    def contains(self, p: CurvePoint) -> bool:
+        return self.residue(p) == 0
 
     def negate(self, p: CurvePoint) -> CurvePoint:
         if p.infinity:
@@ -142,13 +153,22 @@ class WeierstrassCurve:
         return self.add(p, p)
 
     def torsion_order(self, p: CurvePoint) -> int | None:
-        """Order of p if it is torsion (of order <= 12, Mazur's bound for
-        curves over Q), else None."""
+        """Order of p if it is torsion, else None.
+
+        Over Q a torsion point has order at most 12 (Mazur), and on the
+        integral model x -> s^2 x, s = ``integral_scale``, it has 4x in Z:
+        x is integral unless the point has order 2, when 4x is (Silverman,
+        AEC VII.3.4).  Every multiple of a torsion point is torsion or O, so
+        the walk stops with None at the first multiple with 4 s^2 x not in Z,
+        which for a point of infinite order is almost always P or 2P."""
+        bound = 4 * self.integral_scale**2
         acc = CurvePoint.zero()
         for n in range(1, _MAZUR_BOUND + 1):
             acc = self.add(acc, p)
             if acc.infinity:
                 return n
+            if bound % acc.x.denominator:
+                return None
         return None
 
     # -- coordinate changes ----------------------------------------------------

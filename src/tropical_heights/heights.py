@@ -7,10 +7,10 @@ x-coordinate canonical height
 
     hhat_x(P) = lim 4^{-n} h(x([2^n] P)),
 
-computed from the doubling sequence alone: a few exact steps on a coprime
-integer pair when 4x is integral, as for every torsion point over Q, then
-exact gcds modulo a power of the duplication resultant Delta^2 with the
-sizes in floating point.  The factor one half is the divisor-degree
+computed from the doubling sequence alone, with exact gcds modulo a power
+of the duplication resultant Delta^2 and the sizes in floating point; a
+torsion point, as ``WeierstrassCurve.torsion_order`` decides it, gives an
+exact zero.  The factor one half is the divisor-degree
 bookkeeping between the origin divisor and the x-line bundle; it is pinned
 here by the torsion and doubling calibration tests rather than assumed.
 
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import mpmath as mp
 
@@ -80,16 +80,11 @@ class CurveModel:
         return model
 
     @cached_property
-    def scale(self) -> int:
-        """lcm of the coefficient denominators: x -> scale^2 x gives an integral model."""
-        names = ("a1", "a2", "a3", "a4", "a6")
-        return lcm(*(getattr(self.curve, name).denominator for name in names))
-
-    @cached_property
     def primes(self) -> tuple:
         """The primes of the discriminant and of the coefficient denominators,
-        in one factorization (disc's denominator divides a power of scale)."""
-        return tuple(factorize(self.curve.discriminant.numerator * self.scale))
+        in one factorization (disc's denominator divides a power of the
+        curve's integral_scale)."""
+        return tuple(factorize(self.curve.discriminant.numerator * self.curve.integral_scale))
 
     def local(self, p: int) -> LocalModel:
         """The LocalModel at p, built on first use."""
@@ -117,8 +112,9 @@ class CurveModel:
     @cached_property
     def duplication(self) -> tuple:
         """The oracle's (b, Delta^2): the b-invariants, as ints, of the
-        integral model x -> scale^2 x and its duplication resultant."""
-        work = self.curve.transform(Fraction(1, self.scale), 0, 0, 0)
+        integral model x -> s^2 x, s the curve's integral_scale, and its
+        duplication resultant."""
+        work = self.curve.transform(Fraction(1, self.curve.integral_scale), 0, 0, 0)
         b = tuple(int(x) for x in (work.b2, work.b4, work.b6, work.b8))
         return b, work.discriminant.numerator ** 2
 
@@ -150,24 +146,6 @@ def _common_factor(num: int, den: int, res: int) -> int:
     """gcd(num, den) for the image of a coprime pair: it divides the
     duplication resultant res, so residues mod res determine it."""
     return gcd(gcd(num % res, res), den % res)
-
-
-def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
-    """One exact x-only duplication step on a coprime integer pair (n : d),
-    returned reduced with d > 0, or (1, 0) when 2P = O."""
-    num, den = _duplication(n, d, b)
-    if den == 0:
-        return (1, 0)
-    g = _common_factor(num, den, res)
-    num, den = num // g, den // g
-    if den < 0:
-        num, den = -num, -den
-    return num, den
-
-
-# Over Q every torsion orbit under doubling repeats or reaches O within
-# this many steps (Mazur: orders 1-10 and 12), so the exact prefix sees it.
-_EXACT_STEPS = 4
 
 
 def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) -> list:
@@ -206,36 +184,23 @@ def doubling_oracle(
 ) -> DoublingOracleResult:
     """Half the x-coordinate canonical height from the doubling sequence.
 
-    Works on an integral model (points mapped along), on which a torsion
-    point has 4x in Z (Silverman, AEC VII.3.4).  Such a point makes its
-    first ``_EXACT_STEPS`` doublings exact on a coprime integer pair, so
-    torsion is detected by cycling or by hitting the origin and gives an
-    exact zero; any other point is non-torsion and skips them.  The
-    remaining steps keep exact gcds modulo a power of the duplication
-    resultant Delta^2 and the sizes in floating point
-    (``_split_estimates``); the value is the Richardson extrapolation of
-    the last two estimates.  A point off the curve or n_max < 2 raises
-    InputError.
+    A torsion point, as ``torsion_order`` decides it, gives an exact zero
+    and no estimates.  Any other point is mapped to the integral model
+    x -> s^2 x and doubled from the first step with exact gcds modulo a
+    power of the duplication resultant Delta^2 and the sizes in floating
+    point (``_split_estimates``); the value is the Richardson
+    extrapolation of the last two estimates.  A point off the curve or
+    n_max < 2 raises InputError.
     """
     if n_max < 2:
         raise InputError(f"n_max = {n_max!r} must be at least 2")
     if not curve.contains(point):
         raise InputError("point is not on the curve")
-    if point.infinity:
+    if curve.torsion_order(point) is not None:
         return DoublingOracleResult(0.0, (), True)
-    model = CurveModel.at(curve)
-    b, res = model.duplication
-    x = point.x * model.scale**2  # on the integral model
-    n, d = x.numerator, x.denominator
-    estimates, seen = [], {(n, d)}
-    exact_steps = min(n_max, _EXACT_STEPS) if 4 % d == 0 else 0
-    for step in range(1, exact_steps + 1):
-        n, d = _x_double(n, d, b, res)
-        if d == 0 or (n, d) in seen:
-            return DoublingOracleResult(0.0, tuple(estimates), True)
-        seen.add((n, d))
-        estimates.append(math.log(max(abs(n), d)) / 4**step)
-    estimates += _split_estimates(n, d, b, res, exact_steps + 1, n_max)
+    b, res = CurveModel.at(curve).duplication
+    x = point.x * curve.integral_scale**2
+    estimates = _split_estimates(x.numerator, x.denominator, b, res, 1, n_max)
     value = (4 * estimates[-1] - estimates[-2]) / 3
     return DoublingOracleResult(value / 2, tuple(estimates), False)
 

@@ -138,10 +138,15 @@ class Transformation:
 
     @classmethod
     def identity(cls) -> "Transformation":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return _IDENTITY
 
     def push_point(self, p: CurvePoint) -> CurvePoint:
+        if self == _IDENTITY:
+            return p
         return WeierstrassCurve.transform_point(p, self.u, self.r, self.s, self.t)
+
+
+_IDENTITY = Transformation(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
 _COEFFS = ("a1", "a2", "a3", "a4", "a6")
@@ -239,7 +244,7 @@ class LocalModel:
     def require_minimal(self) -> "LocalModel":
         """The model itself, if the input was already p-integral and
         p-minimal (the transformation to the minimal model is the identity)."""
-        if self.transformation != Transformation.identity():
+        if self.transformation != _IDENTITY:
             raise PreconditionError(
                 f"curve is not a p-integral p-minimal model at {self.prime}"
             )
@@ -320,12 +325,10 @@ class LocalHeightReport:
 
 
 def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: int):
-    """Exact membership, or p-adic membership deep enough that every
-    valuation the height formulas read is certified."""
-    res = (
-        point.y**2 + curve.a1 * point.x * point.y + curve.a3 * point.y
-        - (point.x**3 + curve.a2 * point.x**2 + curve.a4 * point.x + curve.a6)
-    )
+    """The point's residue on the curve is zero, or has valuation at least
+    3 ell + 6, deep enough that every valuation the height formulas read
+    is certified."""
+    res = curve.residue(point)
     if res != 0 and val_p(res, p) < 3 * ell + 6:
         raise InputError("point is not on the curve (even p-adically)")
 

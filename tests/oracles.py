@@ -25,8 +25,15 @@ method, and the tests check the replacement against them.
   triple at p <= 3, the one integral triple at p >= 5), against
   ``tate.minimal_model_at``'s model rebuilt from (c4, c6) by Kraus's
   conditions;
-* the doubling oracle with its exact prefix run on every point, against
-  ``heights.doubling_oracle``, which runs it only where 4x is integral.
+* the doubling oracle with its exact prefix (four exact doublings on
+  full-size integers, with a ``seen`` set that catches a torsion orbit) run
+  on every point, against ``heights.doubling_oracle``, which leaves
+  torsion to ``torsion_order`` and doubles every other point split from
+  the first step;
+* the order of a torsion point by the plain 12-step walk over Mazur's
+  bound (``mazur_torsion_order``), against
+  ``WeierstrassCurve.torsion_order``, which stops at the first multiple
+  with 4 s^2 x not integral.
 * the closest lattice point by a depth-first Fincke-Pohst enumeration
   in Fractions over the LDL^T factors, from a Babai seed and scanning each
   level from its lowest to its highest coordinate
@@ -269,21 +276,55 @@ def _substitution_candidates(curve: WeierstrassCurve, p: int):
     yield r, s, t
 
 
+# -- torsion: the plain walk over Mazur's bound --------------------------------
+
+
+def mazur_torsion_order(curve, point):
+    """Order of the point if it is at most 12 (Mazur's bound over Q), else
+    None, by up to 12 exact additions with no early exit; the reference for
+    ``WeierstrassCurve.torsion_order``."""
+    acc = CurvePoint.zero()
+    for n in range(1, 13):
+        acc = curve.add(acc, point)
+        if acc.infinity:
+            return n
+    return None
+
+
 # -- doubling oracle with the exact prefix for every point --------------------
 
 
+def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
+    """One exact x-only duplication step on a coprime integer pair (n : d),
+    returned reduced with d > 0, or (1, 0) when 2P = O."""
+    num, den = heights._duplication(n, d, b)
+    if den == 0:
+        return (1, 0)
+    g = heights._common_factor(num, den, res)
+    num, den = num // g, den // g
+    if den < 0:
+        num, den = -num, -den
+    return num, den
+
+
+# Over Q every torsion orbit under doubling repeats or reaches O within
+# this many steps (Mazur: orders 1-10 and 12), so the exact prefix sees it.
+_EXACT_STEPS = 4
+
+
 def exact_prefix_doubling_oracle(curve, point, n_max: int = 10):
-    """``heights.doubling_oracle`` as it was before the 4x in Z gate: every
-    point, torsion or not, makes its first min(n_max, 4) doublings exact on
-    full-size integers before the split steps; the reference for the gate."""
-    model = heights.CurveModel.at(curve)
-    b, res = model.duplication
-    x = point.x * model.scale**2
+    """The doubling oracle with an exact prefix on every point: its first
+    min(n_max, 4) doublings are exact on full-size integers, where a
+    torsion orbit cycles or reaches O, before the split steps; the
+    reference for ``heights.doubling_oracle``, which leaves torsion to
+    ``torsion_order``."""
+    b, res = heights.CurveModel.at(curve).duplication
+    x = point.x * curve.integral_scale**2
     n, d = x.numerator, x.denominator
     estimates, seen = [], {(n, d)}
-    exact_steps = min(n_max, heights._EXACT_STEPS)
+    exact_steps = min(n_max, _EXACT_STEPS)
     for step in range(1, exact_steps + 1):
-        n, d = heights._x_double(n, d, b, res)
+        n, d = _x_double(n, d, b, res)
         if d == 0 or (n, d) in seen:
             return heights.DoublingOracleResult(0.0, tuple(estimates), True)
         seen.add((n, d))

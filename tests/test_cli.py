@@ -247,6 +247,18 @@ def test_global_height_prints_oracle_estimates(curve_file, capsys):
     assert abs(estimates[-1] - estimates[-2]) < 1e-3
 
 
+def test_global_height_of_a_torsion_point_prints_no_estimates(tmp_path, capsys):
+    """(5, 5) has order 5 on 11a: the oracle decides it by torsion_order
+    and doubles nothing, so its value is 0.0 with no estimates."""
+    path = tmp_path / "11a.json"
+    path.write_text(json.dumps(curve_to_dict(WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20))))
+    code = main(["--format", "json", "global-height", str(path), "--point", "5,5"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["doubling_oracle"] == 0.0
+    assert payload["oracle_estimates"] == []
+
+
 def test_run_options_default_to_run_config():
     args = build_parser().parse_args(["verify", "all"])
     defaults = RunConfig()

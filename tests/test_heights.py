@@ -23,7 +23,7 @@ from tropical_heights.heights import (
 )
 from tropical_heights.linalg import determinant
 
-from oracles import exact_prefix_doubling_oracle, is_integral, naive_height
+from oracles import exact_prefix_doubling_oracle, is_integral, mazur_torsion_order, naive_height
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -95,8 +95,8 @@ def test_doubling_oracle_torsion_every_mazur_order(order):
 
 def test_doubling_oracle_gate_keeps_two_torsion_with_quarter_x():
     """(-1/4, 1/8) on y^2 + xy = x^3 + 4x + 1 has order 2 and x not in Z,
-    but 4x in Z: the exact prefix still runs and sees it.  A gate on
-    x in Z instead would skip it."""
+    but 4x in Z: torsion_order's early exit lets it through.  An exit on
+    x not in Z instead would call it non-torsion."""
     curve = WeierstrassCurve.from_coeffs(1, 0, 0, 4, 1)
     point = CurvePoint.affine(F(-1, 4), F(1, 8))
     assert is_integral(curve) and curve.torsion_order(point) == 2
@@ -105,12 +105,37 @@ def test_doubling_oracle_gate_keeps_two_torsion_with_quarter_x():
     assert result.value == 0.0
 
 
+def test_torsion_order_matches_the_mazur_walk(semistable_examples):
+    """torsion_order, which stops at the first multiple with 4 s^2 x not in
+    Z, against the plain 12-step walk: (0, 0) of every Mazur order and the
+    order-2 point (-1/4, 1/8) with 4x in Z but x not in Z, their images on
+    a non-integral model (where 4x is not integral), and 2^k P, k <= 4, of
+    every acceptance curve, with the images of P and 2P.  The walk from 16P
+    takes most of the time."""
+    move = (2, F(1, 2), F(1, 3), F(1, 5))
+    torsion = [(WeierstrassCurve.from_coeffs(1, 0, 0, 4, 1), CurvePoint.affine(F(-1, 4), F(1, 8)))]
+    torsion += [(_torsion_curve(order), CurvePoint.affine(0, 0))
+                for order in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
+    multiples = []
+    for curve, point in semistable_examples:
+        for _ in range(5):
+            multiples.append((curve, point))
+            point = curve.double(point)
+    moved = [(curve.transform(*move), WeierstrassCurve.transform_point(point, *move))
+             for curve, point in torsion + multiples[::5] + multiples[1::5]]
+    for curve, point in torsion + multiples + moved:
+        assert curve.contains(point)
+        assert curve.torsion_order(point) == mazur_torsion_order(curve, point), (curve, point)
+    assert all(mazur_torsion_order(*case) for case in torsion + moved[:len(torsion)])
+    assert all((4 * point.x).denominator > 1 for _, point in moved)
+
+
 def test_doubling_oracle_gate_matches_exact_prefix(semistable_examples):
     """On 2^k P, k <= 6, of every acceptance curve the oracle gives the
-    reference's float, which runs the exact prefix on every point, and
-    takes at most 5 ms (the best of three calls, each timed alone): 4x is
-    integral only at P and at some 2P, so from 4P on the full-size prefix
-    (up to seconds at 64P) is skipped."""
+    float of the reference, which runs the exact prefix on every point,
+    and takes at most 5 ms (the best of three calls, each timed alone):
+    the oracle runs no full-size doublings (the prefix takes up to seconds
+    at 64P)."""
     for curve, point in semistable_examples:
         target = point
         for k in range(7):
@@ -136,9 +161,10 @@ def test_doubling_oracle_refuses_bad_input():
 
 
 def test_contains_matches_the_curve_equation(semistable_examples):
-    """contains against the curve equation in Fractions: on P, 2P and 4P of
-    the acceptance curves (x = X/e^2, y = Y/e^3, checked in integers) and
-    of a model with fractional coefficients, and on each point with y or x
+    """contains and residue against the curve equation in Fractions: on P,
+    2P and 4P of the acceptance curves and two fixed ones (x = X/e^2,
+    y = Y/e^3, computed in integers) and of a model with fractional
+    coefficients (mostly not of that shape), and on each point with y or x
     moved by 1/d (d its denominator), which leaves the curve in all but a
     few cases."""
 
@@ -146,9 +172,21 @@ def test_contains_matches_the_curve_equation(semistable_examples):
         x, y = point.x, point.y
         return y**2 + curve.a1 * x * y + curve.a3 * y == x**3 + curve.a2 * x**2 + curve.a4 * x + curve.a6
 
+    def difference(curve, point):
+        x, y = point.x, point.y
+        return y**2 + curve.a1 * x * y + curve.a3 * y - (x**3 + curve.a2 * x**2 + curve.a4 * x + curve.a6)
+
+    def in_integers(point):  # residue's path for (X/e^2, Y/e^3)
+        e, r = divmod(point.y.denominator, point.x.denominator)
+        return r == 0 and e * e == point.x.denominator
+
     move = (F(1, 2), F(1, 3), F(-2, 5), F(1, 7))
     off_curve = 0
-    for curve, point in semistable_examples:
+    paths = {True: 0, False: 0}
+    # curves with a6 != 0 that do not come from the search, which calls contains
+    fixed = [(E11, CurvePoint.affine(5, 5)),
+             (WeierstrassCurve.from_coeffs(1, 0, 0, 0, -1), CurvePoint.affine(1, 0))]
+    for curve, point in fixed + semistable_examples:
         for model, target in ((curve, point), (curve.transform(*move),
                                                WeierstrassCurve.transform_point(point, *move))):
             for _ in range(3):
@@ -157,8 +195,12 @@ def test_contains_matches_the_curve_equation(semistable_examples):
                             CurvePoint.affine(target.x + F(1, target.x.denominator), target.y)):
                     assert model.contains(off) == equation(model, off), (model, off)
                     off_curve += not equation(model, off)
+                for checked in (target, off):
+                    assert model.residue(checked) == difference(model, checked), (model, checked)
+                    paths[in_integers(checked)] += 1
                 target = model.double(target)
     assert off_curve >= 140, off_curve
+    assert min(paths.values()) >= 30, paths
 
 
 def test_doubling_oracle_matches_naive_limit(semistable_examples):

@@ -711,6 +711,32 @@ def test_component_index_rejects_points_off_the_curve():
         local_height_multiplicative(E11, 11, CurvePoint.affine(3, 5)).component
 
 
+def test_membership_is_certified_to_three_ell_plus_six_digits():
+    """At a multiplicative place a point is accepted when its residue on the
+    curve vanishes or has valuation >= 3 ell + 6: a parameter-built Tate
+    point (residue nonzero, deep), and the same point with y moved until
+    the valuation is exactly 3 ell + 6.  One digit less, and an integral
+    point off the curve, are refused."""
+    p, ell = 5, 2
+    q = PadicElement.from_rational(p, 2 * p**ell, 20)
+    z = PadicElement.from_rational(p, p, 20)
+    curve, point = tate_curve(q), tate_curve_point(q, z)
+    assert curve.residue(point) != 0 and val_p(curve.residue(point), p) >= 3 * ell + 6
+    w = val_p(2 * point.y + curve.a1 * point.x + curve.a3, p)
+    deep = CurvePoint.affine(point.x, point.y + p ** (3 * ell + 6 - w))
+    shallow = CurvePoint.affine(point.x, point.y + p ** (3 * ell + 5 - w))
+    assert val_p(curve.residue(deep), p) == 3 * ell + 6
+    assert val_p(curve.residue(shallow), p) == 3 * ell + 5
+    expected = local_height_from_parameter(q, z)
+    for accepted in (point, deep):
+        assert local_height_multiplicative(curve, p, accepted).lambda_v == expected
+    off_curve = CurvePoint.affine(0, 0)  # residue -a6, of valuation ell
+    assert val_p(curve.residue(off_curve), p) == ell
+    for refused in (shallow, off_curve):
+        with pytest.raises(InputError, match="even p-adically"):
+            local_height_multiplicative(curve, p, refused)
+
+
 def test_component_index_cancellation_case():
     """Middle component with engineered cancellation in 2y + x: the naive
     min(w, ell - w) would fail here; the cap keeps it right."""
