@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
-from .linalg import ldl_decompose
+from .linalg import ldl_decompose, over_denominator
 
 
 def lattice_form(gram) -> tuple:
@@ -49,9 +49,7 @@ def closest_lattice_point(form, target) -> tuple[list, Fraction]:
     n = len(weights)
     if len(target) != n:
         raise InputError(f"target needs {n} coordinates, got {len(target)}")
-    t = [Fraction(x) for x in target]
-    den = lcm(*(x.denominator for x in t))
-    shift = [x.numerator * (den // x.denominator) for x in t]
+    shift, den = over_denominator(target)
     x = list(shift)  # den w + T, fixed from the last coordinate down
     best, best_x = None, None
 

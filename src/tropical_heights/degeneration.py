@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .cvp import lattice_form
 from .errors import InputError
@@ -31,11 +32,16 @@ from .linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    over_denominator,
     smith_normal_form,
     transpose,
 )
 
 DEFAULT_ENUMERATION_BOUND = 10**6
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -115,65 +121,76 @@ class DegenerationData:
         return abs(int(determinant(self.polarization_matrix))) == 1
 
     @cached_property
-    def inner_product_matrix(self) -> list:
-        """Rational matrix H of the induced inner product on X*-coordinates:
-        [mu, nu] = mu^T H nu, normalized so [Mw, Mw'] = w^T G w'; that is,
-        H = M^{-T} G M^{-1} = F M^{-1}."""
-        return mat_mul(self.polarization_matrix, self.embedding_inverse)
+    def scaled_inverse(self) -> tuple:
+        """M^{-1} over one denominator: (N, D) with M^{-1} = N / D, N an
+        integer matrix and D > 0 the least common denominator."""
+        flat, d = over_denominator([x for row in self.embedding_inverse for x in row])
+        g = self.rank
+        return [flat[i * g:(i + 1) * g] for i in range(g)], d
+
+    @cached_property
+    def scaled_inner_product(self) -> tuple:
+        """The induced inner product on X*-coordinates over one denominator:
+        (K, D) with [mu, nu] = mu^T K nu / D, normalized so that
+        [Mw, Mw'] = w^T G w'; that is, K / D = M^{-T} G M^{-1} = F M^{-1}."""
+        inverse, d = self.scaled_inverse
+        return mat_mul(self.polarization_matrix, inverse), d
 
     # -- coordinate helpers ---------------------------------------------------
 
     def to_lattice_coords(self, nu) -> list:
-        """X*-vector (rationals) -> Y-coordinates (rationals)."""
+        """X*-vector (ints or Fractions) -> Y-coordinates (Fractions)."""
         if len(nu) != self.rank:
             raise InputError(f"point needs {self.rank} coordinates, got {len(nu)}")
-        return mat_vec(self.embedding_inverse, [Fraction(x) for x in nu])
+        n, e = over_denominator(nu)
+        inverse, d = self.scaled_inverse
+        return [Fraction(_dot(row, n), d * e) for row in inverse]
 
     def from_lattice_coords(self, w) -> list:
         return mat_vec(self.embedding, list(w))
 
-    def reduce_mod_lattice(self, nu) -> tuple[list, list]:
-        """Split nu = nu0 + M w with w integral and M^{-1} nu0 in [0, 1)^g.
+    def reduce_mod_lattice(self, nu, t=None) -> tuple[list, list]:
+        """Split nu = nu0 + M w with w integral and M^{-1} nu0 in [0, 1)^g;
+        t, when given, is M^{-1} nu, which is then not computed again.
 
         Returns (nu0, w).
         """
-        t = self.to_lattice_coords(nu)
+        if t is None:
+            t = self.to_lattice_coords(nu)
         w = [x.numerator // x.denominator for x in t]  # floor
         nu0 = [Fraction(a) - b for a, b in zip(nu, self.from_lattice_coords(w))]
         return nu0, w
 
     def inner_product(self, mu, nu) -> Fraction:
-        h = self.inner_product_matrix
-        mu = [Fraction(x) for x in mu]
-        nu = [Fraction(x) for x in nu]
-        return sum(
-            mu[i] * h[i][j] * nu[j] for i in range(self.rank) for j in range(self.rank)
-        )
+        k, d = self.scaled_inner_product
+        m, a = over_denominator(mu)
+        n, b = over_denominator(nu)
+        return Fraction(_dot(m, [_dot(row, n) for row in k]), d * a * b)
 
 
-def trivialization_valuation(data: DegenerationData, w) -> Fraction:
-    """Quadratic-plus-linear valuation (w^T G w + l^T w)/2 on Y-coordinates.
+def trivialization_valuation(data: DegenerationData, w, den: int = 1) -> Fraction:
+    """Quadratic-plus-linear valuation (w^T G w + l^T w)/2 at the
+    Y-coordinates w / den: (w^T G w + den l^T w) / (2 den^2), so that
+    rational coordinates enter as integer numerators over one denominator.
 
     Integer-valued on the lattice by the parity condition enforced at
     construction; returned as an exact Fraction for uniformity.
     """
     w = list(w)
-    g = data.gram
-    quad = sum(w[i] * g[i][j] * w[j] for i in range(data.rank) for j in range(data.rank))
-    lin = sum(a * b for a, b in zip(data.linear_part, w))
-    return Fraction(quad + lin, 2)
+    quad = _dot(w, [_dot(row, w) for row in data.gram])
+    return Fraction(quad + den * _dot(data.linear_part, w), 2 * den * den)
 
 
 def trivialization_valuation_real(data: DegenerationData, nu) -> Fraction:
     """Unique quadratic extension of the lattice valuation to X*_Q: the same
     form evaluated at the rational Y-coordinates of nu."""
-    return trivialization_valuation(data, data.to_lattice_coords(nu))
+    return trivialization_valuation(data, *over_denominator(data.to_lattice_coords(nu)))
 
 
 def automorphy_factor(data: DegenerationData, w, nu) -> Fraction:
     """1-cocycle value c(w) + <F w, nu> controlling lattice translations."""
-    fw = mat_vec(data.polarization_matrix, list(w))
-    pairing = sum(Fraction(a) * Fraction(b) for a, b in zip(fw, nu))
+    n, e = over_denominator(nu)
+    pairing = Fraction(_dot(mat_vec(data.polarization_matrix, list(w)), n), e)
     return trivialization_valuation(data, w) + pairing
 
 

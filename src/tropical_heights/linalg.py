@@ -8,6 +8,7 @@ clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -21,6 +22,13 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+
+
+def over_denominator(values) -> tuple[list, int]:
+    """(n, d) with values = n / d: d > 0 the least common denominator of
+    the rationals (ints or Fractions), n the integer numerators over it."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -27,14 +27,13 @@ from .degeneration import (
     automorphy_factor,
     component_group,
     trivialization_valuation,
-    trivialization_valuation_real,
 )
 from .errors import (
     InputError,
     InsufficientTermsError,
     NotPrincipallyPolarizedData,
 )
-from .linalg import mat_vec
+from .linalg import mat_vec, over_denominator
 
 
 def _ceil_sqrt(x: Fraction) -> int:
@@ -84,8 +83,7 @@ class TropicalTheta:
         """The term list over its common denominator D: D, the integers
         D a_u, and the Fourier indices in column layout (one tuple per
         coordinate), all in term-dict order."""
-        d = math.lcm(*(a.denominator for a in self.terms.values()))
-        coeffs = [a.numerator * (d // a.denominator) for a in self.terms.values()]
+        coeffs, d = over_denominator(self.terms.values())
         return d, coeffs, tuple(zip(*self.terms))
 
     def _min_term(self, nu0):
@@ -93,10 +91,10 @@ class TropicalTheta:
         order, by one integer scan: every value a_u + <u, nu0> is scaled by
         D times the common denominator of nu0."""
         d, coeffs, columns = self._scaled_terms
-        den = math.lcm(*(x.denominator for x in nu0))
+        n, den = over_denominator(nu0)
         acc = [c * den for c in coeffs]
-        for column, x in zip(columns, nu0):
-            step = d * x.numerator * (den // x.denominator)
+        for column, x in zip(columns, n):
+            step = d * x
             acc = [s + ui * step for s, ui in zip(acc, column)]
         low = min(acc)
         return Fraction(low, d * den), [u for u, s in zip(self.terms, acc) if s == low]
@@ -121,19 +119,23 @@ class TropicalTheta:
     def value(self, nu) -> Fraction:
         """Tropicalized theta at nu, via reduction to the fundamental
         parallelotope and the translation cocycle."""
-        nu = [Fraction(x) for x in nu]
-        nu0, w = self.data.reduce_mod_lattice(nu)
+        return self._value(nu, self.data.to_lattice_coords(nu))
+
+    def normalized_value(self, nu) -> Fraction:
+        """Lattice-invariant normalization: value + quadratic extension,
+        both read from one set of lattice coordinates t of nu."""
+        t = self.data.to_lattice_coords(nu)
+        return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
+
+    def _value(self, nu, t) -> Fraction:
+        """value(nu), given the lattice coordinates t of nu."""
+        nu0, w = self.data.reduce_mod_lattice(nu, t)
         best, argmins = self._min_term(nu0)
         if not any(self._is_interior(u) for u in argmins):
             raise InsufficientTermsError(nu0)
         if all(x == 0 for x in w):
             return best
         return best - automorphy_factor(self.data, w, nu0)
-
-    def normalized_value(self, nu) -> Fraction:
-        """Lattice-invariant normalization: value + quadratic extension."""
-        nu = [Fraction(x) for x in nu]
-        return self.value(nu) + trivialization_valuation_real(self.data, nu)
 
 
 def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -> TropicalTheta:
@@ -182,8 +184,7 @@ def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -
 def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     """Half the squared lattice distance min over w of (t+w)^T G (t+w) / 2,
     where t are the lattice coordinates of nu.  Exact, via certified CVP."""
-    t = data.to_lattice_coords([Fraction(x) for x in nu])
-    _, minimum = closest_lattice_point(data.lattice_form, t)
+    _, minimum = closest_lattice_point(data.lattice_form, data.to_lattice_coords(nu))
     return minimum / 2
 
 
@@ -193,15 +194,13 @@ def tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     Computed from the normalized variant by subtracting the quadratic term;
     always <= 0, and 0 exactly on the Voronoi cell of the origin.
     """
-    nu = [Fraction(x) for x in nu]
     return normalized_tropical_riemann_theta(data, nu) - data.inner_product(nu, nu) / 2
 
 
 def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
     """A lattice vector (X*-coordinates) closest to nu, with the half
     squared distance.  On a tie it is one of several closest vectors."""
-    t = data.to_lattice_coords([Fraction(x) for x in nu])
-    w, minimum = closest_lattice_point(data.lattice_form, t)
+    w, minimum = closest_lattice_point(data.lattice_form, data.to_lattice_coords(nu))
     return data.from_lattice_coords([-x for x in w]), minimum / 2
 
 

@@ -34,6 +34,11 @@ method, and the tests check the replacement against them.
   bound (``mazur_torsion_order``), against
   ``WeierstrassCurve.torsion_order``, which stops at the first multiple
   with 4 s^2 x not integral.
+* the lattice coordinates M^{-1} nu, the inner product mu^T H nu with
+  H = F M^{-1}, the quadratic extension of the trivialization valuation
+  and the automorphy factor, each by Fraction matrix-vector products and
+  sums (``fraction_lattice_coords`` and its neighbours), against
+  ``DegenerationData``'s integer matrices over one denominator;
 * the closest lattice point by a depth-first Fincke-Pohst enumeration
   in Fractions over the LDL^T factors, from a Babai seed and scanning each
   level from its lowest to its highest coordinate
@@ -61,7 +66,7 @@ from tropical_heights import arch, heights
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
-from tropical_heights.linalg import mat_vec
+from tropical_heights.linalg import mat_inverse, mat_mul, mat_vec
 from tropical_heights.tate import (
     Transformation,
     _eval_int_series,
@@ -332,6 +337,38 @@ def exact_prefix_doubling_oracle(curve, point, n_max: int = 10):
     estimates += heights._split_estimates(n, d, b, res, exact_steps + 1, n_max)
     value = (4 * estimates[-1] - estimates[-2]) / 3
     return heights.DoublingOracleResult(value / 2, tuple(estimates), False)
+
+
+# -- lattice coordinates and the cocycle in Fractions ------------------------
+
+
+def fraction_lattice_coords(data, nu) -> list:
+    """M^{-1} nu by a Fraction mat_vec over the Fraction inverse of M."""
+    return mat_vec(mat_inverse(data.embedding), [Fraction(x) for x in nu])
+
+
+def fraction_inner_product(data, mu, nu) -> Fraction:
+    """mu^T H nu as a g^2 Fraction double sum over H = F M^{-1}."""
+    h = mat_mul(data.polarization_matrix, mat_inverse(data.embedding))
+    g = data.rank
+    return sum(Fraction(mu[i]) * h[i][j] * Fraction(nu[j]) for i in range(g) for j in range(g))
+
+
+def _fraction_valuation(data, t) -> Fraction:
+    g = data.rank
+    quad = sum(Fraction(t[i]) * data.gram[i][j] * t[j] for i in range(g) for j in range(g))
+    return (quad + sum(a * Fraction(b) for a, b in zip(data.linear_part, t))) / 2
+
+
+def fraction_valuation_real(data, nu) -> Fraction:
+    """(t^T G t + l^T t) / 2 at the Fraction lattice coordinates t of nu."""
+    return _fraction_valuation(data, fraction_lattice_coords(data, nu))
+
+
+def fraction_automorphy_factor(data, w, nu) -> Fraction:
+    """c(w) + <F w, nu> in Fractions."""
+    fw = mat_vec(data.polarization_matrix, [Fraction(x) for x in w])
+    return _fraction_valuation(data, w) + sum(a * Fraction(b) for a, b in zip(fw, nu))
 
 
 # -- closest vectors: Fincke-Pohst enumeration in Fractions -----------------
@@ -806,11 +843,19 @@ class Cell:
 class CellComplex:
     cells: tuple
     quotient_cells: tuple  # one representative cell per lattice orbit
+    translates_checked: tuple  # per generator, quotient cells whose translate was compared
+
+
+# lattice coordinates of the window: the fundamental parallelotope [0, 1)^2
+# and two lattice margin layers on every side, so that on skewed embeddings
+# some quotient cell and its translates by both generators lie unclipped in it
+_WINDOW = (-2, 3)
 
 
 def _window_corners(data):
-    """Corners of the lattice window {M t : t in [-1, 2]^2}, CCW."""
-    corners_t = [(-1, -1), (2, -1), (2, 2), (-1, 2)]
+    """Corners of the lattice window {M t : t in _WINDOW^2}, CCW."""
+    lo, hi = _WINDOW
+    corners_t = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
     pts = [tuple(mat_vec(data.embedding, [Fraction(a), Fraction(b)])) for a, b in corners_t]
     if polygon_area2(pts) < 0:
         pts.reverse()
@@ -892,12 +937,13 @@ def _quotient(theta, cells) -> list:
     return reps
 
 
-def _assert_periodicity(theta, cells, reps):
+def _assert_periodicity(theta, cells, reps) -> tuple:
     """A quotient cell that the window does not clip, translated by a
     lattice generator, must be a cell of the complex carrying the matching
-    term shift whenever the translate lies in the window [-1, 2]^2 of
-    lattice coordinates."""
+    term shift whenever the translate lies in the window.  Returns, per
+    generator, the number of translates compared."""
     data = theta.data
+    lo, hi = _WINDOW
     keys = {}
     for cell in cells:
         keys.setdefault(frozenset(cell.vertices), set()).add(cell.active_term)
@@ -906,15 +952,16 @@ def _assert_periodicity(theta, cells, reps):
         return [c for v in vertices for c in data.to_lattice_coords(v)]
 
     f = data.polarization_matrix
+    checked = [0, 0]
     for cell in reps:
-        if not all(-1 < c < 2 for c in coords(cell.vertices)):
+        if not all(lo < c < hi for c in coords(cell.vertices)):
             continue  # clipped, or touching the window's edge
         for j in range(2):
             step = [data.embedding[i][j] for i in range(2)]
             shifted = frozenset(
                 tuple(Fraction(v[i]) + step[i] for i in range(2)) for v in cell.vertices
             )
-            if not all(-1 <= c <= 2 for c in coords(shifted)):
+            if not all(lo <= c <= hi for c in coords(shifted)):
                 continue
             # f(nu + M e_j) picks up the cocycle, moving the active
             # term from u to u - F e_j
@@ -924,13 +971,15 @@ def _assert_periodicity(theta, cells, reps):
                     "cell complex is not lattice-periodic: "
                     f"term {cell.active_term} fails at generator {j}"
                 )
+            checked[j] += 1
+    return tuple(checked)
 
 
 def rank2_domains_of_linearity(theta) -> CellComplex:
-    """Maximal rank-2 domains of linearity, clipped to the fundamental
-    parallelotope plus one lattice margin layer on every side.  Cells are
-    closed; shared edges belong to all adjacent cells."""
+    """Maximal rank-2 domains of linearity, clipped to the lattice window
+    (the fundamental parallelotope plus two lattice margin layers on every
+    side).  Cells are closed; shared edges belong to all adjacent cells."""
     cells = _cells_rank2(theta)
     reps = _quotient(theta, cells)
-    _assert_periodicity(theta, cells, reps)
-    return CellComplex(cells=tuple(cells), quotient_cells=tuple(reps))
+    checked = _assert_periodicity(theta, cells, reps)
+    return CellComplex(cells=tuple(cells), quotient_cells=tuple(reps), translates_checked=checked)

@@ -154,8 +154,11 @@ def test_rank2_non_periodic_data_rejected():
 
 def test_rank2_seeded_data_passes_the_periodicity_check():
     # skewed embeddings clip quotient cells at the window's edge; periodic
-    # data must not be refused for it
+    # data must not be refused for it, and the check must compare some
+    # translate by each generator
     rng = random.Random(7)
     for _ in range(6):
         data = random_principally_polarized(rng, 2)
-        assert rank2_domains_of_linearity(generate_theta_terms(data)).quotient_cells, data
+        cx = rank2_domains_of_linearity(generate_theta_terms(data))
+        assert cx.quotient_cells, data
+        assert all(n >= 1 for n in cx.translates_checked), (data, cx.translates_checked)

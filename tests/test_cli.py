@@ -314,3 +314,51 @@ def test_deterministic_output(theta_file, capsys):
     main(["trop-eval", theta_file, "--points", "1/3;5/7"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# rank 3 with det M = 80: every command below runs through M^{-1}, H = F M^{-1}
+# and the automorphy factor off the identity embedding
+SKEWED_RANK3 = DegenerationData(
+    rank=3,
+    embedding=[[2, -3, 0], [-2, 5, 4], [-4, -1, 6]],
+    gram=[[6, -2, -6], [-2, 5, 4], [-6, 4, 10]],
+    linear_part=[-4, 3, -2],
+)
+
+# (point, tropical Riemann theta, normalized, closest lattice vector,
+# half squared distance); none of these points is equidistant from two
+# lattice vectors
+SKEWED_CVP = [
+    ("5/2,-13/3,3/4", "-11/6", "133/2880", ["3", "-5", "1"], "133/2880"),
+    ("0,0,0", "0", "0", ["0", "0", "0"], "0"),
+    ("3,-1,2", "-1/2", "1/2", ["5", "-3", "3"], "1/2"),
+    ("11/3,-7/2,5/4", "-7/6", "277/576", ["5", "-3", "3"], "277/576"),
+]
+
+
+@pytest.mark.parametrize("point, concave, normalized, closest, half", SKEWED_CVP)
+def test_cvp_command_off_the_identity_embedding(
+    point, concave, normalized, closest, half, tmp_path, capsys
+):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(degeneration_to_dict(SKEWED_RANK3)))
+    assert main(["--format", "json", "cvp", str(path), "--point", point]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "tropical_riemann_theta": concave,
+        "normalized": normalized,
+        "closest_lattice_vector": closest,
+        "half_squared_distance": half,
+    }
+
+
+def test_trop_eval_off_the_identity_embedding(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(theta_to_dict(generate_theta_terms(SKEWED_RANK3))))
+    points = "0,0,0;3,-1,2;5/2,-13/3,3/4;-1/6,4/5,9/7"
+    assert main(["--format", "json", "trop-eval", str(path), "--points", points]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        ["0;0;0", "-2", "-2"],
+        ["3;-1;2", "0", "-2"],
+        ["5/2;-13/3;3/4", "-17/6", "-6179/2880"],
+        ["-1/6;4/5;9/7", "-13/6", "-6816703/3528000"],
+    ]

@@ -4,6 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank1_tate_data
+from oracles import (
+    fraction_automorphy_factor,
+    fraction_inner_product,
+    fraction_lattice_coords,
+    fraction_valuation_real,
+)
 from tropical_heights.degeneration import (
     DegenerationData,
     automorphy_factor,
@@ -14,12 +20,18 @@ from tropical_heights.degeneration import (
 from tropical_heights.errors import InputError
 from tropical_heights.linalg import (
     determinant,
+    int_matrix_inverse,
     ldl_decompose,
     mat_inverse,
     mat_mul,
     smith_normal_form,
+    transpose,
 )
-from tropical_heights.verify import random_principally_polarized
+from tropical_heights.verify import (
+    random_positive_definite,
+    random_principally_polarized,
+    random_unimodular,
+)
 
 
 def test_validation_rejects_bad_data():
@@ -245,3 +257,43 @@ def test_mat_inverse_exact():
     m = [[2, 1], [7, 4]]
     inv = mat_inverse(m)
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
+
+
+def test_integer_lattice_maps_match_the_fraction_references():
+    # embeddings off the identity, so that M^{-1} and H have a denominator:
+    # seeded principally polarized data of rank 1-6, and M = 3I (det 27).
+    # Above rank 4 M = F^{-T} G is built here from the same draws, because
+    # random_principally_polarized's bound on det G takes seconds to meet.
+    rng = random.Random(19)
+    cases = [random_principally_polarized(rng, rank) for rank in range(1, 5) for _ in range(2)]
+    for rank in (5, 6, 5, 6):
+        gram = random_positive_definite(rng, rank)
+        f = random_unimodular(rng, rank)
+        cases.append(DegenerationData(
+            rank=rank, embedding=mat_mul(transpose(int_matrix_inverse(f)), gram), gram=gram,
+            linear_part=[gram[i][i] % 2 for i in range(rank)],
+        ))
+    cases.append(DegenerationData(
+        rank=3, embedding=[[3, 0, 0], [0, 3, 0], [0, 0, 3]],
+        gram=[[6, 3, 0], [3, 6, 3], [0, 3, 6]], linear_part=[2, -4, 0],
+    ))
+    assert all(d.covolume > 1 for d in cases)
+    for d in cases:
+        g = d.rank
+        points = [
+            [0] * g,
+            [rng.randint(-9, 9) for _ in range(g)],
+            [F(rng.randint(-9, 9)) for _ in range(g)],
+        ]
+        points += [  # mixed denominators, ints among them
+            [F(rng.randint(-40, 40), rng.randint(1, 12)) if k % 3 else rng.randint(-5, 5)
+             for k in range(g)]
+            for _ in range(4)
+        ]
+        for nu in points:
+            assert d.to_lattice_coords(nu) == fraction_lattice_coords(d, nu), (d, nu)
+            assert trivialization_valuation_real(d, nu) == fraction_valuation_real(d, nu)
+            for mu in points[::2]:
+                assert d.inner_product(mu, nu) == fraction_inner_product(d, mu, nu), (d, mu, nu)
+            w = [rng.randint(-4, 4) for _ in range(g)]
+            assert automorphy_factor(d, w, nu) == fraction_automorphy_factor(d, w, nu), (d, w, nu)

@@ -428,7 +428,9 @@ def test_evaluation_grid_is_deterministic_and_reduced():
 
 
 def test_linear_algebra_call_counts(monkeypatch):
-    counts = dict.fromkeys(("determinant", "mat_mul", "mat_inverse", "ldl_decompose"), 0)
+    counts = dict.fromkeys(
+        ("determinant", "mat_mul", "mat_inverse", "ldl_decompose", "mat_vec"), 0
+    )
 
     def count(module, name):
         inner = getattr(module, name)
@@ -462,6 +464,9 @@ def test_linear_algebra_call_counts(monkeypatch):
 
     assert run(construct)["determinant"] == 1
     assert run(riemann_theta)["mat_mul"] == 1
+    # lattice coordinates and [nu, nu] read M^{-1} and H as integer matrices
+    # over one denominator, not through a Fraction mat_vec
+    assert run(riemann_theta)["mat_vec"] == 0
     assert run(lambda d: theta_characteristic(generate_theta_terms(d)))["mat_inverse"] == 1
 
     def construct_and_evaluate(d):
@@ -471,3 +476,24 @@ def test_linear_algebra_call_counts(monkeypatch):
         riemann_theta(fresh)
 
     assert run(construct_and_evaluate)["ldl_decompose"] == 1
+
+
+def test_one_lattice_coordinate_conversion_per_normalized_value(monkeypatch):
+    theta = generate_theta_terms(random_principally_polarized(random.Random(5), 3))
+    calls = []
+    inner = DegenerationData.to_lattice_coords
+
+    def counted(self, nu):
+        calls.append(nu)
+        return inner(self, nu)
+
+    monkeypatch.setattr(DegenerationData, "to_lattice_coords", counted)
+    # the reduction, the automorphy factor and the quadratic extension all
+    # run at this point, outside the fundamental parallelotope
+    nu = [F(37, 3), F(-29, 2), F(41, 4)]
+    assert theta.normalized_value(nu) == theta.value(nu) + (
+        degeneration.trivialization_valuation_real(theta.data, nu)
+    )
+    calls.clear()
+    theta.normalized_value(nu)
+    assert len(calls) == 1
