@@ -185,6 +185,21 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
+def exact_int(x, name: str) -> int:
+    """An integer field: a value that is not exactly an integer (5.7, "1/2",
+    or a boolean, which Python counts as 0 or 1) is refused, never
+    truncated."""
+    if isinstance(x, bool):
+        raise InputError(f"{name} must be an integer, not {x!r}")
+    try:
+        value = Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"{name} must be an integer, not {x!r}") from exc
+    if value.denominator != 1:
+        raise InputError(f"{name} must be an integer, not {x!r}")
+    return value.numerator
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" string (plain integer when the denominator is 1)."""
     x = Fraction(x)

@@ -18,29 +18,14 @@ from fractions import Fraction
 from .curves import CurvePoint, WeierstrassCurve
 from .degeneration import DegenerationData
 from .errors import InputError
-from .exact import format_rational, parse_rational
+from .exact import exact_int, format_rational, parse_rational
 from .tate import LocalHeightReport
 from .tropical import TropicalTheta
 
 
-def _exact_int(x, name):
-    """An integer field: a value that is not exactly an integer (5.7, "1/2",
-    or a JSON boolean, which Python counts as 0 or 1) is refused, never
-    truncated."""
-    if isinstance(x, bool):
-        raise InputError(f"{name} must be an integer, not {x!r}")
-    try:
-        value = Fraction(x)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"{name} must be an integer, not {x!r}") from exc
-    if value.denominator != 1:
-        raise InputError(f"{name} must be an integer, not {x!r}")
-    return value.numerator
-
-
 def _int_matrix(obj, name):
     try:
-        return [[_exact_int(x, name) for x in row] for row in obj]
+        return [[exact_int(x, name) for x in row] for row in obj]
     except TypeError as exc:
         raise InputError(f"{name} must be an integer matrix") from exc
 
@@ -56,10 +41,10 @@ def degeneration_to_dict(data: DegenerationData) -> dict:
 
 def degeneration_from_dict(obj: dict) -> DegenerationData:
     try:
-        rank = _exact_int(obj["rank"], "rank")
+        rank = exact_int(obj["rank"], "rank")
         emb = _int_matrix(obj["embedding_matrix"], "embedding_matrix")
         gram = _int_matrix(obj["gram"], "gram")
-        lin = [_exact_int(x, "linear_part") for x in obj["linear_part"]]
+        lin = [exact_int(x, "linear_part") for x in obj["linear_part"]]
     except KeyError as exc:
         raise InputError(f"missing field {exc} in degeneration data") from exc
     except (TypeError, ValueError) as exc:
@@ -83,11 +68,11 @@ def theta_from_dict(obj: dict) -> TropicalTheta:
         data = degeneration_from_dict(obj["degeneration"])
         terms = {}
         for item in obj["terms"]:
-            u = tuple(_exact_int(x, "u") for x in item["u"])
+            u = tuple(exact_int(x, "u") for x in item["u"])
             if u in terms:
                 raise InputError(f"duplicate Fourier index {u}")
             terms[u] = parse_rational(str(item["a"]))
-        margin = _exact_int(obj.get("margin", 1), "margin")
+        margin = exact_int(obj.get("margin", 1), "margin")
     except KeyError as exc:
         raise InputError(f"missing field {exc} in theta data") from exc
     except (TypeError, ValueError) as exc:

@@ -6,20 +6,27 @@ A tropicalized theta function is the concave piecewise affine function
 
     value(nu) = min over terms (u, a)  of  a + <u, nu>
 
-extended to all of X*_R by the lattice automorphy factor.  The finite term
-list carries a margin certificate: evaluation in the fundamental domain is
-trusted only when the minimizing term has a full shell of lattice
-translates present, so a too-small list fails loudly instead of returning
-a wrong minimum.
+extended to all of X*_R by the lattice automorphy factor.  A finite term
+list that a caller supplies (JSON input, a tensor product, direct
+construction) carries a margin certificate: evaluation in the fundamental
+domain is trusted only when the minimizing term has a full shell of
+lattice translates present, so a too-small list fails loudly instead of
+returning a wrong minimum.
+
+Data built by ``generate_theta_terms`` has the terms u = F w, a = c(w) + r
+over all lattice vectors w, c the trivialization valuation.  Completing the
+square makes its normalized value the tropical Riemann theta moved by
+h = G^{-1} l / 2, so it is evaluated by one certified closest-vector search
+and its term list is not scanned.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .cvp import closest_lattice_point
 from .degeneration import (
@@ -33,6 +40,7 @@ from .errors import (
     InsufficientTermsError,
     NotPrincipallyPolarizedData,
 )
+from .exact import exact_int
 from .linalg import mat_vec, over_denominator
 
 
@@ -48,6 +56,17 @@ _TERM_MARGIN = 2
 _GRID_POINTS = 50
 
 
+def _is_clean(terms: dict, rank: int) -> bool:
+    """Whether every key is a tuple of ``rank`` ints and every value a
+    Fraction, by C-level passes over the dict rather than one per term."""
+    return (
+        set(map(type, terms)) == {tuple}
+        and set(map(len, terms)) == {rank}
+        and set(map(type, chain.from_iterable(terms))) == {int}
+        and set(map(type, terms.values())) == {Fraction}
+    )
+
+
 @dataclass(frozen=True)
 class TropicalTheta:
     """Finite Fourier data (u, a_u) over degeneration data.
@@ -55,26 +74,36 @@ class TropicalTheta:
     ``terms`` maps integer X-vectors (tuples) to exact rational
     coefficients.  ``margin`` is the number of lattice-translate shells
     required around a certified minimizer.
+
+    A theta built by ``generate_theta_terms`` is evaluated by one
+    closest-vector search; any other, by the certified scan of its terms.
+    Equality compares data, terms and margin alone, so a generated theta
+    and its reload from the same terms compare equal and agree everywhere.
     """
 
     data: DegenerationData
     terms: dict
     margin: int = _TERM_MARGIN
+    # the constant r of generate_theta_terms, which alone sets it
+    _constant: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
             raise InputError("term list must be non-empty")
         if self.margin < 1:
             raise InputError("margin must be at least 1 for certified evaluation")
-        clean = {}
-        for u, a in dict(self.terms).items():
-            key = tuple(int(x) for x in u)
-            if len(key) != self.data.rank:
-                raise InputError("Fourier index of wrong rank")
-            if key in clean:
-                raise InputError(f"duplicate Fourier index {key}")
-            clean[key] = Fraction(a)
-        object.__setattr__(self, "terms", clean)
+        terms = dict(self.terms)
+        if not _is_clean(terms, self.data.rank):
+            clean = {}
+            for u, a in terms.items():
+                key = tuple(exact_int(x, "Fourier index") for x in u)
+                if len(key) != self.data.rank:
+                    raise InputError("Fourier index of wrong rank")
+                if key in clean:
+                    raise InputError(f"duplicate Fourier index {key}")
+                clean[key] = Fraction(a)
+            terms = clean
+        object.__setattr__(self, "terms", terms)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -117,18 +146,27 @@ class TropicalTheta:
         )
 
     def value(self, nu) -> Fraction:
-        """Tropicalized theta at nu, via reduction to the fundamental
-        parallelotope and the translation cocycle."""
-        return self._value(nu, self.data.to_lattice_coords(nu))
+        """Tropicalized theta at nu.  A term list is scanned after reduction
+        to the fundamental parallelotope and moved back by the translation
+        cocycle; generated data is the normalized value less the quadratic
+        extension."""
+        t = self.data.to_lattice_coords(nu)
+        if self._constant is None:
+            return self._value(nu, t)
+        return self._normalized_by_cvp(t) - trivialization_valuation(
+            self.data, *over_denominator(t)
+        )
 
     def normalized_value(self, nu) -> Fraction:
         """Lattice-invariant normalization: value + quadratic extension,
         both read from one set of lattice coordinates t of nu."""
         t = self.data.to_lattice_coords(nu)
-        return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
+        if self._constant is None:
+            return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
+        return self._normalized_by_cvp(t)
 
     def _value(self, nu, t) -> Fraction:
-        """value(nu), given the lattice coordinates t of nu."""
+        """value(nu) by the term scan, given the lattice coordinates t of nu."""
         nu0, w = self.data.reduce_mod_lattice(nu, t)
         best, argmins = self._min_term(nu0)
         if not any(self._is_interior(u) for u in argmins):
@@ -136,6 +174,57 @@ class TropicalTheta:
         if all(x == 0 for x in w):
             return best
         return best - automorphy_factor(self.data, w, nu0)
+
+    @cached_property
+    def _completion(self) -> tuple:
+        """(h, offset) with h = G^{-1} l / 2 and offset = r - l^T G^{-1} l / 8.
+
+        With t = M^{-1} nu, <F w, nu> = w^T G t, and completing the square
+        gives c(w) + <F w, nu> = (w+t+h)^T G (w+t+h) / 2 - c(t) - l^T G^{-1} l / 8,
+        so the normalized value is min over w of (w+t+h)^T G (w+t+h) / 2
+        plus the offset."""
+        data = self.data
+        h = [x / 2 for x in mat_vec(data.gram_inverse, data.linear_part)]
+        return h, self._constant - sum(a * b for a, b in zip(data.linear_part, h)) / 4
+
+    def _normalized_by_cvp(self, t) -> Fraction:
+        """Normalized value of generated data at lattice coordinates t."""
+        h, offset = self._completion
+        _, minimum = closest_lattice_point(
+            self.data.lattice_form, [a + b for a, b in zip(t, h)]
+        )
+        return minimum / 2 + offset
+
+
+def _box_terms(data: DegenerationData, bounds: list, constant: Fraction):
+    """The generated terms over the box |w_i| <= bounds[i], in
+    ``itertools.product`` order: (F w, c(w) + constant) pairs.
+
+    Built column by column on ints.  Coordinates join from the last, which
+    varies fastest, to the first; joining x at coordinate j maps w to
+    x e_j + w, which adds x F e_j to u and x (G w)_j + c(x e_j) to c.  By
+    parity c(x e_j) = (G_jj x^2 + l_j x) / 2 is an integer.  One Fraction
+    is made per distinct coefficient and shared by its terms.
+    """
+    gram, lin = data.gram, data.linear_part
+    num, den = constant.numerator, constant.denominator
+    us = [[0] for _ in range(data.rank)]  # columns of u = F w
+    gw = [[0] for _ in range(data.rank)]  # columns of G w, kept for j not yet joined
+    cs = [num]                            # den c(w) + num
+
+    def join(rows, columns, j, xs):
+        """Columns of (rows) w after w -> x e_j + w, x outermost."""
+        return [[a + s for s in [row[j] * x for x in xs] for a in col]
+                for row, col in zip(rows, columns)]
+
+    for j in reversed(range(data.rank)):
+        xs = range(-bounds[j], bounds[j] + 1)
+        steps = [(den * x, den * ((gram[j][j] * x + lin[j]) * x // 2)) for x in xs]
+        cs = [c + s * v + k for s, k in steps for c, v in zip(cs, gw[j])]
+        us = join(data.polarization_matrix, us, j, xs)
+        gw = join(gram[:j], gw[:j], j, xs)
+    values = {c: Fraction(c, den) for c in set(cs)}  # far fewer than terms
+    return zip(zip(*us), map(values.__getitem__, cs))
 
 
 def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -> TropicalTheta:
@@ -147,6 +236,10 @@ def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -
     parallelotope the true minimizer lies at least ``_TERM_MARGIN`` shells away
     from the boundary: a Babai bound on the quadratic part gives a radius
     that provably contains all minimizers.
+
+    The returned theta is evaluated by one closest-vector search over the
+    whole lattice, which the term list agrees with wherever its scan is
+    certified; the list is kept for callers that read or serialize it.
     """
     g = data.rank
     ginv = data.gram_inverse
@@ -166,14 +259,11 @@ def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -
             f"certified term box needs {total} terms; the Gram matrix is too "
             "ill-conditioned for a static term list at this rank"
         )
-    f = data.polarization_matrix
-    terms = {}
-    for w in product(*[range(-b, b + 1) for b in bounds]):
-        u = tuple(
-            sum(f[i][j] * w[j] for j in range(g)) for i in range(g)
-        )
-        terms[u] = trivialization_valuation(data, w) + Fraction(constant)
-    return TropicalTheta(data=data, terms=terms, margin=_TERM_MARGIN)
+    constant = Fraction(constant)
+    theta = TropicalTheta(data=data, terms=dict(_box_terms(data, bounds, constant)),
+                          margin=_TERM_MARGIN)
+    object.__setattr__(theta, "_constant", constant)
+    return theta
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ method, and the tests check the replacement against them.
   and the automorphy factor, each by Fraction matrix-vector products and
   sums (``fraction_lattice_coords`` and its neighbours), against
   ``DegenerationData``'s integer matrices over one denominator;
+* the generated theta's term list by one ``trivialization_valuation``
+  Fraction per lattice vector of the box (``fraction_theta_terms``),
+  against ``generate_theta_terms``'s column build on ints;
 * the closest lattice point by a depth-first Fincke-Pohst enumeration
   in Fractions over the LDL^T factors, from a Babai seed and scanning each
   level from its lowest to its highest coordinate
@@ -59,11 +62,13 @@ caller in it:
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 
 from tropical_heights import arch, heights
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
+from tropical_heights.degeneration import trivialization_valuation
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
 from tropical_heights.linalg import mat_inverse, mat_mul, mat_vec
@@ -80,6 +85,7 @@ from tropical_heights.tate import (
     j_times_q_coefficients,
     normalize_parameter,
 )
+from tropical_heights.tropical import _TERM_MARGIN, _ceil_sqrt
 
 
 # -- power series: composition and reversion on int lists -------------------
@@ -369,6 +375,33 @@ def fraction_automorphy_factor(data, w, nu) -> Fraction:
     """c(w) + <F w, nu> in Fractions."""
     fw = mat_vec(data.polarization_matrix, [Fraction(x) for x in w])
     return _fraction_valuation(data, w) + sum(a * Fraction(b) for a, b in zip(fw, nu))
+
+
+# -- the generated term list, one Fraction per term --------------------------
+
+
+def fraction_theta_terms(data, constant=0) -> dict:
+    """The term dict of ``generate_theta_terms`` built term by term: u = F w
+    and ``trivialization_valuation(data, w) + constant`` for each w of the
+    certified box, in ``itertools.product`` order."""
+    g = data.rank
+    ginv = data.gram_inverse
+    h = [x / 2 for x in mat_vec(ginv, data.linear_part)]
+    r2 = Fraction(sum(abs(x) for row in data.gram for x in row), 4)
+    bounds = []
+    for i in range(g):
+        spread = max(abs(h[i]), abs(1 + h[i]))
+        coord = _ceil_sqrt(r2 * ginv[i][i])
+        extra = spread.numerator // spread.denominator + 1
+        bounds.append(extra + coord + _TERM_MARGIN)
+    f = data.polarization_matrix
+    terms = {}
+    for w in product(*[range(-b, b + 1) for b in bounds]):
+        u = tuple(
+            sum(f[i][j] * w[j] for j in range(g)) for i in range(g)
+        )
+        terms[u] = trivialization_valuation(data, w) + Fraction(constant)
+    return terms
 
 
 # -- closest vectors: Fincke-Pohst enumeration in Fractions -----------------

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rank1_tate_data
-from oracles import fincke_pohst_closest, quadratic_value
-from tropical_heights import cvp, degeneration, linalg, tropical
+from oracles import fincke_pohst_closest, fraction_theta_terms, quadratic_value
+from tropical_heights import cvp, degeneration, linalg, serialize, tropical
 from tropical_heights.cvp import closest_lattice_point, lattice_form
-from tropical_heights.degeneration import DegenerationData
+from tropical_heights.degeneration import DegenerationData, component_group
 from tropical_heights.errors import (
     InputError,
     InsufficientTermsError,
@@ -160,6 +160,20 @@ def test_margin_validation():
         TropicalTheta(rank1_tate_data(5), fourier_terms_rank1(5), margin=0)
     with pytest.raises(InputError):
         TropicalTheta(rank1_tate_data(5), {}, margin=1)
+
+
+@pytest.mark.parametrize("index", [F(3, 2), 1.5, True])
+def test_non_integral_fourier_index_is_refused(index):
+    terms = {(index,): F(0), (0,): F(1)}
+    with pytest.raises(InputError, match="Fourier index must be an integer"):
+        TropicalTheta(rank1_tate_data(5), terms, margin=1)
+
+
+def test_exactly_integral_fourier_index_is_accepted():
+    theta = TropicalTheta(rank1_tate_data(5), {(2,): 0, (F(4, 2),): 1, (0,): F(1, 3)}, margin=1)
+    assert theta.terms == {(2,): F(1), (0,): F(1, 3)}
+    assert all(type(x) is int for u in theta.terms for x in u)
+    assert all(type(a) is F for a in theta.terms.values())
 
 
 # -- tropical Riemann theta ----------------------------------------------------
@@ -497,3 +511,87 @@ def test_one_lattice_coordinate_conversion_per_normalized_value(monkeypatch):
     calls.clear()
     theta.normalized_value(nu)
     assert len(calls) == 1
+
+
+def test_one_lattice_coordinate_conversion_per_scanned_normalized_value(monkeypatch):
+    # an explicit term list is scanned: the reduction, the automorphy factor
+    # and the quadratic extension share one set of lattice coordinates
+    data = random_principally_polarized(random.Random(5), 3)
+    theta = TropicalTheta(data, generate_theta_terms(data).terms, margin=2)
+    calls = []
+    inner = DegenerationData.to_lattice_coords
+
+    def counted(self, nu):
+        calls.append(nu)
+        return inner(self, nu)
+
+    monkeypatch.setattr(DegenerationData, "to_lattice_coords", counted)
+    nu = [F(37, 3), F(-29, 2), F(41, 4)]
+    theta.normalized_value(nu)
+    assert len(calls) == 1
+
+
+# -- generated theta: the term list on integers, evaluation by CVP ---------------
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_generated_terms_match_the_fraction_build(rank):
+    data = random_principally_polarized(random.Random(40 + rank), rank)
+    for constant in (0, -3, F(7, 3)):
+        terms = generate_theta_terms(data, constant=constant).terms
+        reference = fraction_theta_terms(data, constant)
+        assert terms == reference
+        assert list(terms.items()) == list(reference.items())
+
+
+def _scan_twin(theta):
+    """The same Fourier data, built from its term dict: scanned, not searched."""
+    return TropicalTheta(theta.data, theta.terms, theta.margin)
+
+
+def test_generated_theta_searches_and_its_reload_scans(monkeypatch):
+    data = random_principally_polarized(random.Random(8), 2)
+    theta = generate_theta_terms(data, constant=F(7, 3))
+    reloaded = serialize.theta_from_dict(serialize.theta_to_dict(theta))
+    assert reloaded == theta == _scan_twin(theta)
+    searches, scans = [], []
+    search, scan = tropical.closest_lattice_point, TropicalTheta._min_term
+    monkeypatch.setattr(tropical, "closest_lattice_point",
+                        lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(TropicalTheta, "_min_term",
+                        lambda self, nu0: scans.append(nu0) or scan(self, nu0))
+    nu = [F(19, 3), F(-11, 4)]
+    value = theta.normalized_value(nu)
+    assert (len(searches), len(scans)) == (1, 0)
+    assert reloaded.normalized_value(nu) == value
+    assert (len(searches), len(scans)) == (1, 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_generated_theta_by_cvp_matches_the_term_scan(rank):
+    rng = random.Random(70 + rank)
+    for constant in (F(7, 3), F(-3)):
+        data = random_principally_polarized(rng, rank)
+        theta = generate_theta_terms(data, constant=constant)
+        twin = _scan_twin(theta)
+        inside = [data.from_lattice_coords([F(rng.randrange(60), 60) for _ in range(rank)])
+                  for _ in range(10)]
+        outside = [[F(rng.randint(-400, 400), rng.randint(1, 9)) for _ in range(rank)]
+                   for _ in range(10)]
+        reps = [[F(x) for x in rep] for rep in component_group(data).representatives]
+        for nu in inside + outside + evaluation_grid(data) + reps:
+            assert theta.normalized_value(nu) == twin.normalized_value(nu), nu
+            assert theta.value(nu) == twin.value(nu), nu
+        assert theta_characteristic(theta) == theta_characteristic(twin)
+        assert quantization_check(theta) == quantization_check(twin)
+
+
+def test_generated_rank4_theta_by_cvp_matches_the_term_scan():
+    rng = random.Random(74)
+    data = random_principally_polarized(rng, 4)
+    theta = generate_theta_terms(data, constant=F(-5, 2))
+    twin = _scan_twin(theta)
+    points = [[F(rng.randint(-90, 90), 7) for _ in range(4)] for _ in range(6)]
+    for nu in points + evaluation_grid(data)[:4]:
+        assert theta.normalized_value(nu) == twin.normalized_value(nu), nu
+        assert theta.value(nu) == twin.value(nu), nu
