@@ -26,6 +26,7 @@ from .heights import (
 from .tate import (
     LocalHeightReport,
     ReductionType,
+    intersection_multiplicity,
     local_height_from_parameter,
     local_height_report,
     minimal_model_at,

@@ -3,7 +3,10 @@ law, standard invariants, and coordinate changes.
 
 A curve is y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with rational
 coefficients; all derived quantities (b2..b8, c4, c6, disc, j) are exact
-Fractions, computed once, on first use.
+Fractions, computed once, on first use.  They are worked out in one pass on
+the integers of the integral model A_i = a_i s^i (s the lcm of the
+coefficient denominators), and each is one Fraction over a power of s:
+b_k = B_k / s^k, c4 = C4 / s^4, c6 = C6 / s^6, disc = D / s^12.
 """
 
 from __future__ import annotations
@@ -62,43 +65,56 @@ class WeierstrassCurve:
     # -- invariants ----------------------------------------------------------
 
     @cached_property
+    def _scaled_invariants(self) -> tuple:
+        """(B2, B4, B6, B8, C4, C6, D) as ints: the invariants of the
+        integral model A_i = a_i s^i, s = ``integral_scale``, each the
+        curve's own times s to its weight."""
+        s = self.integral_scale
+        a1, a2, a3, a4, a6 = (a.numerator * (s**i // a.denominator) for a, i in zip(
+            (self.a1, self.a2, self.a3, self.a4, self.a6), (1, 2, 3, 4, 6)))
+        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+        b8 = b2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        c4 = b2 * b2 - 24 * b4
+        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return b2, b4, b6, b8, c4, c6, disc
+
+    def _invariant(self, index: int, weight: int) -> Fraction:
+        return Fraction(self._scaled_invariants[index], self.integral_scale**weight)
+
+    @cached_property
     def b2(self) -> Fraction:
-        return self.a1**2 + 4 * self.a2
+        return self._invariant(0, 2)
 
     @cached_property
     def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
+        return self._invariant(1, 4)
 
     @cached_property
     def b6(self) -> Fraction:
-        return self.a3**2 + 4 * self.a6
+        return self._invariant(2, 6)
 
     @cached_property
     def b8(self) -> Fraction:
-        return (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
+        return self._invariant(3, 8)
 
     @cached_property
     def c4(self) -> Fraction:
-        return self.b2**2 - 24 * self.b4
+        return self._invariant(4, 4)
 
     @cached_property
     def c6(self) -> Fraction:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        return self._invariant(5, 6)
 
     @cached_property
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        return self._invariant(6, 12)
 
     @cached_property
     def j_invariant(self) -> Fraction:
-        return self.c4**3 / self.discriminant
+        """c4^3 / disc = C4^3 / D: the powers of s cancel."""
+        invariants = self._scaled_invariants
+        return Fraction(invariants[4] ** 3, invariants[6])
 
     @cached_property
     def integral_scale(self) -> int:

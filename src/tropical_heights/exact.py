@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InputError, PrecisionError
@@ -75,7 +76,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the first 13 prime bases, a proof of
     primality for n < 3,317,044,064,679,887,385,961,981 (about 3.3e24); above
-    that bound a True answer is not a proof."""
+    that bound a True answer means "probable prime", not a proof."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -100,7 +101,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict:
     """{prime: exponent} of |n|: trial division below 10^5, then Pollard
-    rho, which is slow on a cofactor with two large prime factors."""
+    rho, which is slow on a cofactor with two large prime factors.  A
+    factor above 3.3e24 is a probable prime (see ``is_prime``)."""
     n = abs(int(n))
     if n in (0, 1):
         return {}
@@ -152,11 +154,23 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-def val_p(x: Fraction | int, p: int):
-    """p-adic valuation of a rational number; ``INFINITY`` exactly for 0."""
+def require_prime(p: int) -> None:
+    """Raise InputError unless p is prime: the one check of a prime that a
+    caller hands in, made where it enters the library."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    x = Fraction(x)
+
+
+def val_p(x: Fraction | int, p: int):
+    """p-adic valuation of a rational number; ``INFINITY`` exactly for 0."""
+    require_prime(p)
+    return _valuation(Fraction(x), p)
+
+
+def _valuation(x: Fraction | int, p: int):
+    """``val_p`` at a prime the caller has already certified (by
+    ``require_prime`` or a ``PadicElement``): p is not tested again, and a p
+    below 2 would loop forever."""
     if x == 0:
         return INFINITY
     v = 0
@@ -169,6 +183,21 @@ def val_p(x: Fraction | int, p: int):
         d //= p
         v -= 1
     return v
+
+
+def unit_inverses(units: list, modulus: int) -> list:
+    """The inverses of the units mod modulus, by one ``pow`` and prefix
+    products (Montgomery, Math. Comp. 48, 1987): the ``pow`` raises
+    ValueError exactly where one of the units is not invertible."""
+    prefix = [1]
+    for u in units:
+        prefix.append(prefix[-1] * u % modulus)
+    inv = pow(prefix[-1], -1, modulus)
+    out = [0] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        out[i] = inv * prefix[i] % modulus
+        inv = inv * units[i] % modulus
+    return out
 
 
 def bernoulli2(t: Fraction | int) -> Fraction:
@@ -227,8 +256,7 @@ class PadicElement:
     precision: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise InputError(f"{self.prime} is not prime")
+        require_prime(self.prime)
         if self.unit != 0:
             if self.unit.numerator % self.prime == 0 or self.unit.denominator % self.prime == 0:
                 raise InputError("unit part must have valuation 0")
@@ -242,7 +270,9 @@ class PadicElement:
         value = Fraction(value)
         if value == 0:
             return cls.exact_zero(prime)
-        v = val_p(value, prime)
+        # __post_init__ tests the prime once; below 2 the valuation would
+        # not end, so v = 0 leaves the refusal to it
+        v = _valuation(value, prime) if prime > 1 else 0
         return cls(prime, value / Fraction(prime) ** v, v, precision)
 
     @classmethod
@@ -254,9 +284,9 @@ class PadicElement:
     def is_zero(self) -> bool:
         return self.unit == 0
 
-    @property
+    @cached_property
     def rational(self) -> Fraction:
-        """The exact rational representative."""
+        """The exact rational representative, computed once."""
         return self.unit * Fraction(self.prime) ** self.valuation
 
     @property

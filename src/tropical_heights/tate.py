@@ -19,20 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .curves import CurvePoint, WeierstrassCurve
-from .errors import (
-    AdditiveReductionError,
-    InputError,
-    OnDivisorError,
-    PreconditionError,
-    PrecisionError,
-)
-from .exact import (
-    INFINITY,
-    PadicElement,
-    bernoulli2,
-    is_prime,
-    val_p,
-)
+from .errors import (AdditiveReductionError, InputError, OnDivisorError, PreconditionError,
+                     PrecisionError)
+from .exact import INFINITY, PadicElement, _valuation, bernoulli2, require_prime, unit_inverses
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +156,12 @@ def minimal_model_at(curve: WeierstrassCurve, p: int) -> tuple:
     p-integral input reached at k = 0 was minimal.  The transformation
     has u = p^k and the (r, s, t) that carries a1, a2, a3 to the model's.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     integral = _p_integral(curve, p)
-    vd, vc4 = val_p(curve.discriminant, p), val_p(curve.c4, p)
+    vd, vc4 = _valuation(curve.discriminant, p), _valuation(curve.c4, p)
     if integral and (vd < 12 or vc4 < 4):
         return curve, Transformation.identity()
-    k = min(v // w for v, w in ((vd, 12), (vc4, 4), (val_p(curve.c6, p), 6))
+    k = min(v // w for v, w in ((vd, 12), (vc4, 4), (_valuation(curve.c6, p), 6))
             if v is not INFINITY)
     while not (k == 0 and integral):
         u = Fraction(p) ** k
@@ -260,10 +248,10 @@ class LocalModel:
         c4 is a square at a multiplicative place).
         """
         curve, p = self.minimal, self.prime
-        vd = val_p(curve.discriminant, p)
+        vd = _valuation(curve.discriminant, p)
         if vd == 0:
             return ReductionType("good", 0)
-        vc4 = val_p(curve.c4, p)
+        vc4 = _valuation(curve.c4, p)
         if vc4 is INFINITY or vc4 > 0:
             return ReductionType("additive", vd)
         if p == 2:
@@ -291,7 +279,7 @@ class LocalModel:
         point = self.transformation.push_point(point)
         ell = red.multiplicity
         _require_on_curve(self.minimal, p, point, ell)
-        i = intersection_multiplicity(point, p)
+        i = _intersection(point, p)
         if red.is_good:
             return LocalHeightReport(p, red, i, Fraction(0), i)
         m = _component_index(self, point)
@@ -329,16 +317,23 @@ def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: i
     3 ell + 6, deep enough that every valuation the height formulas read
     is certified."""
     res = curve.residue(point)
-    if res != 0 and val_p(res, p) < 3 * ell + 6:
+    if res != 0 and _valuation(res, p) < 3 * ell + 6:
         raise InputError("point is not on the curve (even p-adically)")
 
 
 def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
-    """max(0, -v_p(x)/2); odd negative valuations are impossible over Q_p
-    when the point reduces into the smooth locus, so they signal a bug."""
+    """max(0, -v_p(x)/2) at a prime p, which is checked here."""
+    require_prime(p)
+    return _intersection(point, p)
+
+
+def _intersection(point: CurvePoint, p: int) -> Fraction:
+    """``intersection_multiplicity`` at a certified prime; odd negative
+    valuations are impossible over Q_p when the point reduces into the
+    smooth locus, so they signal a bug."""
     if point.infinity:
         raise PreconditionError("local height undefined at the origin")
-    v = val_p(point.x, p)
+    v = _valuation(point.x, p)
     if v is INFINITY or v >= 0:
         return Fraction(0)
     if v % 2 != 0:
@@ -348,7 +343,7 @@ def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
 
 def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
     p = model.prime
-    if val_p(point.x, p) < 0 or val_p(point.y, p) < 0:
+    if _valuation(point.x, p) < 0 or _valuation(point.y, p) < 0:
         return False  # reduces to the origin, which is smooth
     # a point of the curve reduces onto the reduced curve, whose one
     # singular point is where both partial derivatives vanish
@@ -374,7 +369,7 @@ def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
     if not _has_singular_reduction(model, point):
         return Fraction(0)
     curve = model.minimal
-    w = val_p(2 * point.y + curve.a1 * point.x + curve.a3, model.prime)
+    w = _valuation(2 * point.y + curve.a1 * point.x + curve.a3, model.prime)
     half = Fraction(ell, 2)
     m = half if (w is INFINITY or w >= half) else Fraction(w)
     if m.denominator != 1:
@@ -415,8 +410,9 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
     step from q = w fixes ell more digits of q, on integers mod p^target
     (Silverman, Advanced Topics V.3.1: q lies in Z[[1/j]]).
     """
+    require_prime(p)
     j = curve.j_invariant
-    vj = val_p(j, p)
+    vj = _valuation(j, p)
     if vj is INFINITY or vj >= 0:
         raise PreconditionError(
             f"v_{p}(j) = {vj} >= 0: curve has potentially good reduction at {p}"
@@ -473,6 +469,8 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     p-adic integers; only those at z carry 1 - z = p^e u (u a unit) into a
     denominator.  So x = A / p^2e and y = B / p^3e with integers A, B in
     [0, p^K), and every summand with n > K // ell + 1 vanishes mod p^K.
+    The units 1 - t and 1 - q^n are inverted together: one modular inverse
+    per point, and prefix products (Montgomery's trick).
 
     Only q's digits certify the curve: with q known mod p^known, the curve
     is certified only mod p^known, and its equation multiplies a4 by x: its
@@ -491,7 +489,7 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
         raise InputError("z in q^Z maps to the origin")
     p = q.prime
     known = q.known_mod
-    e = val_p(1 - z.rational, p)
+    e = _valuation(1 - z.rational, p)
     if e >= z.known_mod:
         raise PrecisionError(
             f"v(1 - z) = {e} is not certified by z, known mod {p}^{z.known_mod}")
@@ -504,17 +502,19 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     modulus = p**target
     qr = _mod_p(q.rational, p, target)
     zr = _mod_p(z.rational, p, target)
-    t_over = _mod_p(q.rational / z.rational, p, target)  # q^n / z at n = 1
-    s1 = sx = sy = 0
-    qn = 1
-    for n in range(1, target // ell + 2):
-        qn = qn * qr % modulus
-        t = qn * zr % modulus
-        r, r_over = pow(1 - t, -1, modulus), pow(1 - t_over, -1, modulus)
-        s1 += n * qn * pow(1 - qn, -1, modulus)
+    qn = [qr]  # q^n for n = 1 .. target // ell + 1
+    for _ in range(target // ell):
+        qn.append(qn[-1] * qr % modulus)
+    q_over_z = _mod_p(q.rational / z.rational, p, target)
+    at_z = [t * zr % modulus for t in qn]  # q^n z
+    over_z = [q_over_z] + [t * q_over_z % modulus for t in qn[:-1]]  # q^n / z
+    inverses = unit_inverses([1 - t for t in qn + at_z + over_z], modulus)
+    count = len(qn)
+    s1 = sum(n * t * r for n, (t, r) in enumerate(zip(qn, inverses), 1))
+    sx = sy = 0
+    for t, r, t_over, r_over in zip(at_z, inverses[count:], over_z, inverses[2 * count:]):
         sx += (t * r * r + t_over * r_over * r_over) % modulus
         sy += (t * t * r**3 - t_over * r_over**3) % modulus
-        t_over = t_over * qr % modulus
     u_inv = _mod_p(p**e / (1 - z.rational), p, target)  # 1 - z = p^e u
     a = (zr * u_inv**2 + p ** (2 * e) * (sx - 2 * s1)) % modulus
     b = (zr * zr * u_inv**3 + p ** (3 * e) * (sy + s1)) % modulus
@@ -533,7 +533,7 @@ def theta_valuation(q: PadicElement, z: PadicElement) -> Fraction:
     zr = z.rational
     if zr == 1:
         raise OnDivisorError("z lies on the divisor (z in q^Z)")
-    lead = val_p(1 - zr, q.prime)
+    lead = _valuation(1 - zr, q.prime)
     if lead is INFINITY or lead >= z.known_mod:
         raise OnDivisorError("theta(z) vanishes to working precision")
     return Fraction(lead)

@@ -23,6 +23,7 @@ and its term list is not scanned.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -92,10 +93,15 @@ class TropicalTheta:
             raise InputError("term list must be non-empty")
         if self.margin < 1:
             raise InputError("margin must be at least 1 for certified evaluation")
-        terms = dict(self.terms)
-        if not _is_clean(terms, self.data.rank):
+        if isinstance(self.terms, Mapping):
+            terms = dict(self.terms)
+            pairs = terms.items()
+        else:  # a pair list is read as given: dict() would merge a repeated index
+            pairs = list(self.terms)
+            terms = dict(pairs)
+        if len(terms) < len(pairs) or not _is_clean(terms, self.data.rank):
             clean = {}
-            for u, a in terms.items():
+            for u, a in pairs:
                 key = tuple(exact_int(x, "Fourier index") for x in u)
                 if len(key) != self.data.rank:
                     raise InputError("Fourier index of wrong rank")

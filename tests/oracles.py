@@ -16,7 +16,12 @@ method, and the tests check the replacement against them.
   against ``arch``'s AGM and R_F;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
-  integers mod a power of p;
+  integers mod a power of p; and the same sums on integers with three
+  modular inverses per term (``three_inverse_tate_curve_point``), against
+  its one inverse per point;
+* the curve invariants b2..b8, c4, c6, disc and j by their Fraction
+  formulas, one invariant from the next (``fraction_invariants``), against
+  ``WeierstrassCurve``'s one integer pass on the integral model;
 * the rank-2 domains of linearity by exact half-plane clipping, with their
   lattice-periodicity check: the library keeps only the rank-1 envelope
   (``tropical.breakpoints``), and the tests check rank-2 cell shapes and
@@ -204,6 +209,64 @@ def exact_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
         x += f(qn * zr) + f(qn / zr)
         y += g(qn * zr) + h(qn / zr)
     return CurvePoint.affine(x - 2 * s1, y + s1)
+
+
+def three_inverse_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
+    """``tate.tate_curve_point`` with the loop it had before batch
+    inversion: per term n, three ``pow(., -1, p^K)`` for 1 - q^n z,
+    1 - q^n / z and 1 - q^n.  Same guards, same K, same residues."""
+    ell = q.val()
+    z = normalize_parameter(q, z)
+    if z.rational == 1:
+        raise InputError("z in q^Z maps to the origin")
+    p = q.prime
+    known = q.known_mod
+    e = val_p(1 - z.rational, p)
+    if e >= z.known_mod:
+        raise PrecisionError(
+            f"v(1 - z) = {e} is not certified by z, known mod {p}^{z.known_mod}")
+    needed = 3 * ell + 6
+    if known - 2 * e < needed:
+        raise PrecisionError(
+            f"v(1 - z) = {e} at known_mod = {known} leaves {known - 2 * e} certified "
+            f"digits of the curve equation; membership needs known_mod >= {needed + 2 * e}")
+    target = known + 4 * e
+    modulus = p**target
+    qr = _mod_p(q.rational, p, target)
+    zr = _mod_p(z.rational, p, target)
+    t_over = _mod_p(q.rational / z.rational, p, target)  # q^n / z at n = 1
+    s1 = sx = sy = 0
+    qn = 1
+    for n in range(1, target // ell + 2):
+        qn = qn * qr % modulus
+        t = qn * zr % modulus
+        r, r_over = pow(1 - t, -1, modulus), pow(1 - t_over, -1, modulus)
+        s1 += n * qn * pow(1 - qn, -1, modulus)
+        sx += (t * r * r + t_over * r_over * r_over) % modulus
+        sy += (t * t * r**3 - t_over * r_over**3) % modulus
+        t_over = t_over * qr % modulus
+    u_inv = _mod_p(p**e / (1 - z.rational), p, target)  # 1 - z = p^e u
+    a = (zr * u_inv**2 + p ** (2 * e) * (sx - 2 * s1)) % modulus
+    b = (zr * zr * u_inv**3 + p ** (3 * e) * (sy + s1)) % modulus
+    return CurvePoint.affine(Fraction(a, p ** (2 * e)), Fraction(b, p ** (3 * e)))
+
+
+# -- curve invariants by their Fraction formulas -----------------------------
+
+
+def fraction_invariants(curve: WeierstrassCurve) -> dict:
+    """b2, b4, b6, b8, c4, c6, disc and j of the curve's own coefficients,
+    each a Fraction expression in the ones before it."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
+            "discriminant": disc, "j_invariant": c4**3 / disc}
 
 
 # -- minimal models by a search over residues --------------------------------

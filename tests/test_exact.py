@@ -134,6 +134,21 @@ def test_padic_construction_tests_the_prime_once(monkeypatch):
     assert calls == [1009]
 
 
+def test_padic_from_rational_tests_the_prime_once(monkeypatch):
+    """from_rational reads the valuation at the prime that __post_init__
+    then certifies, with no test of its own; a non-prime is still refused,
+    and p = 1, where a valuation would never end, at once."""
+    calls, inner = [], exact.is_prime
+    monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or inner(n))
+    x = PadicElement.from_rational(1009, F(2 * 1009**3, 7), 10)
+    assert (x.valuation, x.unit, calls) == (3, F(2, 7), [1009])
+    for p in (1, 0, -1, 4, 1009 * 1013):
+        calls.clear()
+        with pytest.raises(InputError, match="is not prime"):
+            PadicElement.from_rational(p, F(4, 3), 10)
+        assert calls == [p]
+
+
 def test_padic_value_semantics():
     """Equal iff prime, rational and precision agree: the unit/valuation
     split of a rational is unique, so the dataclass's field equality is it."""

@@ -1,5 +1,8 @@
 import math
 import random
+import signal
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -14,13 +17,15 @@ from tropical_heights.errors import (
 )
 from oracles import (
     exact_tate_curve_point,
+    fraction_invariants,
     inverse_j_coefficients,
     is_integral,
     j_from_parameter,
     reversion_tate_parameter,
     scan_minimal_model_at,
+    three_inverse_tate_curve_point,
 )
-from tropical_heights import tate
+from tropical_heights import exact, tate
 from tropical_heights.exact import INFINITY, PadicElement, bernoulli2, val_p
 from tropical_heights.heights import _rational_points_small, factorize
 from tropical_heights.tate import (
@@ -29,6 +34,7 @@ from tropical_heights.tate import (
     Transformation,
     _eval_int_series,
     discriminant_coefficients,
+    intersection_multiplicity,
     j_times_q_coefficients,
     local_height_from_parameter,
     local_height_multiplicative,
@@ -60,6 +66,26 @@ def test_standard_relations():
 def test_singular_equation_rejected():
     with pytest.raises(InputError):
         WeierstrassCurve.from_coeffs(0, 0, 0, 0, 0)
+
+
+def test_invariants_match_the_fraction_formulas():
+    """The one integer pass on the integral model gives the Fraction
+    formulas' b2..b8, c4, c6, disc and j on integral curves, curves with
+    denominators, coordinate changes with u not a unit, and Tate curves of
+    fractional q."""
+    curves = [E37, E11, E_ADD, WeierstrassCurve.from_coeffs(1, -1, 0, -7, 6)]
+    curves += [WeierstrassCurve.from_coeffs(*a) for a in (
+        (0, F(1, 4), 0, F(2, 3), 1), (F(1, 2), 0, F(2, 3), F(-5, 4), F(7, 36)),
+        (1, F(1, 4), F(3, 8), F(2, 3), F(-1, 6)))]
+    for base in (E37, E11, curves[4]):
+        for u, r, s, t in ((F(1, 3), 1, F(1, 2), 2), (6, F(-2, 5), 3, F(1, 7)), (F(2, 9), 0, 0, 0)):
+            curves.append(base.transform(u, r, s, t))
+    for p, unit, ell in ((5, F(2, 3), 2), (3, F(5, 7), 1), (7, F(-4, 11), 3), (2, F(5, 3), 4)):
+        curves.append(tate_curve(PadicElement.from_rational(p, unit * p**ell, 30)))
+    assert any(curve.integral_scale > 10**20 for curve in curves)
+    for curve in curves:
+        for name, value in fraction_invariants(curve).items():
+            assert getattr(curve, name) == value, (curve, name)
 
 
 # -- minimal models ---------------------------------------------------------------
@@ -360,6 +386,56 @@ def test_local_height_at_origin_rejected():
         local_height_report(E37, 5, CurvePoint.zero())
 
 
+@pytest.fixture
+def prime_checks(monkeypatch):
+    """The arguments of every Miller-Rabin test the library runs."""
+    calls, inner = [], exact.is_prime
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropical_heights") and getattr(module, "is_prime", None) is inner:
+            monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or inner(n))
+    return calls
+
+
+def test_one_prime_check_per_local_height_report(prime_checks):
+    """The prime is checked where it enters, by minimal_model_at; every
+    valuation after it trusts the checked prime."""
+    p = 1009
+    q = PadicElement.from_rational(p, 2 * p**3, 40)
+    z = PadicElement.from_rational(p, 3 * p, 40)
+    curve, point = tate_curve(q), tate_curve_point(q, z)
+    prime_checks.clear()
+    report = local_height_report(curve, p, point)
+    assert report.component == 1 and prime_checks == [p]
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tate_parameter(E37, 1),
+    lambda: tate_parameter(E37, 4),
+    lambda: intersection_multiplicity(CurvePoint.affine(2, 2), 1),
+    lambda: intersection_multiplicity(CurvePoint.affine(F(1, 4), 2), 4),
+])
+def test_entry_points_refuse_a_non_prime(call):
+    """A public entry point that takes p from its caller checks it once; an
+    unchecked valuation at p = 1 would never return."""
+    with _deadline(5), pytest.raises(InputError, match="is not prime"):
+        call()
+
+
 # -- Tate parameters ------------------------------------------------------------------
 
 
@@ -618,6 +694,33 @@ def test_component_route_near_the_origin(p, q_value, precision, answered_before)
     assert answered == list(range(1, len(answered) + 1))
     assert len(answered) >= answered_before
     assert refused == list(range(len(answered) + 1, precision + 4))
+
+
+def test_tate_curve_point_matches_three_inverse_reference():
+    """One modular inverse per point gives exactly the points of three
+    inverses per term, not only mod p^known, on every v(z) below v(q) and
+    on z near 1; both refuse the same inputs."""
+    units = (1, 3, F(2, 3), F(5, 7))
+    checked = refused = 0
+    for p in (2, 3, 5, 7, 1009):
+        p_units = [u for u in units if val_p(u, p) == 0]
+        for ell in range(1, 7):
+            for unit_q in p_units:
+                q = PadicElement.from_rational(p, unit_q * p**ell, 40)
+                z_values = [u * p**vz for vz in range(ell) for u in p_units[1:]]
+                z_values += [1 + u * p**depth for depth in (1, 2, 5, 20) for u in p_units]
+                for z_value in z_values:
+                    z = PadicElement.from_rational(p, z_value, 40)
+                    try:
+                        reference = three_inverse_tate_curve_point(q, z)
+                    except PrecisionError:
+                        with pytest.raises(PrecisionError):
+                            tate_curve_point(q, z)
+                        refused += 1
+                        continue
+                    assert tate_curve_point(q, z) == reference, (p, ell, unit_q, z_value)
+                    checked += 1
+    assert checked > 500 and refused > 0
 
 
 def test_tate_point_rejects_divisor():

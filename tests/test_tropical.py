@@ -169,6 +169,17 @@ def test_non_integral_fourier_index_is_refused(index):
         TropicalTheta(rank1_tate_data(5), terms, margin=1)
 
 
+def test_duplicate_fourier_index_in_a_pair_list_is_refused():
+    """A pair list is checked before dict() could merge a repeated index
+    and keep its last coefficient."""
+    data = rank1_tate_data(5)
+    for pairs in ([((1,), 0), ((0,), 0), ((1,), 5)], [((2,), 0), ((F(4, 2),), 1)]):
+        with pytest.raises(InputError, match=r"duplicate Fourier index \(\d,\)"):
+            TropicalTheta(data, pairs, margin=1)
+    theta = TropicalTheta(data, [((1,), F(5)), ((0,), F(0))], margin=1)
+    assert theta.terms == {(1,): 5, (0,): 0}
+
+
 def test_exactly_integral_fourier_index_is_accepted():
     theta = TropicalTheta(rank1_tate_data(5), {(2,): 0, (F(4, 2),): 1, (0,): F(1, 3)}, margin=1)
     assert theta.terms == {(2,): F(1), (0,): F(1, 3)}
