@@ -34,11 +34,10 @@ from .serialize import (
 )
 from .tate import local_height_report
 from .tropical import (
+    _concave_riemann_theta,
     breakpoints,
     closest_lattice_vector,
-    normalized_tropical_riemann_theta,
     theta_characteristic,
-    tropical_riemann_theta,
 )
 from .verify import run_suite
 
@@ -183,10 +182,11 @@ def cmd_theta_char(args) -> int:
 def cmd_cvp(args) -> int:
     data = degeneration_from_dict(_load_json(args.input))
     nu = parse_vector(args.point)
+    # one search: the normalized theta is the half squared distance
     closest, half_dist = closest_lattice_vector(data, nu)
     payload = {
-        "tropical_riemann_theta": format_rational(tropical_riemann_theta(data, nu)),
-        "normalized": format_rational(normalized_tropical_riemann_theta(data, nu)),
+        "tropical_riemann_theta": format_rational(_concave_riemann_theta(data, nu, half_dist)),
+        "normalized": format_rational(half_dist),
         "closest_lattice_vector": [format_rational(x) for x in closest],
         "half_squared_distance": format_rational(half_dist),
     }

@@ -117,6 +117,13 @@ class DegenerationData:
     def gram_inverse(self) -> list:
         return mat_inverse(self.gram)
 
+    @cached_property
+    def characteristic_shift(self) -> list:
+        """k = M G^{-1} l / 2 in X*-coordinates: <F w, k> = l^T w / 2 for every
+        w, so the generated theta is the Riemann theta moved by k."""
+        two_k = mat_vec(self.embedding, mat_vec(self.gram_inverse, self.linear_part))
+        return [x / 2 for x in two_k]
+
     def is_principally_polarized(self) -> bool:
         return abs(int(determinant(self.polarization_matrix))) == 1
 
@@ -138,15 +145,21 @@ class DegenerationData:
 
     # -- coordinate helpers ---------------------------------------------------
 
+    def check_length(self, *vectors) -> None:
+        """Refuse any vector that does not have ``rank`` coordinates."""
+        for v in vectors:
+            if len(v) != self.rank:
+                raise InputError(f"point needs {self.rank} coordinates, got {len(v)}")
+
     def to_lattice_coords(self, nu) -> list:
         """X*-vector (ints or Fractions) -> Y-coordinates (Fractions)."""
-        if len(nu) != self.rank:
-            raise InputError(f"point needs {self.rank} coordinates, got {len(nu)}")
+        self.check_length(nu)
         n, e = over_denominator(nu)
         inverse, d = self.scaled_inverse
         return [Fraction(_dot(row, n), d * e) for row in inverse]
 
     def from_lattice_coords(self, w) -> list:
+        self.check_length(w)
         return mat_vec(self.embedding, list(w))
 
     def reduce_mod_lattice(self, nu, t=None) -> tuple[list, list]:
@@ -162,6 +175,7 @@ class DegenerationData:
         return nu0, w
 
     def inner_product(self, mu, nu) -> Fraction:
+        self.check_length(mu, nu)
         k, d = self.scaled_inner_product
         m, a = over_denominator(mu)
         n, b = over_denominator(nu)
@@ -177,6 +191,7 @@ def trivialization_valuation(data: DegenerationData, w, den: int = 1) -> Fractio
     construction; returned as an exact Fraction for uniformity.
     """
     w = list(w)
+    data.check_length(w)
     quad = _dot(w, [_dot(row, w) for row in data.gram])
     return Fraction(quad + den * _dot(data.linear_part, w), 2 * den * den)
 
@@ -189,6 +204,7 @@ def trivialization_valuation_real(data: DegenerationData, nu) -> Fraction:
 
 def automorphy_factor(data: DegenerationData, w, nu) -> Fraction:
     """1-cocycle value c(w) + <F w, nu> controlling lattice translations."""
+    data.check_length(w, nu)
     n, e = over_denominator(nu)
     pairing = Fraction(_dot(mat_vec(data.polarization_matrix, list(w)), n), e)
     return trivialization_valuation(data, w) + pairing

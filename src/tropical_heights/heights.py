@@ -34,7 +34,7 @@ import mpmath as mp
 from .arch import ArchContext, arch_context, local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import AdditiveReductionError, InputError
-from .exact import _valuation, factorize
+from .exact import factorize
 from .tate import LocalModel, local_height_report  # noqa: F401 (perfbench's tracer wraps it)
 
 
@@ -96,7 +96,7 @@ class CurveModel:
     def bad_places(self) -> tuple:
         """The LocalModel at each prime with v_p(minimal discriminant) > 0."""
         models = [self.local(p) for p in self.primes]
-        return tuple(m for m in models if _valuation(m.minimal.discriminant, m.prime) > 0)
+        return tuple(m for m in models if m.reduction.multiplicity > 0)
 
     @cached_property
     def is_semistable(self) -> bool:

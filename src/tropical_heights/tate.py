@@ -190,8 +190,7 @@ def _model_from_invariants(c4: Fraction, c6: Fraction, p: int) -> WeierstrassCur
 
 
 def _mod_p(x: Fraction, p: int, k: int = 1) -> int:
-    """Residue of a p-integral rational modulo p**k."""
-    x = Fraction(x)
+    """Residue of a p-integral rational (Fraction or int) modulo p**k."""
     m = p**k
     if x.denominator % p == 0:
         raise InputError("value is not p-integral")

@@ -14,10 +14,11 @@ lattice translates present, so a too-small list fails loudly instead of
 returning a wrong minimum.
 
 Data built by ``generate_theta_terms`` has the terms u = F w, a = c(w) + r
-over all lattice vectors w, c the trivialization valuation.  Completing the
-square makes its normalized value the tropical Riemann theta moved by
-h = G^{-1} l / 2, so it is evaluated by one certified closest-vector search
-and its term list is not scanned.
+over all lattice vectors w, c the trivialization valuation.  Its normalized
+value is the tropical Riemann theta moved by the characteristic
+k = M G^{-1} l / 2 (``DegenerationData.characteristic_shift``):
+||theta||(nu) = ||Psi||(nu + k) - [k, k]/2 + r, so it is evaluated by one
+certified closest-vector search and its term list is not scanned.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .degeneration import (
     automorphy_factor,
     component_group,
     trivialization_valuation,
+    trivialization_valuation_real,
 )
 from .errors import (
     InputError,
@@ -156,20 +158,20 @@ class TropicalTheta:
         to the fundamental parallelotope and moved back by the translation
         cocycle; generated data is the normalized value less the quadratic
         extension."""
-        t = self.data.to_lattice_coords(nu)
         if self._constant is None:
-            return self._value(nu, t)
-        return self._normalized_by_cvp(t) - trivialization_valuation(
-            self.data, *over_denominator(t)
-        )
+            return self._value(nu, self.data.to_lattice_coords(nu))
+        return self.normalized_value(nu) - trivialization_valuation_real(self.data, nu)
 
     def normalized_value(self, nu) -> Fraction:
-        """Lattice-invariant normalization: value + quadratic extension,
-        both read from one set of lattice coordinates t of nu."""
+        """Lattice-invariant normalization: value + quadratic extension.
+        A term list reads both from one set of lattice coordinates t of nu;
+        generated data is the Riemann theta at nu + k plus r - [k, k]/2."""
+        if self._constant is not None:
+            self.data.check_length(nu)
+            moved = [a + b for a, b in zip(nu, self.data.characteristic_shift)]
+            return normalized_tropical_riemann_theta(self.data, moved) + self._riemann_offset
         t = self.data.to_lattice_coords(nu)
-        if self._constant is None:
-            return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
-        return self._normalized_by_cvp(t)
+        return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
 
     def _value(self, nu, t) -> Fraction:
         """value(nu) by the term scan, given the lattice coordinates t of nu."""
@@ -182,24 +184,11 @@ class TropicalTheta:
         return best - automorphy_factor(self.data, w, nu0)
 
     @cached_property
-    def _completion(self) -> tuple:
-        """(h, offset) with h = G^{-1} l / 2 and offset = r - l^T G^{-1} l / 8.
-
-        With t = M^{-1} nu, <F w, nu> = w^T G t, and completing the square
-        gives c(w) + <F w, nu> = (w+t+h)^T G (w+t+h) / 2 - c(t) - l^T G^{-1} l / 8,
-        so the normalized value is min over w of (w+t+h)^T G (w+t+h) / 2
-        plus the offset."""
-        data = self.data
-        h = [x / 2 for x in mat_vec(data.gram_inverse, data.linear_part)]
-        return h, self._constant - sum(a * b for a, b in zip(data.linear_part, h)) / 4
-
-    def _normalized_by_cvp(self, t) -> Fraction:
-        """Normalized value of generated data at lattice coordinates t."""
-        h, offset = self._completion
-        _, minimum = closest_lattice_point(
-            self.data.lattice_form, [a + b for a, b in zip(t, h)]
-        )
-        return minimum / 2 + offset
+    def _riemann_offset(self) -> Fraction:
+        """r - [k, k]/2, the constant between generated data's normalized
+        value and the Riemann theta moved by k."""
+        k = self.data.characteristic_shift
+        return self._constant - self.data.inner_product(k, k) / 2
 
 
 def _box_terms(data: DegenerationData, bounds: list, constant: Fraction):
@@ -249,7 +238,7 @@ def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -
     """
     g = data.rank
     ginv = data.gram_inverse
-    h = [x / 2 for x in mat_vec(ginv, data.linear_part)]
+    h = data.to_lattice_coords(data.characteristic_shift)  # G^{-1} l / 2
     r2 = Fraction(sum(abs(x) for row in data.gram for x in row), 4)
     bounds = []
     for i in range(g):
@@ -285,12 +274,14 @@ def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
 
 
 def tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
-    """Concave min-form min over w of ([Mw, Mw]/2 + [Mw, nu]).
+    """Concave min-form min over w of ([Mw, Mw]/2 + [Mw, nu]); always <= 0,
+    and 0 exactly on the Voronoi cell of the origin."""
+    return _concave_riemann_theta(data, nu, normalized_tropical_riemann_theta(data, nu))
 
-    Computed from the normalized variant by subtracting the quadratic term;
-    always <= 0, and 0 exactly on the Voronoi cell of the origin.
-    """
-    return normalized_tropical_riemann_theta(data, nu) - data.inner_product(nu, nu) / 2
+
+def _concave_riemann_theta(data: DegenerationData, nu, normalized: Fraction) -> Fraction:
+    """The concave form from the normalized one at nu: less the quadratic term."""
+    return normalized - data.inner_product(nu, nu) / 2
 
 
 def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
@@ -345,31 +336,20 @@ def theta_characteristic(theta: TropicalTheta) -> ThetaCharacteristic:
         raise NotPrincipallyPolarizedData(
             "polarization map is not unimodular; no theta characteristic"
         )
-    # Solve <F w, k> = l(w)/2 for all w, i.e. F^T (2k) = l; F^T = G M^{-1},
-    # so 2k = M G^{-1} l.
-    two_k = mat_vec(data.embedding, mat_vec(data.gram_inverse, data.linear_part))
-    for x in two_k:
-        if Fraction(x).denominator != 1:
-            raise NotPrincipallyPolarizedData("2k is not an integral vector")
-    k = [Fraction(x) / 2 for x in two_k]
+    k = data.characteristic_shift
+    if any((2 * x).denominator != 1 for x in k):
+        raise NotPrincipallyPolarizedData("2k is not an integral vector")
 
-    base = [Fraction(0)] * data.rank
-    r = theta.normalized_value(base) - normalized_tropical_riemann_theta(
-        data, [b + ki for b, ki in zip(base, k)]
-    )
+    r = theta.normalized_value([0] * data.rank) - normalized_tropical_riemann_theta(data, k)
     for nu in evaluation_grid(data):
         shifted = [x + ki for x, ki in zip(nu, k)]
-        value = theta.normalized_value(nu) - normalized_tropical_riemann_theta(
-            data, shifted
-        )
+        value = theta.normalized_value(nu) - normalized_tropical_riemann_theta(data, shifted)
         if value != r:
-            raise NotPrincipallyPolarizedData(
-                f"offset not constant: {value} != {r} at {nu}"
-            )
+            raise NotPrincipallyPolarizedData(f"offset not constant: {value} != {r} at {nu}")
     kappa, _ = data.reduce_mod_lattice(k)
     r_base = r + data.inner_product(k, k) / 2
     return ThetaCharacteristic(
-        shift=k, shift_mod_lattice=kappa, constant=r, base_constant=r_base
+        shift=list(k), shift_mod_lattice=kappa, constant=r, base_constant=r_base
     )
 
 

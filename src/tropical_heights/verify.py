@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 from .cvp import closest_lattice_point, lattice_form
 from .degeneration import DegenerationData, automorphy_factor, component_group
 from .errors import InputError, TropicalHeightsError
 from .exact import PadicElement
-from .linalg import determinant, int_matrix_inverse, mat_mul, transpose
+from .linalg import determinant, int_matrix_inverse, mat_mul, over_denominator, transpose
 from .tate import (
     local_height_from_parameter,
     local_height_multiplicative,
@@ -37,8 +36,7 @@ def brute_force_closest(gram, target, radius: int = 4) -> Fraction:
     """Exhaustive integer box search for min (w+t)^T G (w+t); the oracle
     against which the enumeration solver is checked.  Integer-scaled to
     keep the inner loop cheap."""
-    den = lcm(*[Fraction(x).denominator for x in target])
-    tt = [int(Fraction(x) * den) for x in target]
+    tt, den = over_denominator(target)
     g = len(target)
     best = None
     for x in itertools.product(range(-radius, radius + 1), repeat=g):

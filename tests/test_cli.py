@@ -351,6 +351,21 @@ def test_cvp_command_off_the_identity_embedding(
     }
 
 
+def test_cvp_command_makes_one_search_per_query(tmp_path, capsys, monkeypatch):
+    from tropical_heights import tropical
+
+    searches = []
+    search = tropical.closest_lattice_point
+    monkeypatch.setattr(tropical, "closest_lattice_point",
+                        lambda *args: searches.append(args) or search(*args))
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(degeneration_to_dict(SKEWED_RANK3)))
+    for point in ("0,0,0", "11/3,-7/2,5/4"):
+        assert main(["--format", "json", "cvp", str(path), "--point", point]) == 0
+    capsys.readouterr()
+    assert len(searches) == 2
+
+
 def test_trop_eval_off_the_identity_embedding(tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(theta_to_dict(generate_theta_terms(SKEWED_RANK3))))

@@ -27,8 +27,9 @@ ENTRY_MODULES = {"__init__", "cli"}
 # lines of src/ at which the round's size budget (ROADMAP item 7) is spent
 SRC_LINE_BUDGET = 3750
 # per-module ceilings: tate.py may not grow past its size when ROADMAP item
-# 16 batched the Tate point's inverses
-MODULE_LINE_BUDGETS = {"tate.py": 551}
+# 16 batched the Tate point's inverses, nor tropical.py past its size when
+# the generated theta became the Riemann theta moved by its characteristic
+MODULE_LINE_BUDGETS = {"tate.py": 551, "tropical.py": 481}
 
 
 def _sources(directory: str) -> dict:

@@ -305,10 +305,33 @@ def test_point_of_the_wrong_length_is_refused(length):
         lambda x: tropical.closest_lattice_vector(data, x),
         lambda x: degeneration.trivialization_valuation_real(data, x),
         lambda x: closest_lattice_point(data.lattice_form, x),
+        lambda x: degeneration.trivialization_valuation(data, [1] * len(x)),
+        lambda x: data.inner_product(x, [1, 2]),
+        lambda x: data.inner_product([1, 2], x),
+        lambda x: degeneration.automorphy_factor(data, [1, 1], x),
+        lambda x: degeneration.automorphy_factor(data, [1] * len(x), [F(1, 2)] * 2),
+        data.from_lattice_coords,
     ]
     for call in calls:
         with pytest.raises(InputError):
             call(nu)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_generated_theta_is_the_riemann_theta_moved_by_k(rank):
+    rng = random.Random(90 + rank)
+    data = random_principally_polarized(rng, rank)
+    constant = F(rng.randint(-9, 9), 4)
+    theta = generate_theta_terms(data, constant=constant)
+    k = data.characteristic_shift
+    offset = constant - data.inner_product(k, k) / 2
+    points = [[F(rng.randint(-60, 60), 7) for _ in range(rank)] for _ in range(8)]
+    for nu in points + evaluation_grid(data)[:4]:
+        moved = [a + b for a, b in zip(nu, k)]
+        assert theta.normalized_value(nu) == (
+            normalized_tropical_riemann_theta(data, moved) + offset
+        ), nu
+    assert theta_characteristic(theta).shift == k
 
 
 # -- theta characteristic --------------------------------------------------------
