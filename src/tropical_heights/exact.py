@@ -17,7 +17,7 @@ integers modulo a power of p.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -247,16 +247,20 @@ class PadicElement:
     ``unit`` is an exact rational with p-adic valuation 0 (except for the
     exact zero, where it is 0).  The represented value is
     ``p**valuation * unit``; only the digits up to the stated precision are
-    certified to agree with the intended limit.
+    certified to agree with the intended limit.  A caller that has already
+    checked the prime passes ``_prime_checked=True``, and it is not tested
+    again.
     """
 
     prime: int
     unit: Fraction
     valuation: int
     precision: int
+    _prime_checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        require_prime(self.prime)
+    def __post_init__(self, _prime_checked):
+        if not _prime_checked:
+            require_prime(self.prime)
         if self.unit != 0:
             if self.unit.numerator % self.prime == 0 or self.unit.denominator % self.prime == 0:
                 raise InputError("unit part must have valuation 0")

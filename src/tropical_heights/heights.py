@@ -8,11 +8,12 @@ x-coordinate canonical height
     hhat_x(P) = lim 4^{-n} h(x([2^n] P)),
 
 computed from the doubling sequence alone, with exact gcds modulo a power
-of the duplication resultant Delta^2 and the sizes in floating point; a
-torsion point, as ``WeierstrassCurve.torsion_order`` decides it, gives an
-exact zero.  The factor one half is the divisor-degree
-bookkeeping between the origin divisor and the x-line bundle; it is pinned
-here by the torsion and doubling calibration tests rather than assumed.
+of the duplication resultant Delta^2 and the sizes as binary floats on
+ints, each estimate rounded to a double once; a torsion point, as
+``WeierstrassCurve.torsion_order`` decides it, gives an exact zero.  The
+factor one half is the divisor-degree bookkeeping between the origin
+divisor and the x-line bundle; it is pinned here by the torsion and
+doubling calibration tests rather than assumed.
 
 What belongs to the curve alone (the factored discriminant, the LocalModel
 at each prime, the bad places, the ArchContext at each precision and the
@@ -29,11 +30,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 
-import mpmath as mp
-
 from .arch import ArchContext, arch_context, local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
-from .errors import AdditiveReductionError, InputError
+from .errors import AdditiveReductionError, InputError, PrecisionError
 from .exact import factorize
 from .tate import LocalModel, local_height_report  # noqa: F401 (perfbench's tracer wraps it)
 
@@ -148,34 +147,50 @@ def _common_factor(num: int, den: int, res: int) -> int:
     return gcd(gcd(num % res, res), den % res)
 
 
+_LOG2 = sum((1 << 128) // (k << k) for k in range(1, 129))  # 2^128 log 2 = sum 2^128 / (k 2^k)
+
+
 def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) -> list:
     """Estimates 4^-k log max(|n_k|, d_k) for k = first..last, from the
     reduced pair (n, d) at step first - 1, without full-size integers.
 
     The pair is kept modulo M = res^(steps + 2).  Each step's common
     factor g_k divides res, so it is read exactly from residues mod res,
-    and the pair and M are divided by it.  The sizes are tracked in
-    floating point, log d_{k+1} = 4 log d_k + log|G(x_k)| - log g_k and
-    x_{k+1} = F(x_k) / G(x_k) with F, G the duplication polynomials, at
-    64 + 2 * last bits: the doubling map loses about one bit per step.
+    and the pair and M are divided by it.  The sizes are binary floats of
+    W = 64 + 2 * last bits on ints (the doubling map loses about one bit
+    per step), x_k = X / 2^s and d_k ~ m 2^e: with F(x) 2^4s and G(x) 2^3s
+    exact from the duplication forms at (X, 2^s), d_{k+1} = d_k^4 |G(x_k)|
+    / g_k and x_{k+1} = F(x_k) / G(x_k), each cut back to W bits.  Each
+    estimate is rounded to a double once, from the top 60 bits of
+    m max(|X|, 2^s) and its exponent.  G(x_k) = 0 raises PrecisionError.
     """
-    b2, b4, b6, b8 = b
+    width = 64 + 2 * last
     modulus = res ** (last - first + 3)
+    s = max(0, width - n.bit_length() + d.bit_length())
+    e = max(0, d.bit_length() - width)
+    x, m = (n << s) // d, d >> e
+    n, d = n % modulus, d % modulus
     estimates = []
-    with mp.workprec(64 + 2 * last):
-        x = mp.mpf(n) / d
-        log_d = mp.log(d)
-        n, d = n % modulus, d % modulus
-        for step in range(first, last + 1):
-            num, den = _duplication(n, d, b)
-            g = _common_factor(num, den, res)
-            n, d = num % modulus // g, den % modulus // g
-            modulus //= g
-            fx = ((x * x - b4) * x - 2 * b6) * x - b8
-            gx = ((4 * x + b2) * x + 2 * b4) * x + b6
-            log_d = 4 * log_d + mp.log(abs(gx)) - mp.log(g)
-            x = fx / gx
-            estimates.append(float((log_d + mp.log(max(abs(x), 1))) / 4**step))
+    for step in range(first, last + 1):
+        num, den = _duplication(n, d, b)
+        g = _common_factor(num, den, res)
+        n, d = num % modulus // g, den % modulus // g
+        modulus //= g
+        fx, gx = _duplication(x, 1 << s, b)
+        gx >>= s
+        if gx == 0:
+            raise PrecisionError(f"x_{step - 1} is a root of the duplication denominator G")
+        m = m**4 * abs(gx) // g
+        trim = max(0, m.bit_length() - width)
+        m, e = m >> trim, 4 * e - 3 * s + trim
+        k = max(width - fx.bit_length() + gx.bit_length(), -s)
+        x = (fx << k) // gx if k >= 0 else fx // (gx << -k)
+        s += k
+        size = m * max(abs(x), 1 << s)  # over 60 bits: |X| or 2^s is near 2^W
+        bits = size.bit_length()
+        mantissa = math.ldexp(size >> bits - 60, -59)
+        fixed = (bits - 1 + e - s) * _LOG2 + int(math.ldexp(math.log(mantissa), 128))
+        estimates.append(fixed / (1 << 128 + 2 * step))
     return estimates
 
 
@@ -187,8 +202,8 @@ def doubling_oracle(
     A torsion point, as ``torsion_order`` decides it, gives an exact zero
     and no estimates.  Any other point is mapped to the integral model
     x -> s^2 x and doubled from the first step with exact gcds modulo a
-    power of the duplication resultant Delta^2 and the sizes in floating
-    point (``_split_estimates``); the value is the Richardson
+    power of the duplication resultant Delta^2 and the sizes on ints
+    (``_split_estimates``); the value is the Richardson
     extrapolation of the last two estimates.  A point off the curve or
     n_max < 2 raises InputError.
     """

@@ -429,7 +429,7 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
         for c in coeffs:
             acc = (acc * q + c) % modulus
         q = w * acc % modulus
-    q = PadicElement(p, Fraction(q, p**ell), ell, target - ell)
+    q = PadicElement(p, Fraction(q, p**ell), ell, target - ell, _prime_checked=True)
     if q.val() != ell:
         raise PrecisionError("parameter valuation mismatch")
     return q
@@ -454,7 +454,8 @@ def normalize_parameter(q: PadicElement, z: PadicElement) -> PadicElement:
         return z
     k = z.val() // ell
     unit = Fraction(z.unit) / Fraction(q.unit) ** k
-    return PadicElement(q.prime, unit, z.valuation - k * ell, min(z.precision, q.precision))
+    return PadicElement(q.prime, unit, z.valuation - k * ell, min(z.precision, q.precision),
+                        _prime_checked=True)
 
 
 def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:

@@ -35,6 +35,9 @@ method, and the tests check the replacement against them.
   on every point, against ``heights.doubling_oracle``, which leaves
   torsion to ``torsion_order`` and doubles every other point split from
   the first step;
+* the doubling oracle's size track in mpmath at 64 + 2 n_max bits
+  (``mpmath_split_estimates``), against ``heights._split_estimates``'
+  binary floats of the same width on ints, every estimate within one ulp;
 * the order of a torsion point by the plain 12-step walk over Mazur's
   bound (``mazur_torsion_order``), against
   ``WeierstrassCurve.torsion_order``, which stops at the first multiple
@@ -379,6 +382,37 @@ def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
     if den < 0:
         num, den = -num, -den
     return num, den
+
+
+def mpmath_split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) -> list:
+    """Estimates 4^-k log max(|n_k|, d_k) for k = first..last, from the
+    reduced pair (n, d) at step first - 1, without full-size integers.
+
+    The pair is kept modulo M = res^(steps + 2).  Each step's common
+    factor g_k divides res, so it is read exactly from residues mod res,
+    and the pair and M are divided by it.  The sizes are tracked in
+    floating point, log d_{k+1} = 4 log d_k + log|G(x_k)| - log g_k and
+    x_{k+1} = F(x_k) / G(x_k) with F, G the duplication polynomials, at
+    64 + 2 * last bits: the doubling map loses about one bit per step.
+    """
+    b2, b4, b6, b8 = b
+    modulus = res ** (last - first + 3)
+    estimates = []
+    with mp.workprec(64 + 2 * last):
+        x = mp.mpf(n) / d
+        log_d = mp.log(d)
+        n, d = n % modulus, d % modulus
+        for step in range(first, last + 1):
+            num, den = heights._duplication(n, d, b)
+            g = heights._common_factor(num, den, res)
+            n, d = num % modulus // g, den % modulus // g
+            modulus //= g
+            fx = ((x * x - b4) * x - 2 * b6) * x - b8
+            gx = ((4 * x + b2) * x + 2 * b4) * x + b6
+            log_d = 4 * log_d + mp.log(abs(gx)) - mp.log(g)
+            x = fx / gx
+            estimates.append(float((log_d + mp.log(max(abs(x), 1))) / 4**step))
+    return estimates
 
 
 # Over Q every torsion orbit under doubling repeats or reaches O within

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import time
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 from tropical_heights import heights, tate
 from tropical_heights.curves import CurvePoint, WeierstrassCurve
-from tropical_heights.errors import AdditiveReductionError, InputError
+from tropical_heights.errors import AdditiveReductionError, InputError, PrecisionError
 from tropical_heights.exact import PadicElement
 from tropical_heights.heights import (
     RunConfig,
@@ -23,7 +24,13 @@ from tropical_heights.heights import (
 )
 from tropical_heights.linalg import determinant
 
-from oracles import exact_prefix_doubling_oracle, is_integral, mazur_torsion_order, naive_height
+from oracles import (
+    exact_prefix_doubling_oracle,
+    is_integral,
+    mazur_torsion_order,
+    mpmath_split_estimates,
+    naive_height,
+)
 
 E37 = WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)
 E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
@@ -158,6 +165,53 @@ def test_doubling_oracle_refuses_bad_input():
     for n_max in (0, 1):
         with pytest.raises(InputError):
             doubling_oracle(E37, CurvePoint.affine(0, 0), n_max)
+
+
+# y^2 = x^3 - x: the roots 0 and +-1 of its duplication denominator
+# G(x) = 4x^3 - 4x are the x of its 2-torsion points
+E32 = WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)
+
+
+def test_split_estimates_match_the_mpmath_track(semistable_examples):
+    """The size track on ints against the mpmath track at the same 64 +
+    2 * n_max bits, every estimate within one ulp: from 2^k P, k <= 6, of
+    every acceptance curve at n_max 10 and 24; from x < 0, from |x| < 1 and
+    from numerators and denominators over 10^4 bits (x near 2^30, 2^-30 and
+    2^220, past the working precision); and from within 2^-60 of each root
+    of G on y^2 = x^3 - x, where |G(x)| falls to 2^-58 or 2^-57."""
+    starts = []
+    for curve, point in semistable_examples:
+        duplication = heights.CurveModel.at(curve).duplication
+        for _ in range(7):
+            x = point.x * curve.integral_scale**2
+            starts += [(x.numerator, x.denominator, duplication, n_max) for n_max in (10, 24)]
+            point = curve.double(point)
+    rng = random.Random(7)
+    pairs = [(-5, 1), (-3, 7), (2, 9), (-1, 10**6)]
+    for bits_n, bits_d in ((10_030, 10_000), (10_000, 10_030), (10_220, 10_000)):
+        n, d = 0, 0
+        while math.gcd(n, d) != 1:
+            n, d = (rng.getrandbits(bits) | 1 << bits - 1 for bits in (bits_n, bits_d))
+        pairs += [(n, d), (-n, d)]
+    pairs += [(r * 2**60 + sign, 2**60) for r in (-1, 0, 1) for sign in (-1, 1)]
+    starts += [(n, d, heights.CurveModel.at(curve).duplication, n_max)
+               for curve in (E37, E32) for n, d in pairs for n_max in (10, 24)]
+    for n, d, (b, res), n_max in starts:
+        estimates = heights._split_estimates(n, d, b, res, 1, n_max)
+        reference = mpmath_split_estimates(n, d, b, res, 1, n_max)
+        assert len(estimates) == len(reference) == n_max
+        for k, (estimate, expected) in enumerate(zip(estimates, reference), 1):
+            assert abs(estimate - expected) <= math.ulp(expected), (n, d, b, n_max, k)
+
+
+def test_split_estimates_refuse_a_root_of_the_duplication_denominator():
+    """x = 0, 1 or -1 on y^2 = x^3 - x makes G(x) exactly zero: the 2-torsion
+    points, which doubling_oracle leaves to torsion_order."""
+    b, res = heights.CurveModel.at(E32).duplication
+    for x in (0, 1, -1):
+        with pytest.raises(PrecisionError, match="root"):
+            heights._split_estimates(x, 1, b, res, 1, 10)
+    assert doubling_oracle(E32, CurvePoint.affine(1, 0)).is_torsion
 
 
 def test_contains_matches_the_curve_equation(semistable_examples):

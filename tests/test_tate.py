@@ -408,6 +408,16 @@ def test_one_prime_check_per_local_height_report(prime_checks):
     assert report.component == 1 and prime_checks == [p]
 
 
+def test_one_prime_check_per_tate_parameter(prime_checks):
+    """tate_parameter checks p on entry and builds q on the checked prime;
+    normalizing z by q builds its result on q's prime unchecked."""
+    q = tate_parameter(E11, 11)
+    assert q.val() == 5 and prime_checks == [11]
+    z = PadicElement.from_rational(11, 7 * 11**12, 20)
+    prime_checks.clear()
+    assert normalize_parameter(q, z).val() == 2 and prime_checks == []
+
+
 @contextmanager
 def _deadline(seconds: int):
     """Raise TimeoutError if the block runs longer than seconds."""
