@@ -9,17 +9,19 @@ Alg. 7.4.7); the same AGMs give the real period Omega, and with it the
 rate d(log u)/dz of the uniformization, whose square scale2 gives t =
 scale2 (X + 1/12) for the Tate curve's X.  c4(q), sigma_1 and j = c4^3 /
 Delta, which only checks q, are the integer q-expansions of ``tate``
-summed by Horner's rule.  The real locus is either the real annulus
-|q| < |u| <= 1 or, for the twisted real form (c6 > 0), the circles
-|u| = 1 and |u| = sqrt(q).  Each real component is an arc u = u0 exp(rate
-z), 0 <= z <= Omega/2, from the origin (or a 2-torsion point on the egg)
-to a 2-torsion point, for the elliptic logarithm z of a point of the
-identity component, which Carlson's R_F gives in closed form:
-z = R_F(t - e1, t - e2, t - e3) (Carlson, Numer. Algorithms 10, 1995;
-Cremona-Thongjunthug, J. Number Theory 133, 2013).  A point on the egg is
-first moved to the identity component by adding the 2-torsion point
-(e3, .); a 2-torsion point takes its arc end in closed form; the sign of
-2y + a1 x + a3 picks u or its inverse class.  The height is then
+summed by Horner's rule.  These per-curve values are mpmath numbers, kept
+in fixed point too; each point is worked on those ints alone.  The real
+locus is either the real annulus |q| < |u| <= 1 or, for the twisted real
+form (c6 > 0), the circles |u| = 1 and |u| = sqrt(q).  Each real
+component is an arc u = u0 exp(rate z), 0 <= z <= Omega/2, from the
+origin (or a 2-torsion point on the egg) to a 2-torsion point, for the
+elliptic logarithm z of a point of the identity component, which
+Carlson's R_F gives in closed form: z = R_F(t - e1, t - e2, t - e3)
+(Carlson, Numer. Algorithms 10, 1995; Cremona-Thongjunthug, J. Number
+Theory 133, 2013).  A point on the egg is first moved to the identity
+component by adding the 2-torsion point (e3, .); a 2-torsion point takes
+its arc end in closed form; the sign of 2y + a1 x + a3 picks u or its
+inverse class.  The height, rounded to a double once, is then
 
     lambda'(P) = (ell/2) B2(t) - log|theta(u)|,   t = -log|u| / ell,
 
@@ -30,11 +32,14 @@ so no curve-dependent constant is needed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+
 import mpmath as mp
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
+from .fixed import carlson_rf, exp, inverse, log
 from .tate import (
     discriminant_coefficients,
     eisenstein4_coefficients,
@@ -42,6 +47,10 @@ from .tate import (
 )
 
 _TERM_GUARD = 30
+# An ArchContext's values as ints at scale 2^bits, bits = W + log2(1/|q|) for
+# W = precision_bits + 40, so that a value of modulus at least |q| keeps W
+# bits; rate is (re, im), root = sqrt(q) (0 when q < 0), quad = sqrt(3 e1^2 + p).
+Fixed = namedtuple("Fixed", "bits q root ell rate scale2 sigma1 omega quad roots torsion_x")
 
 
 def _q_expansions(q, eps) -> tuple:
@@ -119,12 +128,8 @@ class ArchContext:
     roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
     omega: mp.mpf                # the real period
     torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
-
-    @property
-    def twisted(self) -> bool:
-        """True when the real locus sits on |u| = 1 (and |u| = sqrt(q)):
-        exactly when c6 > 0, which makes the rate imaginary."""
-        return self.scale2 < 0
+    twisted: bool                # c6 > 0: the real locus is |u| = 1 [and |u| = sqrt(q)]
+    fixed: Fixed                 # the values above as ints, for each point
 
 
 def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchContext:
@@ -141,72 +146,78 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
         rate = (mp.mpc(0, 2 * mp.pi / omega) if curve.c6 > 0
                 else -ell / omega if q > 0 else -2 * ell / omega)
         scale2 = mp.re(rate * rate)
-        return ArchContext(
-            curve=curve,
-            precision_bits=precision_bits,
-            q=q,
-            ell=ell,
-            rate=rate,
-            scale2=scale2,
-            sigma1=sigma1,
-            roots=tuple(roots),
-            omega=omega,
-            torsion_x=tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots)),
-        )
+        torsion_x = tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots))
+        bits = precision_bits + 40 + int(1 / abs(q)).bit_length()
+        quad = mp.sqrt(3 * roots[0] ** 2 - _mp(curve.c4) / 48)
+        fixed = Fixed(bits, *_fixed((q, mp.sqrt(q) if q > 0 else 0, ell, (mp.re(rate), mp.im(rate)),
+                                     scale2, sigma1, omega, quad, tuple(roots), torsion_x), bits))
+        return ArchContext(curve, precision_bits, q, ell, rate, scale2, sigma1,
+                           tuple(roots), omega, torsion_x, curve.c6 > 0, fixed)
 
 
-# -- Tate coordinate series over C ------------------------------------------
+# -- the point on ints at scale 2^bits ---------------------------------------
 
 
-def _x_series(u, q, eps, sigma1):
-    """Normalized x at u on the real locus, summed while |q^n| >= eps.  A
-    complex u sits on |u| = 1 or |u| = sqrt(q), where the term at q^n/u is
-    the conjugate of the term at q^n u or at q^(n-1) u, so one complex term
-    per n does.  For eps <= |q| and |q| <= |u| <= 1 the terms left out sum
-    to less than 1.2 eps/|q|: they have n >= 2, where |q^n u| <= |q|^n and
-    |q^n/u| <= |q|^(n-1) <= |q| <= e^-pi bound |f(t)| by |t| / (1 - |q|)^2,
-    and their sum is geometric."""
+def _fixed(value, bits: int):
+    """An mpmath real as an int at scale 2^bits, a tuple of them as a tuple."""
+    if isinstance(value, tuple):
+        return tuple(_fixed(v, bits) for v in value)
+    return int(mp.ldexp(value, bits))
 
-    def f(t):
-        return t / (1 - t) ** 2
 
-    circle = isinstance(u, mp.mpc)
-    if circle:  # |u| = sqrt(q) < 1/2 counts the n = 0 term twice
-        total = (2 if abs(u) < 0.5 else 1) * mp.re(f(u)) - 2 * sigma1
-    else:
-        total = f(u) - 2 * sigma1
-    qn = mp.mpf(1)
+def _x_series(ctx: ArchContext, u: tuple, eps: int) -> int:
+    """Normalized x at u = (re, im) on the real locus: the real part of the
+    sum of t/(1 - t)^2 over t = q^n u and q^n/u, summed while |q^n| >= eps,
+    all at scale 2^bits.  For eps <= |q| and |q| <= |u| <= 1 the terms left
+    out sum to less than 1.2 eps/|q|: they have n >= 2, where |q^n u| <=
+    |q|^n and |q^n/u| <= |q|^(n-1) <= |q| <= e^-pi bound |t/(1 - t)^2| by
+    |t| / (1 - |q|)^2, and their sum is geometric."""
+    fx = ctx.fixed
+    f, q, v = fx.bits, fx.q, inverse(u, fx.bits)
+
+    def term(s, w):  # re(r^2 - r) = re t/(1 - t)^2 for r = 1/(1 - t), t = s w
+        c, b = (1 << f) - (s * w[0] >> f), s * w[1] >> f
+        norm = c * c + b * b
+        r, i = (c << 2 * f) // norm, (b << 2 * f) // norm
+        return (r * r - i * i >> f) - r
+
+    total, qn = term(1 << f, u) - 2 * fx.sigma1, 1 << f
     while True:
-        qn *= q
+        qn = qn * q >> f
         if abs(qn) < eps:
             return total
-        total += 2 * mp.re(f(qn * u)) if circle else f(qn * u) + f(qn / u)
+        total += term(qn, u) + term(qn, v)
 
 
-def _theta_product(u, q, eps):
-    total = 1 - u
-    qn = mp.mpf(1)
+def _theta_norm(fx: Fixed, u: tuple, eps: int) -> int:
+    """|theta(u)|^2 at scale 2^(2 bits): |1 - u|^2, exact, times the square
+    modulus of the product of (1 - q^n u)(1 - q^n/u) = 1 - q^n (u + 1/u) +
+    q^2n over |q^n| >= eps."""
+    f, q, v = fx.bits, fx.q, inverse(u, fx.bits)
+    sr, si, pr, pi, qn = u[0] + v[0], u[1] + v[1], 1 << f, 0, 1 << f
     while True:
-        qn *= q
+        qn = qn * q >> f
         if abs(qn) < eps:
-            return total
-        total *= (1 - qn * u) * (1 - qn / u)
+            return (((1 << f) - u[0]) ** 2 + u[1] * u[1]) * (pr * pr + pi * pi) >> 2 * f
+        a, b = (1 << f) + (qn * qn - qn * sr >> f), -(qn * si >> f)
+        pr, pi = (pr * a - pi * b) >> f, (pr * b + pi * a) >> f
 
 
-def _carlson_log(ctx: ArchContext, t):
+def _carlson_log(ctx: ArchContext, t: int) -> int:
     """Elliptic logarithm z in (0, Omega/2] of a point of the identity
     component, t > e1: R_F(t - e1, t - e2, t - e3) (Carlson 1995).  With
     one real root it takes the real form of the integral for one quadratic
     factor (Byrd-Friedman 239.00 with F(phi, k) in Carlson's R_F), in which
     A^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + p; for t - e1 < A the angle passes
     pi/2, that form gives F(pi - phi) and z = Omega/2 - w."""
-    if len(ctx.roots) == 3:
-        e1, e2, e3 = ctx.roots
-        return mp.elliprf(t - e1, t - e2, t - e3)
-    e1 = ctx.roots[0]
-    s, a = t - e1, mp.sqrt(3 * e1**2 - _mp(ctx.curve.c4) / 48)
-    w = mp.elliprf((s - a) ** 2 / s, s + 3 * e1 + a * a / s, (s + a) ** 2 / s)
-    return w if s >= a else ctx.omega / 2 - w
+    fx = ctx.fixed
+    if len(fx.roots) == 3:
+        e1, e2, e3 = fx.roots
+        return carlson_rf(t - e1, t - e2, t - e3, fx.bits)
+    e1, a = fx.roots[0], fx.quad
+    s = t - e1
+    w = carlson_rf((s - a) ** 2 // s, s + 3 * e1 + a * a // s, (s + a) ** 2 // s, fx.bits)
+    return w if s >= a else fx.omega // 2 - w
 
 
 def elliptic_log(ctx: ArchContext, point: CurvePoint):
@@ -218,76 +229,78 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
     curve = ctx.curve
     if not curve.contains(point):
         raise InputError("point is not on the curve")
-    with mp.workprec(ctx.precision_bits + 40):
-        q = ctx.q
-        t = _mp(point.x + curve.b2 / 12)
-        x_target = t / ctx.scale2 - mp.mpf(1) / 12
-        # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
-        # sign of 2Y + X, or of its imaginary part when alpha is imaginary
-        eta = 2 * point.y + curve.a1 * point.x + curve.a3
-        # x_target and the end values carry about precision_bits + 30 bits,
-        # so a component test needs no wider slack than 2^-precision_bits
-        slack = mp.mpf(2) ** -ctx.precision_bits
-        root, tx = (mp.sqrt(q) if q > 0 else None), ctx.torsion_x
-        # Each real component is an arc u = ends[0] exp(rate z), 0 <= z <=
-        # Omega/2, on which x is monotone.  z = 0 is the origin (x infinite)
-        # on the identity component and a 2-torsion point on the egg; z =
-        # Omega/2 is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
-        if ctx.twisted:
-            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
-            if q > 0 and x_target > tx[0] + slack * (1 + abs(tx[0])):
-                ends, x_ends = (root, -root), (tx[2], tx[1])  # the egg |u| = sqrt(q)
-        elif q > 0:
-            ends, x_ends = (1, root), (None, tx[2])
-            if x_target < tx[2] - slack * (1 + abs(tx[2])):
-                ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
-        else:
-            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
-        egg = x_ends[0] is not None
-        if eta == 0:
-            # 2-torsion: an arc end in closed form (the egg's shift below
-            # divides by t - e3, the one-root R_F form by t - e1)
-            i = min((0, 1), key=lambda i: abs(x_ends[i] - x_target)) if egg else 1
-            u = ends[i]
-        else:
-            if egg:  # add (e3, .), which moves the point to the identity component
-                e1, e2, e3 = ctx.roots
-                t = e3 + (e1 - e3) * (e2 - e3) / (t - e3)
-            elif abs(x_target) * mp.mpf(2) ** (-2 * (ctx.precision_bits + 5)) > 1:
-                raise PrecisionError("point too close to the origin")
-            u = ends[0] * mp.exp(ctx.rate * _carlson_log(ctx, t))
-            # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
-            # positive on the identity arc and negative on the egg (rate < 0),
-            # the other way round on the circles (rate imaginary)
-            if (eta > 0) != (egg == ctx.twisted):
-                u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
-        # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
-        tol = (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2))
-        err = _x_series(u, q, abs(q) * tol * mp.mpf(2) ** -21, ctx.sigma1) - x_target
-        if abs(err) > tol:
-            raise PrecisionError("uniformizer round-trip failed; raise precision")
-        return mp.mpc(u) if ctx.twisted else u
+    fx, bits = ctx.fixed, ctx.precision_bits
+    f, q, root, tx, one = fx.bits, fx.q, fx.root, fx.torsion_x, 1 << fx.bits
+    t = point.x + curve.b2 / 12
+    t = (t.numerator << f) // t.denominator
+    x_target = (t << f) // fx.scale2 - one // 12
+    # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
+    # sign of 2Y + X, or of its imaginary part when alpha is imaginary
+    eta = 2 * point.y + curve.a1 * point.x + curve.a3
+    # Each real component is an arc u = ends[0] exp(rate z), 0 <= z <=
+    # Omega/2, on which x is monotone.  z = 0 is the origin (x infinite)
+    # on the identity component and a 2-torsion point on the egg; z =
+    # Omega/2 is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
+    # x_target and the end values carry about precision_bits + 30 bits, so
+    # a component test needs no wider slack than 2^-precision_bits (1 + |x|).
+    if ctx.twisted:
+        ends, x_ends = (one, -one), (None, tx[0])
+        if q > 0 and x_target > tx[0] + ((one + abs(tx[0])) >> bits):
+            ends, x_ends = (root, -root), (tx[2], tx[1])  # the egg |u| = sqrt(q)
+    elif q > 0:
+        ends, x_ends = (one, root), (None, tx[2])
+        if x_target < tx[2] - ((one + abs(tx[2])) >> bits):
+            ends, x_ends = (-one, -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
+    else:
+        ends, x_ends = (one, -one), (None, tx[0])
+    egg = x_ends[0] is not None
+    if eta == 0:
+        # 2-torsion: an arc end in closed form (the egg's shift below
+        # divides by t - e3, the one-root R_F form by t - e1)
+        i = min((0, 1), key=lambda i: abs(x_ends[i] - x_target)) if egg else 1
+        u = (ends[i], 0)
+    else:
+        if egg:  # add (e3, .), which moves the point to the identity component
+            e1, e2, e3 = fx.roots
+            t = e3 + (e1 - e3) * (e2 - e3) // (t - e3)
+        elif abs(x_target) >> 2 * (bits + 5) > one:
+            raise PrecisionError("point too close to the origin")
+        c, s = exp(sum(fx.rate) * _carlson_log(ctx, t) >> f, f, ctx.twisted)
+        u = (ends[0] * c >> f, ends[0] * s >> f)
+        # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
+        # positive on the identity arc and negative on the egg (rate < 0),
+        # the other way round on the circles (rate imaginary)
+        if (eta > 0) != (egg == ctx.twisted):
+            u = (u[0], -u[1]) if ctx.twisted else ((q << f) // u[0], 0)  # the inverse class
+    # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
+    tol = (one + abs(x_target)) >> bits // 2
+    if abs(_x_series(ctx, u, abs(q) * tol >> f + 21) - x_target) > tol:
+        raise PrecisionError("uniformizer round-trip failed; raise precision")
+    with mp.workprec(f):
+        return mp.mpc(*(mp.mpf((c, -f)) for c in u)) if ctx.twisted else mp.mpf((u[0], -f))
 
 
 def local_height_from_uniformizer(ctx: ArchContext, u) -> float:
-    """lambda' = (ell/2) B2(t) - log|theta(u)| with t = -log|u|/ell in [0,1).
+    """lambda' = (ell/2) B2(t) - log|theta(u)| with t = -log|u|/ell in [0,1),
+    on ints at scale 2^bits, rounded to a double once.
 
     Accepts any u in C*; reduces modulo q^Z first, so u and q u agree.
     """
-    with mp.workprec(ctx.precision_bits + 40):
-        eps = mp.mpf(2) ** (-(ctx.precision_bits + _TERM_GUARD))
-        q = ctx.q
-        ell = ctx.ell
-        t = -mp.log(abs(u)) / ell
-        shift = mp.floor(t)
-        if shift != 0:
-            u = u * mp.mpc(q) ** int(-shift)
-            t = t - shift
-        theta = _theta_product(u, q, eps)
-        if abs(theta) < eps * 10:
-            raise InputError("theta vanishes: point on the divisor")
-        b2 = (t - mp.mpf(1) / 2) ** 2 - mp.mpf(1) / 12
-        return float(ell / 2 * b2 - mp.log(abs(theta)))
+    fx = ctx.fixed
+    f, q, ell = fx.bits, fx.q, fx.ell
+    u = _fixed((mp.re(u), mp.im(u)), f)
+    t = -(log(u[0] * u[0] + u[1] * u[1], 2 * f, f) << f) // (2 * ell)
+    shift = t >> f
+    for _ in range(abs(shift)):
+        u = tuple((c << f) // q if shift > 0 else c * q >> f for c in u)
+    t -= shift << f
+    eps = 1 << f - ctx.precision_bits - _TERM_GUARD
+    theta = _theta_norm(fx, u, eps)
+    if theta < 100 * eps * eps:
+        raise InputError("theta vanishes: point on the divisor")
+    half = t - (1 << f - 1)
+    b2 = (half * half >> f) - (1 << f) // 12
+    return ((ell * b2 >> f + 1) - (log(theta, 2 * f, f) >> 1)) / (1 << f)
 
 
 def local_height_arch(ctx: ArchContext, point: CurvePoint) -> float:

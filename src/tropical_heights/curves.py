@@ -21,6 +21,18 @@ from .errors import InputError
 # Mazur: a rational torsion point on a curve over Q has order at most 12
 _MAZUR_BOUND = 12
 
+
+def duplication(n: int, d: int, b: tuple) -> tuple:
+    """Numerator and denominator of x(2P) for x(P) = n/d, as the degree-4
+    forms F(n, d) and G(n, d); b = (b2, b4, b6, b8)."""
+    b2, b4, b6, b8 = b
+    n2, d2 = n * n, d * d
+    n3, d3 = n2 * n, d2 * d
+    num = n2 * n2 - b4 * n2 * d2 - 2 * b6 * n * d3 - b8 * d2 * d2
+    den = 4 * n3 * d + b2 * n2 * d2 + 2 * b4 * n * d3 + b6 * d2 * d2
+    return num, den
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """Affine rational point or the point at infinity."""
@@ -174,10 +186,20 @@ class WeierstrassCurve:
         Over Q a torsion point has order at most 12 (Mazur), and on the
         integral model x -> s^2 x, s = ``integral_scale``, it has 4x in Z:
         x is integral unless the point has order 2, when 4x is (Silverman,
-        AEC VII.3.4).  Every multiple of a torsion point is torsion or O, so
-        the walk stops with None at the first multiple with 4 s^2 x not in Z,
-        which for a point of infinite order is almost always P or 2P."""
+        AEC VII.3.4).  So has every multiple, and the answer is None at the
+        first multiple with 4 s^2 x not in Z.  P, 2P and 4P, which almost
+        always decide a point of infinite order, are tested on ints by the
+        duplication forms, and only a point that passes is walked."""
         bound = 4 * self.integral_scale**2
+        if not p.infinity:  # P, 2P and 4P
+            x = p.x * self.integral_scale**2
+            for _ in range(3):
+                if 4 % x.denominator:
+                    return None
+                num, den = duplication(x.numerator, x.denominator, self._scaled_invariants[:4])
+                if den == 0:
+                    break
+                x = Fraction(num, den)
         acc = CurvePoint.zero()
         for n in range(1, _MAZUR_BOUND + 1):
             acc = self.add(acc, p)

@@ -19,12 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, total_ordering
+from math import gcd, isqrt
 
 from .errors import InputError, PrecisionError
 
 
+@total_ordering
 class _Infinity:
     """Positive infinity for p-adic valuations.
 
@@ -52,15 +53,6 @@ class _Infinity:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
     def __add__(self, other):
         return self
 
@@ -71,21 +63,20 @@ INFINITY = _Infinity()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROOF_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over the first 13 prime bases, a proof of
-    primality for n < 3,317,044,064,679,887,385,961,981 (about 3.3e24); above
-    that bound a True answer means "probable prime", not a proof."""
+    """Miller-Rabin over the first 13 prime bases, a proof of primality below
+    ``_MR_PROOF_BOUND`` (about 3.3e24); above it the strong Lucas test too,
+    which makes it the Baillie-PSW test, passed by no known composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -96,13 +87,51 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROOF_BOUND or (isqrt(n) ** 2 != n and _strong_lucas(n))
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas test of an odd non-square n with no factor below 42,
+    with Selfridge's P = 1, Q = (1 - D)/4 and D the first of 5, -7, 9, ...
+    with (D/n) = -1 (Baillie-Wagstaff, Math. Comp. 35, 1980): U_k and V_k,
+    n + 1 = k 2^s, by U_2m = U_m V_m, V_2m = V_m^2 - 2 Q^m, 2 U_m+1 = U_m +
+    V_m and 2 V_m+1 = D U_m + V_m up the bits of k."""
+    d = 5
+    while (symbol := _jacobi(d, n)) != -1:
+        if symbol == 0:
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k 2^s, k odd
+    u, v, qk, q, half = 0, 2, 1, (1 - d) // 4, (n + 1) // 2  # U_0, V_0, Q^0
+    for bit in bin((n + 1) >> s)[2:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (d * u + v) * half % n, qk * q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a, sign = a // 2, -sign if n % 8 in (3, 5) else sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def factorize(n: int) -> dict:
     """{prime: exponent} of |n|: trial division below 10^5, then Pollard
     rho, which is slow on a cofactor with two large prime factors.  A
-    factor above 3.3e24 is a probable prime (see ``is_prime``)."""
+    factor above 3.3e24 has passed the Baillie-PSW test (see ``is_prime``)."""
     n = abs(int(n))
     if n in (0, 1):
         return {}

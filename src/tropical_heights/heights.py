@@ -31,7 +31,7 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .arch import ArchContext, arch_context, local_height_arch
-from .curves import CurvePoint, WeierstrassCurve
+from .curves import CurvePoint, WeierstrassCurve, duplication
 from .errors import AdditiveReductionError, InputError, PrecisionError
 from .exact import factorize
 from .tate import LocalModel, local_height_report  # noqa: F401 (perfbench's tracer wraps it)
@@ -130,17 +130,6 @@ class DoublingOracleResult:
     is_torsion: bool
 
 
-def _duplication(n: int, d: int, b: tuple) -> tuple:
-    """Numerator and denominator of x(2P) for x(P) = n/d, as the degree-4
-    forms F(n, d) and G(n, d); b = (b2, b4, b6, b8)."""
-    b2, b4, b6, b8 = b
-    n2, d2 = n * n, d * d
-    n3, d3 = n2 * n, d2 * d
-    num = n2 * n2 - b4 * n2 * d2 - 2 * b6 * n * d3 - b8 * d2 * d2
-    den = 4 * n3 * d + b2 * n2 * d2 + 2 * b4 * n * d3 + b6 * d2 * d2
-    return num, den
-
-
 def _common_factor(num: int, den: int, res: int) -> int:
     """gcd(num, den) for the image of a coprime pair: it divides the
     duplication resultant res, so residues mod res determine it."""
@@ -172,11 +161,11 @@ def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) 
     n, d = n % modulus, d % modulus
     estimates = []
     for step in range(first, last + 1):
-        num, den = _duplication(n, d, b)
+        num, den = duplication(n, d, b)
         g = _common_factor(num, den, res)
         n, d = num % modulus // g, den % modulus // g
         modulus //= g
-        fx, gx = _duplication(x, 1 << s, b)
+        fx, gx = duplication(x, 1 << s, b)
         gx >>= s
         if gx == 0:
             raise PrecisionError(f"x_{step - 1} is a root of the duplication denominator G")
@@ -365,15 +354,9 @@ def find_semistable_examples(count: int = 10, want_torsion: bool = False) -> lis
                         continue
                     if not is_semistable(curve):
                         continue
-                    point = None
-                    for cand in _rational_points_small(curve):
-                        order = curve.torsion_order(cand)
-                        if want_torsion and order is not None and order > 1:
-                            point = cand
-                            break
-                        if not want_torsion and order is None:
-                            point = cand
-                            break
+                    # an affine point has order None or > 1
+                    point = next((p for p in _rational_points_small(curve)
+                                  if (curve.torsion_order(p) is not None) == want_torsion), None)
                     if point is None:
                         continue
                     seen_j.add(key)

@@ -35,13 +35,17 @@ method, and the tests check the replacement against them.
   on every point, against ``heights.doubling_oracle``, which leaves
   torsion to ``torsion_order`` and doubles every other point split from
   the first step;
+* the archimedean point in mpmath at W = bits + 40 (``mpmath_elliptic_log``
+  and ``mpmath_local_height_from_uniformizer``, with their one-sided
+  x-series, theta product and ``mp.elliprf``), against ``arch``'s path on
+  ints in fixed point, every height within one ulp;
 * the doubling oracle's size track in mpmath at 64 + 2 n_max bits
   (``mpmath_split_estimates``), against ``heights._split_estimates``'
   binary floats of the same width on ints, every estimate within one ulp;
 * the order of a torsion point by the plain 12-step walk over Mazur's
   bound (``mazur_torsion_order``), against
-  ``WeierstrassCurve.torsion_order``, which stops at the first multiple
-  with 4 s^2 x not integral.
+  ``WeierstrassCurve.torsion_order``, which tests P, 2P and 4P on ints
+  and stops at the first multiple with 4 s^2 x not integral.
 * the lattice coordinates M^{-1} nu, the inner product mu^T H nu with
   H = F M^{-1}, the quadratic extension of the trivialization valuation
   and the automorphy factor, each by Fraction matrix-vector products and
@@ -75,7 +79,7 @@ from itertools import product
 import mpmath as mp
 
 from tropical_heights import arch, heights
-from tropical_heights.curves import CurvePoint, WeierstrassCurve
+from tropical_heights.curves import CurvePoint, WeierstrassCurve, duplication
 from tropical_heights.degeneration import trivialization_valuation
 from tropical_heights.errors import InputError, PrecisionError
 from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
@@ -374,7 +378,7 @@ def mazur_torsion_order(curve, point):
 def _x_double(n: int, d: int, b: tuple, res: int) -> tuple:
     """One exact x-only duplication step on a coprime integer pair (n : d),
     returned reduced with d > 0, or (1, 0) when 2P = O."""
-    num, den = heights._duplication(n, d, b)
+    num, den = duplication(n, d, b)
     if den == 0:
         return (1, 0)
     g = heights._common_factor(num, den, res)
@@ -403,7 +407,7 @@ def mpmath_split_estimates(n: int, d: int, b: tuple, res: int, first: int, last:
         log_d = mp.log(d)
         n, d = n % modulus, d % modulus
         for step in range(first, last + 1):
-            num, den = heights._duplication(n, d, b)
+            num, den = duplication(n, d, b)
             g = heights._common_factor(num, den, res)
             n, d = num % modulus // g, den % modulus // g
             modulus //= g
@@ -758,6 +762,146 @@ def _newton_on_arc(ctx, start, k, x_ends, x_target, tiny):
             done = bits == rungs[-1]
             bits = next((b for b in rungs if b > bits), bits)
     raise PrecisionError("Newton on the uniformizer did not converge")
+
+
+# -- archimedean place: the per-point path in mpmath ----------------------
+
+
+def mpmath_x_series(u, q, eps, sigma1):
+    """Normalized x at u on the real locus, summed while |q^n| >= eps: the
+    library's round-trip series in mpmath, before it moved to ints.  A
+    complex u sits on |u| = 1 or |u| = sqrt(q), where the term at q^n/u is
+    the conjugate of the term at q^n u or at q^(n-1) u, so one complex term
+    per n does.  For eps <= |q| and |q| <= |u| <= 1 the terms left out sum
+    to less than 1.2 eps/|q|: they have n >= 2, where |q^n u| <= |q|^n and
+    |q^n/u| <= |q|^(n-1) <= |q| <= e^-pi bound |f(t)| by |t| / (1 - |q|)^2,
+    and their sum is geometric."""
+
+    def f(t):
+        return t / (1 - t) ** 2
+
+    circle = isinstance(u, mp.mpc)
+    if circle:  # |u| = sqrt(q) < 1/2 counts the n = 0 term twice
+        total = (2 if abs(u) < 0.5 else 1) * mp.re(f(u)) - 2 * sigma1
+    else:
+        total = f(u) - 2 * sigma1
+    qn = mp.mpf(1)
+    while True:
+        qn *= q
+        if abs(qn) < eps:
+            return total
+        total += 2 * mp.re(f(qn * u)) if circle else f(qn * u) + f(qn / u)
+
+
+def mpmath_theta_product(u, q, eps):
+    total = 1 - u
+    qn = mp.mpf(1)
+    while True:
+        qn *= q
+        if abs(qn) < eps:
+            return total
+        total *= (1 - qn * u) * (1 - qn / u)
+
+
+def mpmath_carlson_log(ctx, t):
+    """Elliptic logarithm z in (0, Omega/2] of a point of the identity
+    component, t > e1: R_F(t - e1, t - e2, t - e3) (Carlson 1995).  With
+    one real root it takes the real form of the integral for one quadratic
+    factor (Byrd-Friedman 239.00 with F(phi, k) in Carlson's R_F), in which
+    A^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + p; for t - e1 < A the angle passes
+    pi/2, that form gives F(pi - phi) and z = Omega/2 - w."""
+    if len(ctx.roots) == 3:
+        e1, e2, e3 = ctx.roots
+        return mp.elliprf(t - e1, t - e2, t - e3)
+    e1 = ctx.roots[0]
+    s, a = t - e1, mp.sqrt(3 * e1**2 - arch._mp(ctx.curve.c4) / 48)
+    w = mp.elliprf((s - a) ** 2 / s, s + 3 * e1 + a * a / s, (s + a) ** 2 / s)
+    return w if s >= a else ctx.omega / 2 - w
+
+
+def mpmath_elliptic_log(ctx, point: CurvePoint):
+    """Uniformizer u in C*/q^Z of a real point, normalized so that
+    0 <= -log|u| < ell: the library's path in mpmath before it moved to
+    ints, the reference for ``arch.elliptic_log``.  Raises PrecisionError
+    near the origin when the working precision cannot separate the point
+    from u = 1."""
+    if point.infinity:
+        raise InputError("the origin has no uniformizer")
+    curve = ctx.curve
+    if not curve.contains(point):
+        raise InputError("point is not on the curve")
+    with mp.workprec(ctx.precision_bits + 40):
+        q = ctx.q
+        t = arch._mp(point.x + curve.b2 / 12)
+        x_target = t / ctx.scale2 - mp.mpf(1) / 12
+        # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
+        # sign of 2Y + X, or of its imaginary part when alpha is imaginary
+        eta = 2 * point.y + curve.a1 * point.x + curve.a3
+        # x_target and the end values carry about precision_bits + 30 bits,
+        # so a component test needs no wider slack than 2^-precision_bits
+        slack = mp.mpf(2) ** -ctx.precision_bits
+        root, tx = (mp.sqrt(q) if q > 0 else None), ctx.torsion_x
+        # Each real component is an arc u = ends[0] exp(rate z), 0 <= z <=
+        # Omega/2, on which x is monotone.  z = 0 is the origin (x infinite)
+        # on the identity component and a 2-torsion point on the egg; z =
+        # Omega/2 is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
+        if ctx.twisted:
+            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
+            if q > 0 and x_target > tx[0] + slack * (1 + abs(tx[0])):
+                ends, x_ends = (root, -root), (tx[2], tx[1])  # the egg |u| = sqrt(q)
+        elif q > 0:
+            ends, x_ends = (1, root), (None, tx[2])
+            if x_target < tx[2] - slack * (1 + abs(tx[2])):
+                ends, x_ends = (mp.mpf(-1), -root), (tx[0], tx[1])  # the egg u <= -sqrt(q)
+        else:
+            ends, x_ends = (1, mp.mpf(-1)), (None, tx[0])
+        egg = x_ends[0] is not None
+        if eta == 0:
+            # 2-torsion: an arc end in closed form (the egg's shift below
+            # divides by t - e3, the one-root R_F form by t - e1)
+            i = min((0, 1), key=lambda i: abs(x_ends[i] - x_target)) if egg else 1
+            u = ends[i]
+        else:
+            if egg:  # add (e3, .), which moves the point to the identity component
+                e1, e2, e3 = ctx.roots
+                t = e3 + (e1 - e3) * (e2 - e3) / (t - e3)
+            elif abs(x_target) * mp.mpf(2) ** (-2 * (ctx.precision_bits + 5)) > 1:
+                raise PrecisionError("point too close to the origin")
+            u = ends[0] * mp.exp(ctx.rate * mpmath_carlson_log(ctx, t))
+            # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
+            # positive on the identity arc and negative on the egg (rate < 0),
+            # the other way round on the circles (rate imaginary)
+            if (eta > 0) != (egg == ctx.twisted):
+                u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
+        # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
+        tol = (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2))
+        err = mpmath_x_series(u, q, abs(q) * tol * mp.mpf(2) ** -21, ctx.sigma1) - x_target
+        if abs(err) > tol:
+            raise PrecisionError("uniformizer round-trip failed; raise precision")
+        return mp.mpc(u) if ctx.twisted else u
+
+
+def mpmath_local_height_from_uniformizer(ctx, u) -> float:
+    """lambda' = (ell/2) B2(t) - log|theta(u)| with t = -log|u|/ell in [0,1):
+    the library's path in mpmath before it moved to ints, the reference
+    for ``arch.local_height_from_uniformizer``.
+
+    Accepts any u in C*; reduces modulo q^Z first, so u and q u agree.
+    """
+    with mp.workprec(ctx.precision_bits + 40):
+        eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
+        q = ctx.q
+        ell = ctx.ell
+        t = -mp.log(abs(u)) / ell
+        shift = mp.floor(t)
+        if shift != 0:
+            u = u * mp.mpc(q) ** int(-shift)
+            t = t - shift
+        theta = mpmath_theta_product(u, q, eps)
+        if abs(theta) < eps * 10:
+            raise InputError("theta vanishes: point on the divisor")
+        b2 = (t - mp.mpf(1) / 2) ** 2 - mp.mpf(1) / 12
+        return float(ell / 2 * b2 - mp.log(abs(theta)))
 
 
 # -- archimedean place: alpha^2 from a ratio of q-series ---------------------

@@ -19,6 +19,8 @@ from oracles import (
     bisection_elliptic_log,
     coordinates_from_uniformizer,
     lambert_sum,
+    mpmath_elliptic_log,
+    mpmath_local_height_from_uniformizer,
     newton_elliptic_log,
     q_expansion_c6,
     ratio_scale2,
@@ -365,23 +367,27 @@ def test_real_period_from_the_agm_matches_carlson(semistable_examples):
             assert abs(ctx.omega - ref) < abs(ref) * mp.mpf(2) ** -200, curve
 
 
-def test_one_sided_x_series_matches_full_sum():
-    """On |u| = 1 and |u| = sqrt(q) the one-sided sum is the full series'
-    real value; real u keeps both sides."""
+def _from_fixed(ctx, value):
+    """An int of the context's fixed point as an mpmath value."""
+    return mp.mpf(value) / 2 ** ctx.fixed.bits
+
+
+def test_x_series_on_the_real_locus_matches_full_sum():
+    """On |u| = 1 and |u| = sqrt(q) the full series is real, and the int
+    series gives its value to 2^-150 relative; so it does at a real u."""
     for curve in (E37, E_TWIST2, E11):
         ctx = arch_context(curve, 128)
+        f = ctx.fixed.bits
         with mp.workprec(168):
             eps = mp.mpf(2) ** -158
             q, radii = ctx.q, [1] + ([mp.sqrt(ctx.q)] if ctx.q > 0 else [])
-            for radius in radii:
-                for theta in (0.1, 1, 2, 3.1):
-                    u = radius * mp.expj(theta)
-                    full = x_series(u, q, eps, ctx.sigma1)
-                    assert abs(mp.im(full)) < mp.mpf(2) ** -150 * abs(full)
-                    one = arch._x_series(u, q, eps, ctx.sigma1)
-                    assert abs(one - mp.re(full)) < mp.mpf(2) ** -150 * abs(full)
-            u = mp.mpf("0.3")
-            assert arch._x_series(u, q, eps, ctx.sigma1) == x_series(u, q, eps, ctx.sigma1)
+            points = [radius * mp.expj(theta) for radius in radii for theta in (0.1, 1, 2, 3.1)]
+            for u in points + [mp.mpf("0.3")]:
+                full = x_series(u, q, eps, ctx.sigma1)
+                assert abs(mp.im(full)) < mp.mpf(2) ** -150 * abs(full)
+                fixed_u = arch._fixed((mp.re(u), mp.im(u)), f)
+                one = _from_fixed(ctx, arch._x_series(ctx, fixed_u, 1 << f - 158))
+                assert abs(one - mp.re(full)) < mp.mpf(2) ** -150 * abs(full)
 
 
 def test_round_trip_cut_is_within_its_bound(semistable_examples, monkeypatch):
@@ -396,12 +402,13 @@ def test_round_trip_cut_is_within_its_bound(semistable_examples, monkeypatch):
             for target in (point, curve.double(point)):
                 calls.clear()
                 elliptic_log(ctx, target)
-                [(u, q, eps, sigma1)] = calls
+                [(c, u, eps)] = calls
                 with mp.workprec(bits + 40):
                     x_target = arch._mp(target.x + curve.b2 / 12) / ctx.scale2 - mp.mpf(1) / 12
                     tol = (1 + abs(x_target)) * mp.mpf(2) ** -(bits // 2)
-                    full = inner(u, q, mp.mpf(2) ** -(bits + 30), sigma1)
-                    assert abs(inner(u, q, eps, sigma1) - full) <= tol * mp.mpf(2) ** -20
+                    full = inner(c, u, 1 << ctx.fixed.bits - bits - 30)
+                    cut = _from_fixed(ctx, inner(c, u, eps) - full)
+                    assert abs(cut) <= tol * mp.mpf(2) ** -20
 
 
 def test_arch_height_is_newton_oracle_float(semistable_examples):
@@ -425,3 +432,52 @@ def test_arch_height_is_newton_oracle_float(semistable_examples):
                 assert local_height_arch(ctx, target) == newton, (curve, target)
                 count += 1
     assert count >= 60, count
+
+
+def _near_two_torsion_cases() -> list:
+    """Curves of all four real-locus types (disc > 0 or < 0, c6 < 0 or > 0)
+    as y^2 = x^3 + a4 x + a6 with integer roots r, their 2-torsion points,
+    and the same cubic plus 2^-60 with the points (r, 2^-30), whose u lies
+    within about 2^-30 of a 2-torsion arc end."""
+    cases = []
+    for a4, a6, roots in ((-7, 6, (1, 2, -3)), (-7, -6, (-1, -2, 3)), (1, 2, (-1,)), (1, -2, (1,))):
+        cases.append((WeierstrassCurve.from_coeffs(0, 0, 0, a4, a6),
+                      [CurvePoint.affine(r, 0) for r in roots], False))
+        cases.append((WeierstrassCurve.from_coeffs(0, 0, 0, a4, F(a6) + F(1, 2**60)),
+                      [CurvePoint.affine(r, F(1, 2**30)) for r in roots], False))
+    return cases
+
+
+def test_int_path_matches_the_mpmath_reference(semistable_examples):
+    """The height on ints against the mpmath path it replaced, to one ulp,
+    at 64, 128 and 256 bits: P, -P, 2P and 4P of the acceptance curves and
+    of the egg-branch curves, 2-torsion points, and P, -P and 2P of points
+    near a 2-torsion arc end on all four real-locus types.  Where the
+    reference refuses a point (three 2P at 64 bits whose round-trip
+    cut-off passes |q|), the int path refuses it with the same error."""
+    cases = [(curve, [point], True) for curve, point in semistable_examples]
+    cases += [(WeierstrassCurve.from_coeffs(1, -1, 0, -11, a6), [CurvePoint.affine(x, y)], True)
+              for a6, (x, y) in zip((-10, -9, -8, -7), [(-2, 2), (-1, 1), (F(-9, 4), F(19, 8)), (-2, 3)])]
+    cases += [(CM1728, [CurvePoint.affine(x, 0) for x in (-1, 0, 1)], False),
+              (E_TWIST2, [CurvePoint.affine(-2, 0)], False)] + _near_two_torsion_cases()
+    kinds, heights, refused = set(), 0, 0
+    for bits in (64, 128, 256):
+        for curve, points, deep in cases:
+            ctx = arch_context(curve, bits)
+            kinds.add((curve.discriminant > 0, curve.c6 > 0))
+            for point in points:
+                doubled = curve.double(point)
+                targets = [point, curve.negate(point), doubled] + [curve.double(doubled)] * deep
+                for target in [t for t in dict.fromkeys(targets) if not t.infinity]:
+                    try:
+                        ref = mpmath_local_height_from_uniformizer(ctx, mpmath_elliptic_log(ctx, target))
+                    except PrecisionError:
+                        with pytest.raises(PrecisionError):
+                            local_height_arch(ctx, target)
+                        refused += 1
+                        continue
+                    value = local_height_arch(ctx, target)
+                    assert abs(value - ref) <= math.ulp(ref), (bits, curve, target, value, ref)
+                    heights += 1
+    assert len(kinds) == 4, kinds
+    assert heights >= 270 and refused <= 3, (heights, refused)

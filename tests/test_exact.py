@@ -56,6 +56,43 @@ def test_is_prime_rejects_psi12():
     assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
 
 
+def _sieve(limit: int) -> bytearray:
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, limit, i)))
+    return sieve
+
+
+def test_is_prime_matches_sieve_below_a_million_and_rejects_psi13():
+    """Below 10^6 the 13 Miller-Rabin bases decide alone; psi_13, the
+    smallest strong pseudoprime to all 13 of them, is where the strong
+    Lucas test takes over, and it refuses it."""
+    sieve = _sieve(10**6)
+    assert all(is_prime(n) == bool(sieve[n]) for n in range(10**6))
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi13)
+    assert factorize(psi13) == {1287836182261: 1, 2575672364521: 1}
+    # past the bound: Mersenne primes pass, a product of two of them does not
+    assert all(is_prime(2**e - 1) for e in (89, 107, 127))
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def test_strong_lucas_pseudoprimes_are_selfridges():
+    """The strong Lucas test on its own: every odd prime from 43 on below
+    2 * 10^5 passes, and the composites that pass (with no factor below 42)
+    are the Selfridge-parameter strong Lucas pseudoprimes (OEIS A217255)."""
+    sieve = _sieve(200000)
+    coprime = [n for n in range(43, 200000, 2) if all(n % p for p in exact._MR_BASES)]
+    assert all(exact._strong_lucas(n) for n in coprime if sieve[n])
+    assert [n for n in coprime if not sieve[n] and exact._strong_lucas(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077,
+        97439, 100127, 113573, 115639, 130139, 158399, 161027, 162133, 176399,
+        176471, 189419, 192509, 197801]
+
+
 def test_infinity_is_not_an_integer():
     assert INFINITY > 10**100
     assert not INFINITY < INFINITY
