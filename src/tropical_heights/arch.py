@@ -274,7 +274,7 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
             u = (u[0], -u[1]) if ctx.twisted else ((q << f) // u[0], 0)  # the inverse class
     # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
     tol = (one + abs(x_target)) >> bits // 2
-    if abs(_x_series(ctx, u, abs(q) * tol >> f + 21) - x_target) > tol:
+    if abs(_x_series(ctx, u, abs(q) * min(tol, one) >> f + 21) - x_target) > tol:
         raise PrecisionError("uniformizer round-trip failed; raise precision")
     with mp.workprec(f):
         return mp.mpc(*(mp.mpf((c, -f)) for c in u)) if ctx.twisted else mp.mpf((u[0], -f))

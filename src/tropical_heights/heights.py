@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .arch import ArchContext, arch_context, local_height_arch
@@ -97,10 +97,6 @@ class CurveModel:
         models = [self.local(p) for p in self.primes]
         return tuple(m for m in models if m.reduction.multiplicity > 0)
 
-    @cached_property
-    def is_semistable(self) -> bool:
-        return all(m.reduction.kind != "additive" for m in self.bad_places)
-
     def arch(self, precision_bits: int) -> ArchContext:
         """The ArchContext at this precision.  A context that raises is not
         kept, so every later call raises again."""
@@ -143,18 +139,18 @@ def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) 
     """Estimates 4^-k log max(|n_k|, d_k) for k = first..last, from the
     reduced pair (n, d) at step first - 1, without full-size integers.
 
-    The pair is kept modulo M = res^(steps + 2).  Each step's common
-    factor g_k divides res, so it is read exactly from residues mod res,
-    and the pair and M are divided by it.  The sizes are binary floats of
-    W = 64 + 2 * last bits on ints (the doubling map loses about one bit
-    per step), x_k = X / 2^s and d_k ~ m 2^e: with F(x) 2^4s and G(x) 2^3s
-    exact from the duplication forms at (X, 2^s), d_{k+1} = d_k^4 |G(x_k)|
-    / g_k and x_{k+1} = F(x_k) / G(x_k), each cut back to W bits.  Each
-    estimate is rounded to a double once, from the top 60 bits of
-    m max(|X|, 2^s) and its exponent.  G(x_k) = 0 raises PrecisionError.
+    The pair enters step k known modulo res^(last - k + 1).  Its common
+    factor g_k divides res, so it is read exactly from residues mod res, and
+    divided by g_k the pair is known modulo res^(last - k).  The sizes are
+    binary floats of W = 64 + 2 * last bits on ints (the doubling map loses
+    about one bit per step), x_k = X / 2^s and d_k ~ m 2^e: with F(x) 2^4s
+    and G(x) 2^3s exact from the duplication forms at (X, 2^s), d_{k+1} =
+    d_k^4 |G(x_k)| / g_k and x_{k+1} = F(x_k) / G(x_k), each cut back to W
+    bits.  Each estimate is rounded to a double once, from the top 60 bits
+    of m max(|X|, 2^s) and its exponent.  G(x_k) = 0 raises PrecisionError.
     """
     width = 64 + 2 * last
-    modulus = res ** (last - first + 3)
+    modulus = res ** (last - first + 1)
     s = max(0, width - n.bit_length() + d.bit_length())
     e = max(0, d.bit_length() - width)
     x, m = (n << s) // d, d >> e
@@ -163,8 +159,8 @@ def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) 
     for step in range(first, last + 1):
         num, den = duplication(n, d, b)
         g = _common_factor(num, den, res)
-        n, d = num % modulus // g, den % modulus // g
-        modulus //= g
+        modulus //= res
+        n, d = num // g % modulus, den // g % modulus
         fx, gx = duplication(x, 1 << s, b)
         gx >>= s
         if gx == 0:
@@ -233,7 +229,7 @@ def bad_primes(curve: WeierstrassCurve) -> list:
 
 
 def is_semistable(curve: WeierstrassCurve) -> bool:
-    return CurveModel.at(curve).is_semistable
+    return all(m.reduction.kind != "additive" for m in CurveModel.at(curve).bad_places)
 
 
 def place_list(curve: WeierstrassCurve, point: CurvePoint) -> list:
@@ -242,6 +238,15 @@ def place_list(curve: WeierstrassCurve, point: CurvePoint) -> list:
     model = CurveModel.at(curve)
     primes = {m.prime for m in model.bad_places} | set(factorize(point.x.denominator))
     return [model.local(p) for p in sorted(primes)]
+
+
+@lru_cache(maxsize=256)
+def _tripwire_primes(seed: int, covered: tuple) -> tuple:
+    """Five primes below 44 off ``covered``, drawn by random.Random(seed);
+    cached, as (seed, covered) is all it depends on: one seeding per pair."""
+    candidates = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+                  if p not in covered]
+    return tuple(random.Random(seed).sample(candidates, min(5, len(candidates))))
 
 
 def global_height(
@@ -257,9 +262,9 @@ def global_height(
     places = place_list(curve, point)
     additive = []
     reports = []
-    for place in places:
+    for place in places:  # the point is checked above: each place trusts it
         try:
-            reports.append(place.local_height(point))
+            reports.append(place._height(point))
         except AdditiveReductionError:
             additive.append(place.prime)
     if additive:
@@ -270,15 +275,10 @@ def global_height(
     total = arch_value + sum(rep.real_value for rep in reports)
     oracle = doubling_oracle(curve, point, config.n_max)
     # place coverage tripwire: lambda' vanishes at good primes off the list
-    rng = random.Random(config.seed)
-    checked = []
-    covered = {m.prime for m in places}
-    candidates = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-                  if p not in covered]
-    for p in rng.sample(candidates, min(5, len(candidates))):
-        if model.local(p).local_height(point).lambda_v != 0:
+    checked = _tripwire_primes(config.seed, tuple(m.prime for m in places))
+    for p in checked:
+        if model.local(p)._height(point).lambda_v != 0:
             raise InputError(f"place coverage violated: nonzero local height at good prime {p}")
-        checked.append(p)
     return GlobalHeightReport(
         curve=curve,
         point=point,
@@ -288,7 +288,7 @@ def global_height(
         oracle_value=oracle.value,
         oracle_estimates=oracle.estimates,
         discrepancy=abs(total - oracle.value),
-        checked_good_primes=tuple(checked),
+        checked_good_primes=checked,
     )
 
 

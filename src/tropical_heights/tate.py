@@ -260,31 +260,45 @@ class LocalModel:
         kind = "split multiplicative" if split else "nonsplit multiplicative"
         return ReductionType(kind, vd)
 
+    @cached_property
+    def _reduced_coefficients(self) -> tuple:
+        """a1, a2, a3, a4 of the minimal model mod p."""
+        return tuple(_mod_p(getattr(self.minimal, n), self.prime) for n in _COEFFS[:4])
+
     def local_height(self, point: CurvePoint) -> "LocalHeightReport":
         """Normalized local height of a point of the input model: the point
         is mapped to the minimal model, where lambda' = i(x, D) +
         (ell/2) B2(m/ell) in v-units; at a good place ell = m = 0 and
         lambda' = i.
 
+        The point's residue on the minimal model is checked first: it must
+        be zero, or have valuation at least 3 ell + 6, deep enough that
+        every valuation the formulas read is certified.
+
         Nonsplit places are handled by the same formulas, computed as over
         the unramified quadratic extension (same uniformizer and
         valuations), and flagged in the report.
         """
-        if point.infinity:
-            raise PreconditionError("local height undefined at the origin")
+        res = self.minimal.residue(self.transformation.push_point(point))
+        if res != 0 and _valuation(res, self.prime) < 3 * self.reduction.multiplicity + 6:
+            raise InputError("point is not on the curve (even p-adically)")
+        return self._height(point)
+
+    def _height(self, point: CurvePoint) -> "LocalHeightReport":
+        """``local_height`` of a point that the caller has checked is on the
+        curve: lambda' = (12 i ell + 6 (m^2 - m ell) + ell^2) / (12 ell),
+        one Fraction from ints."""
         p, red = self.prime, self.reduction
         if red.kind == "additive":
             raise AdditiveReductionError(f"additive reduction at {p} is out of scope")
         point = self.transformation.push_point(point)
-        ell = red.multiplicity
-        _require_on_curve(self.minimal, p, point, ell)
         i = _intersection(point, p)
         if red.is_good:
             return LocalHeightReport(p, red, i, Fraction(0), i)
-        m = _component_index(self, point)
-        lam = i + Fraction(ell, 2) * bernoulli2(m / ell)
+        ell, m = red.multiplicity, _component_index(self, point)
+        lam = Fraction(12 * i.numerator * ell + 6 * (m * m - m * ell) + ell * ell, 12 * ell)
         note = "" if red.kind == "split multiplicative" else "via unramified quadratic extension"
-        return LocalHeightReport(p, red, i, m, lam, note)
+        return LocalHeightReport(p, red, i, Fraction(m), lam, note)
 
 
 def reduction_type(curve: WeierstrassCurve, p: int) -> ReductionType:
@@ -311,15 +325,6 @@ class LocalHeightReport:
         return float(self.lambda_v) * math.log(self.prime)
 
 
-def _require_on_curve(curve: WeierstrassCurve, p: int, point: CurvePoint, ell: int):
-    """The point's residue on the curve is zero, or has valuation at least
-    3 ell + 6, deep enough that every valuation the height formulas read
-    is certified."""
-    res = curve.residue(point)
-    if res != 0 and _valuation(res, p) < 3 * ell + 6:
-        raise InputError("point is not on the curve (even p-adically)")
-
-
 def intersection_multiplicity(point: CurvePoint, p: int) -> Fraction:
     """max(0, -v_p(x)/2) at a prime p, which is checked here."""
     require_prime(p)
@@ -337,25 +342,14 @@ def _intersection(point: CurvePoint, p: int) -> Fraction:
         return Fraction(0)
     if v % 2 != 0:
         raise InputError(f"odd negative valuation v_{p}(x) = {v}; inconsistent input")
-    return Fraction(-v, 2)
+    return Fraction(-v // 2)
 
 
-def _has_singular_reduction(model: LocalModel, point: CurvePoint) -> bool:
-    p = model.prime
-    if _valuation(point.x, p) < 0 or _valuation(point.y, p) < 0:
-        return False  # reduces to the origin, which is smooth
-    # a point of the curve reduces onto the reduced curve, whose one
-    # singular point is where both partial derivatives vanish
-    x, y = _mod_p(point.x, p), _mod_p(point.y, p)
-    a1, a2, a3, a4 = (_mod_p(getattr(model.minimal, n), p) for n in _COEFFS[:4])
-    dx = a1 * y - 3 * x * x - 2 * a2 * x - a4
-    dy = 2 * y + a1 * x + a3
-    return dx % p == 0 and dy % p == 0
-
-
-def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
+def _component_index(model: LocalModel, point: CurvePoint) -> int:
     """Symmetrized component index m = min(i, ell - i) in [0, ell/2] of a
-    point of the minimal model at a multiplicative place.
+    point of the minimal model at a multiplicative place: 0 unless the point
+    reduces to the singular point of the reduced curve, where both partial
+    derivatives of its equation vanish mod p.
 
     For a point with singular reduction, w = v_p(2y + a1 x + a3) equals
     min(i, ell - i) exactly except on the component opposite the identity
@@ -364,18 +358,22 @@ def _component_index(model: LocalModel, point: CurvePoint) -> Fraction:
     Validated against parameter-built Tate points, where v(z) is ground
     truth (see the test suite).
     """
-    ell = model.reduction.multiplicity
-    if not _has_singular_reduction(model, point):
-        return Fraction(0)
+    p, ell = model.prime, model.reduction.multiplicity
+    if point.x.denominator % p == 0 or point.y.denominator % p == 0:
+        return 0  # reduces to the origin, which is smooth
+    x, y = _mod_p(point.x, p), _mod_p(point.y, p)
+    a1, a2, a3, a4 = model._reduced_coefficients
+    if (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p or (2 * y + a1 * x + a3) % p:
+        return 0
     curve = model.minimal
-    w = _valuation(2 * point.y + curve.a1 * point.x + curve.a3, model.prime)
-    half = Fraction(ell, 2)
-    m = half if (w is INFINITY or w >= half) else Fraction(w)
-    if m.denominator != 1:
+    w = _valuation(2 * point.y + curve.a1 * point.x + curve.a3, p)
+    if w is not INFINITY and 2 * w < ell:
+        return w
+    if ell % 2:
         raise InputError(
-            f"non-integral component index {m} at p={model.prime}; inconsistent input"
+            f"non-integral component index {ell}/2 at p={p}; inconsistent input"
         )
-    return m
+    return ell // 2
 
 
 def local_height_multiplicative(

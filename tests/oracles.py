@@ -875,7 +875,7 @@ def mpmath_elliptic_log(ctx, point: CurvePoint):
                 u = mp.conj(u) if ctx.twisted else q / u  # the inverse class
         # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol
         tol = (1 + abs(x_target)) * mp.mpf(2) ** (-(ctx.precision_bits // 2))
-        err = mpmath_x_series(u, q, abs(q) * tol * mp.mpf(2) ** -21, ctx.sigma1) - x_target
+        err = mpmath_x_series(u, q, abs(q) * min(tol, 1) * mp.mpf(2) ** -21, ctx.sigma1) - x_target
         if abs(err) > tol:
             raise PrecisionError("uniformizer round-trip failed; raise precision")
         return mp.mpc(u) if ctx.twisted else u

@@ -467,3 +467,72 @@ def test_curve_model_dies_with_the_curve():
     del curve
     gc.collect()
     assert ref() is None
+
+
+# -- the point is checked once, where it enters -----------------------------------
+
+# twisted curves (c6 > 0) whose P lies on the egg |u| = sqrt(q) of the real locus
+EGG_BRANCH = [(WeierstrassCurve.from_coeffs(1, -1, 0, -11, a6), CurvePoint.affine(x, y))
+              for a6, (x, y) in zip((-10, -9, -8, -7), [(-2, 2), (-1, 1), (F(-9, 4), F(19, 8)),
+                                                        (-2, 3)])]
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@pytest.fixture
+def residues(monkeypatch):
+    """The point of every curve-equation evaluation the library makes."""
+    calls, inner = [], WeierstrassCurve.residue
+    monkeypatch.setattr(WeierstrassCurve, "residue",
+                        lambda curve, point: calls.append(point) or inner(curve, point))
+    return calls
+
+
+def test_global_height_evaluates_the_curve_equation_three_times(semistable_examples, residues):
+    """On P, -P and 2P of the acceptance curves: once in global_height's own
+    membership check, once in each public entry it calls (elliptic_log and
+    doubling_oracle).  The places and the coverage tripwire trust the checked
+    point and evaluate nothing; the public LocalModel.local_height checks it
+    p-adically, once per call."""
+    for curve, point in semistable_examples:
+        for target in (point, curve.negate(point), curve.double(point)):
+            residues.clear()
+            report = global_height(curve, target)
+            assert residues == [target] * 3, (curve, target)
+            model = heights.CurveModel.at(curve)
+            places = place_list(curve, target) + [model.local(p) for p in report.checked_good_primes]
+            residues.clear()
+            for place in places:
+                place._height(target)
+            assert residues == []
+            for place in places:
+                place.local_height(target)
+            assert len(residues) == len(places)
+
+
+def test_trusted_path_matches_the_public_entries(semistable_examples):
+    """Everything global_height computes on its trusted cores equals what the
+    public entries give, on P, -P, 2P and 4P of the acceptance curves and of
+    the egg-branch curves, for seeds 0-3: each local report, the arch value,
+    the oracle's value and estimates, and the tripwire's primes, which are
+    random.Random(seed).sample of the small primes off the place list."""
+    count = 0
+    for curve, point in list(semistable_examples) + EGG_BRANCH:
+        model = heights.CurveModel.at(curve)
+        doubled = curve.double(point)
+        for target in (point, curve.negate(point), doubled, curve.double(doubled)):
+            oracle = doubling_oracle(curve, target)
+            arch_value = heights.local_height_arch(model.arch(128), target)
+            for seed in range(4):
+                report = global_height(curve, target, RunConfig(seed=seed))
+                places = place_list(curve, target)
+                assert report.local_reports == tuple(m.local_height(target) for m in places)
+                assert report.arch_value == arch_value
+                assert report.oracle_value == oracle.value
+                assert report.oracle_estimates == oracle.estimates
+                covered = {m.prime for m in places}
+                candidates = [p for p in SMALL_PRIMES if p not in covered]
+                expected = random.Random(seed).sample(candidates, min(5, len(candidates)))
+                assert report.checked_good_primes == tuple(expected)
+                assert all(model.local(p).local_height(target).lambda_v == 0 for p in expected)
+                count += 1
+    assert count == 4 * 4 * (len(semistable_examples) + len(EGG_BRANCH)), count
