@@ -1,26 +1,24 @@
 """Archimedean normalized canonical local height via the multiplicative
-uniformization C*/q^Z.
+uniformization C*/q^Z, on Python ints in fixed point (``fixed``).
 
 The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
 small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
-period ratio tau, which the arithmetic-geometric mean gives in closed form
-from the real roots e_i of t^3 + p t + r, t = x + b2/12 (Cohen, GTM 138,
-Alg. 7.4.7); the same AGMs give the real period Omega, and with it the
-rate d(log u)/dz of the uniformization, whose square scale2 gives t =
-scale2 (X + 1/12) for the Tate curve's X.  c4(q), sigma_1 and j = c4^3 /
-Delta, which only checks q, are the integer q-expansions of ``tate``
-summed by Horner's rule.  These per-curve values are mpmath numbers, kept
-in fixed point too; each point is worked on those ints alone.  The real
-locus is either the real annulus |q| < |u| <= 1 or, for the twisted real
-form (c6 > 0), the circles |u| = 1 and |u| = sqrt(q).  Each real
-component is an arc u = u0 exp(rate z), 0 <= z <= Omega/2, from the
-origin (or a 2-torsion point on the egg) to a 2-torsion point, for the
-elliptic logarithm z of a point of the identity component, which
-Carlson's R_F gives in closed form: z = R_F(t - e1, t - e2, t - e3)
-(Carlson, Numer. Algorithms 10, 1995; Cremona-Thongjunthug, J. Number
-Theory 133, 2013).  A point on the egg is first moved to the identity
-component by adding the 2-torsion point (e3, .); a 2-torsion point takes
-its arc end in closed form; the sign of 2y + a1 x + a3 picks u or its
+period ratio, which Carlson's R_F gives in closed form from the real roots
+e_i of t^3 + p t + r, t = x + b2/12 (Carlson, Numer. Algorithms 10, 1995):
+Omega = 2 R_F(0, e1 - e2, e1 - e3) and its partner, or with one real root
+the AGMs of Cohen's Alg. 7.4.7 (GTM 138) as pi / (2 R_F(0, a^2, b^2)), pi =
+2 R_F(0, 1, 1).  Omega gives the rate d(log u)/dz of the uniformization,
+whose square scale2 gives t = scale2 (X + 1/12) for the Tate curve's X.
+c4(q), sigma_1 and j = c4^3 / Delta, which only checks q, are the integer
+q-expansions of ``tate`` summed by Horner's rule.  The real locus is either
+the real annulus |q| < |u| <= 1 or, for the twisted real form (c6 > 0), the
+circles |u| = 1 and |u| = sqrt(q).  Each real component is an arc u = u0
+exp(rate z), 0 <= z <= Omega/2, from the origin (or a 2-torsion point on
+the egg) to a 2-torsion point, for the elliptic logarithm z of a point of
+the identity component, z = R_F(t - e1, t - e2, t - e3) (Cremona-Thongjunthug,
+J. Number Theory 133, 2013).  A point on the egg is first moved to the
+identity component by adding the 2-torsion point (e3, .); a 2-torsion point
+takes its arc end in closed form; the sign of 2y + a1 x + a3 picks u or its
 inverse class.  The height, rounded to a double once, is then
 
     lambda'(P) = (ell/2) B2(t) - log|theta(u)|,   t = -log|u| / ell,
@@ -32,10 +30,10 @@ so no curve-dependent constant is needed.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
-
-import mpmath as mp
+from fractions import Fraction
+from functools import reduce
+from math import isqrt
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
@@ -47,122 +45,125 @@ from .tate import (
 )
 
 _TERM_GUARD = 30
-# An ArchContext's values as ints at scale 2^bits, bits = W + log2(1/|q|) for
-# W = precision_bits + 40, so that a value of modulus at least |q| keeps W
-# bits; rate is (re, im), root = sqrt(q) (0 when q < 0), quad = sqrt(3 e1^2 + p).
-Fixed = namedtuple("Fixed", "bits q root ell rate scale2 sigma1 omega quad roots torsion_x")
 
 
-def _q_expansions(q, eps) -> tuple:
-    """(c4, sigma_1, Delta) at q: the integer q-expansions of ``tate``
-    summed by Horner's rule, each to less than eps (relative to q for
+def _scaled(x: Fraction, e: int) -> int:
+    """floor(x 2^e) for a rational x."""
+    return (x.numerator << max(e, 0)) // (x.denominator << max(-e, 0))
+
+
+def _q_expansions(q: int, eps: int, f: int) -> tuple:
+    """(c4, sigma_1, Delta) at q, all at scale 2^f: the integer q-expansions
+    of ``tate`` by Horner's rule, each to less than eps (relative to q for
     sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
     240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
-    rel = eps * abs(q)
-    lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3)),
-             sigma_coefficients(1, _terms(q, rel, 1, 2)),
-             discriminant_coefficients(_terms(q, rel, 2, 6))[1:])
-    c4, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
-    return c4, sigma1, q * disc_over_q
+    rel = eps * abs(q) >> f
+    lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3, f)),
+             sigma_coefficients(1, _terms(q, rel, 1, 2, f)),
+             discriminant_coefficients(_terms(q, rel, 2, 6, f))[1:])
+    c4, sigma1, disc_over_q = (reduce(lambda s, c: (s * q >> f) + (c << f), c[::-1], 0)
+                               for c in lists)
+    return c4, sigma1, q * disc_over_q >> f
 
 
-def _terms(q, eps, growth, power) -> int:
+def _terms(q: int, eps: int, growth: int, power: int, f: int) -> int:
     """Terms of sum c_n q^n, |c_n| <= growth n^power, that leave out less
-    than eps: the first n with growth n^power |q|^n < eps / 2, past which
-    the bound falls by more than half per term (|q| <= e^-pi)."""
-    n = int(mp.log(eps / (2 * growth)) / mp.log(abs(q)))
-    if n > 100000:
-        raise PrecisionError("q-series failed to converge")
-    while growth * n**power * abs(q) ** n >= eps / 2:
-        n += 1
+    than eps, q and eps at scale 2^f: the first n with growth n^power |q|^n
+    < eps / 2, past which the bound falls by more than half per term (|q| <=
+    e^-pi).  |q|^n is kept at scale 2^2f, since a term's coefficient can
+    lift it from below 2^-f."""
+    n, qn = 1, abs(q) << f
+    while 2 * growth * n**power * qn >= eps << f:
+        if n > 100000:
+            raise PrecisionError("q-series failed to converge")
+        n, qn = n + 1, qn * abs(q) >> f
     return n
 
 
-def _mp(value):
-    return mp.mpf(value.numerator) / value.denominator
-
-
-def _real_q(curve: WeierstrassCurve):
-    """(q, real roots t of t^3 + p t + r, real period Omega): q = e^{2 pi i
-    tau} from the periods by the AGM (Cohen, GTM 138, Alg. 7.4.7), with tau
-    on the real branch of the discriminant sign: tau = i s with s >= 1 when
-    disc > 0, tau = (1 + i s)/2 with s >= 1 when disc < 0."""
-    # 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(t^3 + p t + r) with t = x + b2/12:
-    # the trigonometric or Cardano form, then two Newton steps
-    p, r = -_mp(curve.c4) / 48, -_mp(curve.c6) / 864
-    if curve.discriminant > 0:
-        m = 2 * mp.sqrt(-p / 3)
-        phi = mp.acos(max(-1, min(1, 3 * r / (p * m)))) / 3
-        roots = [m * mp.cos(phi - 2 * mp.pi * i / 3) for i in range(3)]
-    else:
-        d = mp.sqrt(r * r / 4 + p**3 / 27)
-        roots = [sum(mp.sign(v) * mp.cbrt(abs(v)) for v in (d - r / 2, -d - r / 2))]
-    for _ in range(2):
-        roots = [t - (t**3 + p * t + r) / (3 * t * t + p) for t in roots]
-    roots = sorted(roots, reverse=True)
-    if curve.discriminant > 0:
-        e1, e2, e3 = roots
-        a = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-        b = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
-        return mp.exp(-2 * mp.pi * max(a / b, b / a)), roots, mp.pi / a
-    # beta = |3 e1 + b2/4| and alpha = sqrt(3 e1^2 + b2 e1/2 + b4/2) at t;
-    # Omega = 2 pi / agm(2 sqrt(alpha), sqrt(2 alpha + 3 e1)), signed e1
-    beta, alpha = 3 * abs(roots[0]), mp.sqrt(3 * roots[0] ** 2 + p)
-    a = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha + beta))
-    b = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha - beta))
-    return -mp.exp(-mp.pi * a / b), roots, 2 * mp.pi / (a if roots[0] > 0 else b)
+def _roots(p: int, r: int, f: int, three: bool) -> tuple:
+    """The real roots of t^3 + p t + r at scale 2^f, largest first.  The root
+    of largest modulus has the sign of -r and lies at least its own modulus
+    from the others; Newton's steps reach it monotonically from beyond
+    Cauchy's bound 1 + |p| + |r|, where the cubic is convex towards it.  The
+    other two are those of the factor t^2 + e t + e^2 + p."""
+    side = -1 if r > 0 else 1
+    e = side * ((1 << f) + abs(p) + abs(r))
+    while True:
+        step = ((((e * e >> f) + p) * e >> f) + r << f) // ((3 * e * e >> f) + p)
+        if side * step <= 0:
+            break
+        e -= step
+    if not three:
+        return (e,)
+    gap = isqrt(max(0, -3 * e * e - (4 * p << f)))  # |e2 - e3|
+    return tuple(sorted((e, (gap - e) >> 1, (-gap - e) >> 1), reverse=True))
 
 
 @dataclass(frozen=True)
 class ArchContext:
     """Everything needed to evaluate archimedean local heights on a curve;
-    immutable, so one context serves every point of the curve."""
+    immutable, so one context serves every point of the curve.  The values
+    are ints at scale 2^bits, bits = W + log2(1/|q|) for W = precision_bits
+    + 40, so that a value of modulus at least |q| keeps W bits.  They are
+    those of the model x -> x / 4^shift, whose c4 and c6 are near 1, so that
+    a model rescaled by a power of two gives the same ints."""
 
     curve: WeierstrassCurve
     precision_bits: int
-    q: mp.mpf
-    ell: mp.mpf                  # -log|q|
-    rate: mp.mpf | mp.mpc        # d(log u)/dz: 2 pi i/Omega, -ell/Omega or -2 ell/Omega
-    scale2: mp.mpf               # rate^2, real: t = scale2 (X(u) + 1/12)
-    sigma1: mp.mpf               # sum n q^n / (1 - q^n), the x-series constant
-    roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
-    omega: mp.mpf                # the real period
-    torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
+    bits: int
+    shift: int
     twisted: bool                # c6 > 0: the real locus is |u| = 1 [and |u| = sqrt(q)]
-    fixed: Fixed                 # the values above as ints, for each point
+    q: int
+    root: int                    # sqrt(q), 0 when q < 0
+    ell: int                     # -log|q|
+    rate: int                    # d(log u)/dz is i rate when twisted, else rate
+    scale2: int                  # re(d(log u)/dz)^2: t = scale2 (X(u) + 1/12)
+    sigma1: int                  # sum n q^n / (1 - q^n), the x-series constant
+    omega: int                   # the real period
+    quad: int                    # sqrt(3 e1^2 + p) = sqrt((e1 - e2)(e1 - e3))
+    roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
+    torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
 
 
 def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchContext:
-    with mp.workprec(precision_bits + 40):
-        eps = mp.mpf(2) ** (-(precision_bits + _TERM_GUARD))
-        j = _mp(curve.j_invariant)
-        q, roots, omega = _real_q(curve)
-        c4q, sigma1, disc = _q_expansions(q, eps)
-        if abs(c4q**3 / disc - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
-            raise PrecisionError("q-inversion did not reproduce j to tolerance")
-        ell = -mp.log(abs(q))
-        # d(log u)/dz = 2 pi i / omega_1 for the period omega_1 that q^Z
-        # leaves: the real period when c6 > 0, else the imaginary one
-        rate = (mp.mpc(0, 2 * mp.pi / omega) if curve.c6 > 0
-                else -ell / omega if q > 0 else -2 * ell / omega)
-        scale2 = mp.re(rate * rate)
-        torsion_x = tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots))
-        bits = precision_bits + 40 + int(1 / abs(q)).bit_length()
-        quad = mp.sqrt(3 * roots[0] ** 2 - _mp(curve.c4) / 48)
-        fixed = Fixed(bits, *_fixed((q, mp.sqrt(q) if q > 0 else 0, ell, (mp.re(rate), mp.im(rate)),
-                                     scale2, sigma1, omega, quad, tuple(roots), torsion_x), bits))
-        return ArchContext(curve, precision_bits, q, ell, rate, scale2, sigma1,
-                           tuple(roots), omega, torsion_x, curve.c6 > 0, fixed)
+    # rescaling x by 4^k adds k to shift and leaves every int below unchanged
+    shift = max((c.numerator.bit_length() - c.denominator.bit_length()) // w
+                for c, w in ((curve.c4, 4), (curve.c6, 6)) if c)
+    j = curve.j_invariant
+    # 1/|q| < |j| + 1000 on both branches, so the roots and q are worked out
+    # at a scale g >= bits, and cut to bits once q gives it
+    g = precision_bits + 40 + (abs(j.numerator) // j.denominator + 1000).bit_length()
+    one, p = 1 << g, _scaled(-curve.c4 / 48, g - 4 * shift)
+    roots = _roots(p, _scaled(-curve.c6 / 864, g - 6 * shift), g, curve.discriminant > 0)
+    quad, pi = isqrt((3 * roots[0] ** 2 >> g) + p << g), 2 * carlson_rf(0, one, one, g)
+    if len(roots) == 3:
+        e1, e2, e3 = roots
+        omega = 2 * carlson_rf(0, e1 - e2, e1 - e3, g)
+        other = 2 * carlson_rf(0, e1 - e3, e2 - e3, g)
+        ell = 2 * pi * max(omega, other) // min(omega, other)
+    else:  # Cohen's AGMs are pi / 2a and pi / 2b, with alpha = quad and beta = |3 e1|
+        a, b = (carlson_rf(0, 4 * quad, 2 * quad + sign * abs(3 * roots[0]), g) for sign in (1, -1))
+        ell, omega = pi * b // a, 4 * (a if roots[0] > 0 else b)
+    q = exp(-ell, g)[0] * (1 if len(roots) == 3 else -1)
+    bits = precision_bits + 40 + (one // abs(q)).bit_length()
+    q, ell, pi, omega, quad, *roots = (v >> g - bits for v in (q, ell, pi, omega, quad, *roots))
+    c4q, sigma1, disc = _q_expansions(q, 1 << bits - precision_bits - _TERM_GUARD, bits)
+    # |c4q^3 / disc - j| <= (|j| + 1728) 2^-(precision_bits - 10), exactly
+    if abs(c4q**3 * j.denominator - (j.numerator * disc << 2 * bits)) > (
+            abs(j.numerator) + 1728 * j.denominator) * abs(disc) << 2 * bits + 10 - precision_bits:
+        raise PrecisionError("q-inversion did not reproduce j to tolerance")
+    # d(log u)/dz = 2 pi i / omega_1 for the period omega_1 that q^Z leaves:
+    # the real period when c6 > 0, else the imaginary one
+    twisted = curve.c6 > 0
+    rate = (2 * pi << bits) // omega if twisted else -(ell << bits) // omega * (1 if q > 0 else 2)
+    scale2 = (rate * rate >> bits) * (-1 if twisted else 1)
+    torsion_x = tuple(sorted((e << bits) // scale2 - (1 << bits) // 12 for e in roots))
+    return ArchContext(curve, precision_bits, bits, shift, twisted, q,
+                       isqrt(q << bits) if q > 0 else 0, ell, rate, scale2, sigma1, omega, quad,
+                       tuple(roots), torsion_x)
 
 
 # -- the point on ints at scale 2^bits ---------------------------------------
-
-
-def _fixed(value, bits: int):
-    """An mpmath real as an int at scale 2^bits, a tuple of them as a tuple."""
-    if isinstance(value, tuple):
-        return tuple(_fixed(v, bits) for v in value)
-    return int(mp.ldexp(value, bits))
 
 
 def _x_series(ctx: ArchContext, u: tuple, eps: int) -> int:
@@ -172,8 +173,7 @@ def _x_series(ctx: ArchContext, u: tuple, eps: int) -> int:
     out sum to less than 1.2 eps/|q|: they have n >= 2, where |q^n u| <=
     |q|^n and |q^n/u| <= |q|^(n-1) <= |q| <= e^-pi bound |t/(1 - t)^2| by
     |t| / (1 - |q|)^2, and their sum is geometric."""
-    fx = ctx.fixed
-    f, q, v = fx.bits, fx.q, inverse(u, fx.bits)
+    f, q, v = ctx.bits, ctx.q, inverse(u, ctx.bits)
 
     def term(s, w):  # re(r^2 - r) = re t/(1 - t)^2 for r = 1/(1 - t), t = s w
         c, b = (1 << f) - (s * w[0] >> f), s * w[1] >> f
@@ -181,7 +181,7 @@ def _x_series(ctx: ArchContext, u: tuple, eps: int) -> int:
         r, i = (c << 2 * f) // norm, (b << 2 * f) // norm
         return (r * r - i * i >> f) - r
 
-    total, qn = term(1 << f, u) - 2 * fx.sigma1, 1 << f
+    total, qn = term(1 << f, u) - 2 * ctx.sigma1, 1 << f
     while True:
         qn = qn * q >> f
         if abs(qn) < eps:
@@ -189,11 +189,11 @@ def _x_series(ctx: ArchContext, u: tuple, eps: int) -> int:
         total += term(qn, u) + term(qn, v)
 
 
-def _theta_norm(fx: Fixed, u: tuple, eps: int) -> int:
+def _theta_norm(ctx: ArchContext, u: tuple, eps: int) -> int:
     """|theta(u)|^2 at scale 2^(2 bits): |1 - u|^2, exact, times the square
     modulus of the product of (1 - q^n u)(1 - q^n/u) = 1 - q^n (u + 1/u) +
     q^2n over |q^n| >= eps."""
-    f, q, v = fx.bits, fx.q, inverse(u, fx.bits)
+    f, q, v = ctx.bits, ctx.q, inverse(u, ctx.bits)
     sr, si, pr, pi, qn = u[0] + v[0], u[1] + v[1], 1 << f, 0, 1 << f
     while True:
         qn = qn * q >> f
@@ -210,30 +210,29 @@ def _carlson_log(ctx: ArchContext, t: int) -> int:
     factor (Byrd-Friedman 239.00 with F(phi, k) in Carlson's R_F), in which
     A^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + p; for t - e1 < A the angle passes
     pi/2, that form gives F(pi - phi) and z = Omega/2 - w."""
-    fx = ctx.fixed
-    if len(fx.roots) == 3:
-        e1, e2, e3 = fx.roots
-        return carlson_rf(t - e1, t - e2, t - e3, fx.bits)
-    e1, a = fx.roots[0], fx.quad
+    if len(ctx.roots) == 3:
+        e1, e2, e3 = ctx.roots
+        return carlson_rf(t - e1, t - e2, t - e3, ctx.bits)
+    e1, a = ctx.roots[0], ctx.quad
     s = t - e1
-    w = carlson_rf((s - a) ** 2 // s, s + 3 * e1 + a * a // s, (s + a) ** 2 // s, fx.bits)
-    return w if s >= a else fx.omega // 2 - w
+    w = carlson_rf((s - a) ** 2 // s, s + 3 * e1 + a * a // s, (s + a) ** 2 // s, ctx.bits)
+    return w if s >= a else ctx.omega // 2 - w
 
 
-def elliptic_log(ctx: ArchContext, point: CurvePoint):
-    """Uniformizer u in C*/q^Z of a real point, normalized so that
-    0 <= -log|u| < ell.  Raises PrecisionError near the origin when the
-    working precision cannot separate the point from u = 1."""
+def elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
+    """Uniformizer u in C*/q^Z of a real point as the pair (re, im) of ints
+    at scale 2^ctx.bits, normalized so that 0 <= -log|u| < ell.  Raises
+    PrecisionError near the origin when the working precision cannot
+    separate the point from u = 1."""
     if point.infinity:
         raise InputError("the origin has no uniformizer")
     curve = ctx.curve
     if not curve.contains(point):
         raise InputError("point is not on the curve")
-    fx, bits = ctx.fixed, ctx.precision_bits
-    f, q, root, tx, one = fx.bits, fx.q, fx.root, fx.torsion_x, 1 << fx.bits
-    t = point.x + curve.b2 / 12
-    t = (t.numerator << f) // t.denominator
-    x_target = (t << f) // fx.scale2 - one // 12
+    f, bits, q, root, tx = ctx.bits, ctx.precision_bits, ctx.q, ctx.root, ctx.torsion_x
+    one = 1 << f
+    t = _scaled(point.x + curve.b2 / 12, f - 2 * ctx.shift)
+    x_target = (t << f) // ctx.scale2 - one // 12
     # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
     # sign of 2Y + X, or of its imaginary part when alpha is imaginary
     eta = 2 * point.y + curve.a1 * point.x + curve.a3
@@ -261,11 +260,11 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
         u = (ends[i], 0)
     else:
         if egg:  # add (e3, .), which moves the point to the identity component
-            e1, e2, e3 = fx.roots
+            e1, e2, e3 = ctx.roots
             t = e3 + (e1 - e3) * (e2 - e3) // (t - e3)
         elif abs(x_target) >> 2 * (bits + 5) > one:
             raise PrecisionError("point too close to the origin")
-        c, s = exp(sum(fx.rate) * _carlson_log(ctx, t) >> f, f, ctx.twisted)
+        c, s = exp(ctx.rate * _carlson_log(ctx, t) >> f, f, ctx.twisted)
         u = (ends[0] * c >> f, ends[0] * s >> f)
         # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
         # positive on the identity arc and negative on the egg (rate < 0),
@@ -276,26 +275,23 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint):
     tol = (one + abs(x_target)) >> bits // 2
     if abs(_x_series(ctx, u, abs(q) * min(tol, one) >> f + 21) - x_target) > tol:
         raise PrecisionError("uniformizer round-trip failed; raise precision")
-    with mp.workprec(f):
-        return mp.mpc(*(mp.mpf((c, -f)) for c in u)) if ctx.twisted else mp.mpf((u[0], -f))
+    return u
 
 
-def local_height_from_uniformizer(ctx: ArchContext, u) -> float:
+def local_height_from_uniformizer(ctx: ArchContext, u: tuple) -> float:
     """lambda' = (ell/2) B2(t) - log|theta(u)| with t = -log|u|/ell in [0,1),
-    on ints at scale 2^bits, rounded to a double once.
+    for u = (re, im) at scale 2^ctx.bits, rounded to a double once.
 
     Accepts any u in C*; reduces modulo q^Z first, so u and q u agree.
     """
-    fx = ctx.fixed
-    f, q, ell = fx.bits, fx.q, fx.ell
-    u = _fixed((mp.re(u), mp.im(u)), f)
+    f, q, ell = ctx.bits, ctx.q, ctx.ell
     t = -(log(u[0] * u[0] + u[1] * u[1], 2 * f, f) << f) // (2 * ell)
     shift = t >> f
     for _ in range(abs(shift)):
         u = tuple((c << f) // q if shift > 0 else c * q >> f for c in u)
     t -= shift << f
     eps = 1 << f - ctx.precision_bits - _TERM_GUARD
-    theta = _theta_norm(fx, u, eps)
+    theta = _theta_norm(ctx, u, eps)
     if theta < 100 * eps * eps:
         raise InputError("theta vanishes: point on the divisor")
     half = t - (1 << f - 1)

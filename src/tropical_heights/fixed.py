@@ -1,6 +1,6 @@
-"""Fixed point on Python ints for the archimedean place's per-point path: a
-real v at scale 2^f is an int within one unit of v 2^f, a complex one the
-pair of its parts."""
+"""Fixed point on Python ints for the archimedean place: a real v at scale
+2^f is an int within one unit of v 2^f, a complex one the pair of its
+parts."""
 
 from __future__ import annotations
 

@@ -165,9 +165,9 @@ def _split_estimates(n: int, d: int, b: tuple, res: int, first: int, last: int) 
         gx >>= s
         if gx == 0:
             raise PrecisionError(f"x_{step - 1} is a root of the duplication denominator G")
-        m = m**4 * abs(gx) // g
+        m = (m**4 * abs(gx) << g.bit_length()) // g
         trim = max(0, m.bit_length() - width)
-        m, e = m >> trim, 4 * e - 3 * s + trim
+        m, e = m >> trim, 4 * e - 3 * s + trim - g.bit_length()
         k = max(width - fx.bit_length() + gx.bit_length(), -s)
         x = (fx << k) // gx if k >= 0 else fx // (gx << -k)
         s += k

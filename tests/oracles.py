@@ -13,7 +13,7 @@ method, and the tests check the replacement against them.
   the rate of the uniformization), and the uniformizer
   u by bisection on the x-series and by Newton steps on it (the library's
   route before Carlson's R_F, with the two-sided x- and eta-series),
-  against ``arch``'s AGM and R_F;
+  against ``arch``'s periods and u from R_F;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
   integers mod a power of p; and the same sums on integers with three
@@ -35,7 +35,11 @@ method, and the tests check the replacement against them.
   on every point, against ``heights.doubling_oracle``, which leaves
   torsion to ``torsion_order`` and doubles every other point split from
   the first step;
-* the archimedean point in mpmath at W = bits + 40 (``mpmath_elliptic_log``
+* the archimedean place in mpmath at W = bits + 40: the per-curve values
+  (``mpmath_arch_context``: the roots by the trigonometric or Cardano form
+  and Newton's steps, q and Omega by the AGM, the q-expansions by
+  ``mp.polyval``), against ``arch_context``'s values on ints, each within
+  2^-(bits + 30); and on that context the point (``mpmath_elliptic_log``
   and ``mpmath_local_height_from_uniformizer``, with their one-sided
   x-series, theta product and ``mp.elliprf``), against ``arch``'s path on
   ints in fixed point, every height within one ulp;
@@ -68,7 +72,10 @@ caller in it:
 * ``is_integral`` for a Weierstrass model;
 * ``quadratic_value`` x^T G x, which certifies a closest-vector answer;
 * ``coordinates_from_uniformizer``, the inverse of the elliptic log, for
-  round trips at the archimedean place.
+  round trips at the archimedean place;
+* ``convert``, the one crossing between ``arch``'s ints and mpmath: an
+  ArchContext as the mpmath values of the curve's own model, and an int or
+  a uniformizer either way.
 """
 
 import math
@@ -96,6 +103,7 @@ from tropical_heights.tate import (
     eisenstein6_coefficients,
     j_times_q_coefficients,
     normalize_parameter,
+    sigma_coefficients,
 )
 from tropical_heights.tropical import _TERM_MARGIN, _ceil_sqrt
 
@@ -604,16 +612,144 @@ def quadratic_value(gram, x) -> Fraction:
     )
 
 
+# -- archimedean place: the per-curve values in mpmath, and the boundary ------
+
+
+def _q_expansions(q, eps) -> tuple:
+    """(c4, sigma_1, Delta) at q: the integer q-expansions of ``tate``
+    summed by Horner's rule, each to less than eps (relative to q for
+    sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
+    240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
+    rel = eps * abs(q)
+    lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3)),
+             sigma_coefficients(1, _terms(q, rel, 1, 2)),
+             discriminant_coefficients(_terms(q, rel, 2, 6))[1:])
+    c4, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
+    return c4, sigma1, q * disc_over_q
+
+
+def _terms(q, eps, growth, power) -> int:
+    """Terms of sum c_n q^n, |c_n| <= growth n^power, that leave out less
+    than eps: the first n with growth n^power |q|^n < eps / 2, past which
+    the bound falls by more than half per term (|q| <= e^-pi)."""
+    n = int(mp.log(eps / (2 * growth)) / mp.log(abs(q)))
+    if n > 100000:
+        raise PrecisionError("q-series failed to converge")
+    while growth * n**power * abs(q) ** n >= eps / 2:
+        n += 1
+    return n
+
+
+def _mp(value):
+    return mp.mpf(value.numerator) / value.denominator
+
+
+def _real_q(curve: WeierstrassCurve):
+    """(q, real roots t of t^3 + p t + r, real period Omega): q = e^{2 pi i
+    tau} from the periods by the AGM (Cohen, GTM 138, Alg. 7.4.7), with tau
+    on the real branch of the discriminant sign: tau = i s with s >= 1 when
+    disc > 0, tau = (1 + i s)/2 with s >= 1 when disc < 0."""
+    # 4x^3 + b2 x^2 + 2 b4 x + b6 = 4(t^3 + p t + r) with t = x + b2/12:
+    # the trigonometric or Cardano form, then two Newton steps
+    p, r = -_mp(curve.c4) / 48, -_mp(curve.c6) / 864
+    if curve.discriminant > 0:
+        m = 2 * mp.sqrt(-p / 3)
+        phi = mp.acos(max(-1, min(1, 3 * r / (p * m)))) / 3
+        roots = [m * mp.cos(phi - 2 * mp.pi * i / 3) for i in range(3)]
+    else:
+        d = mp.sqrt(r * r / 4 + p**3 / 27)
+        roots = [sum(mp.sign(v) * mp.cbrt(abs(v)) for v in (d - r / 2, -d - r / 2))]
+    for _ in range(2):
+        roots = [t - (t**3 + p * t + r) / (3 * t * t + p) for t in roots]
+    roots = sorted(roots, reverse=True)
+    if curve.discriminant > 0:
+        e1, e2, e3 = roots
+        a = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+        b = mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
+        return mp.exp(-2 * mp.pi * max(a / b, b / a)), roots, mp.pi / a
+    # beta = |3 e1 + b2/4| and alpha = sqrt(3 e1^2 + b2 e1/2 + b4/2) at t;
+    # Omega = 2 pi / agm(2 sqrt(alpha), sqrt(2 alpha + 3 e1)), signed e1
+    beta, alpha = 3 * abs(roots[0]), mp.sqrt(3 * roots[0] ** 2 + p)
+    a = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha + beta))
+    b = mp.agm(2 * mp.sqrt(alpha), mp.sqrt(2 * alpha - beta))
+    return -mp.exp(-mp.pi * a / b), roots, 2 * mp.pi / (a if roots[0] > 0 else b)
+
+
+@dataclass(frozen=True)
+class MpmathContext:
+    """The per-curve values of ``arch.ArchContext`` as mpmath numbers, on
+    the curve's own model."""
+
+    curve: WeierstrassCurve
+    precision_bits: int
+    q: mp.mpf
+    ell: mp.mpf                  # -log|q|
+    rate: mp.mpf | mp.mpc        # d(log u)/dz: 2 pi i/Omega, -ell/Omega or -2 ell/Omega
+    scale2: mp.mpf               # rate^2, real: t = scale2 (X(u) + 1/12)
+    sigma1: mp.mpf               # sum n q^n / (1 - q^n), the x-series constant
+    roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
+    omega: mp.mpf                # the real period
+    torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
+    twisted: bool                # c6 > 0: the real locus is |u| = 1 [and |u| = sqrt(q)]
+
+
+def mpmath_arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> MpmathContext:
+    """The per-curve values in mpmath at W = precision_bits + 40: the
+    library's path before it moved to ints, the reference for
+    ``arch.arch_context``."""
+    with mp.workprec(precision_bits + 40):
+        eps = mp.mpf(2) ** (-(precision_bits + arch._TERM_GUARD))
+        j = _mp(curve.j_invariant)
+        q, roots, omega = _real_q(curve)
+        c4q, sigma1, disc = _q_expansions(q, eps)
+        if abs(c4q**3 / disc - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
+            raise PrecisionError("q-inversion did not reproduce j to tolerance")
+        ell = -mp.log(abs(q))
+        # d(log u)/dz = 2 pi i / omega_1 for the period omega_1 that q^Z
+        # leaves: the real period when c6 > 0, else the imaginary one
+        rate = (mp.mpc(0, 2 * mp.pi / omega) if curve.c6 > 0
+                else -ell / omega if q > 0 else -2 * ell / omega)
+        scale2 = mp.re(rate * rate)
+        torsion_x = tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots))
+        return MpmathContext(curve, precision_bits, q, ell, rate, scale2, sigma1,
+                             tuple(roots), omega, torsion_x, curve.c6 > 0)
+
+
+def convert(ctx, value=None):
+    """The boundary between ``arch``'s ints at scale 2^ctx.bits and mpmath.
+    With no value, the ArchContext as an MpmathContext of the curve's own
+    model; an int as an mpf; a uniformizer (re, im) of ints as an mpc on
+    the twisted form and as the mpf re otherwise; an mpmath number or a
+    float as that pair of ints."""
+    if isinstance(value, (mp.mpf, mp.mpc, float)):
+        return int(mp.ldexp(mp.re(value), ctx.bits)), int(mp.ldexp(mp.im(value), ctx.bits))
+    with mp.workprec(ctx.bits + 64):  # wide enough to hold every int exactly
+
+        def real(v, e=0):  # v 2^(e - bits), 2^e from the model x -> x / 4^shift back
+            return mp.ldexp(mp.mpf(v), e - ctx.bits)
+
+        if isinstance(value, int):
+            return real(value)
+        if isinstance(value, tuple):
+            return mp.mpc(real(value[0]), real(value[1])) if ctx.twisted else real(value[0])
+        s, rate = ctx.shift, real(ctx.rate, ctx.shift)
+        return MpmathContext(ctx.curve, ctx.precision_bits, real(ctx.q), real(ctx.ell),
+                             mp.mpc(0, rate) if ctx.twisted else rate, real(ctx.scale2, 2 * s),
+                             real(ctx.sigma1), tuple(real(e, 2 * s) for e in ctx.roots),
+                             real(ctx.omega, -s), tuple(map(real, ctx.torsion_x)), ctx.twisted)
+
+
 def coordinates_from_uniformizer(ctx, u):
     """(x, y) on the original model from a uniformizer (round-trip support)."""
+    ctx = convert(ctx)
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
         q = ctx.q
         x_q = x_series(u, q, eps, ctx.sigma1)
         eta_q = eta_series(u, q, eps)
         curve = ctx.curve
-        x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - arch._mp(curve.b2) / 12
-        y = (alpha3(ctx) * eta_q - arch._mp(curve.a1) * x - arch._mp(curve.a3)) / 2
+        x = ctx.scale2 * (x_q + mp.mpf(1) / 12) - _mp(curve.b2) / 12
+        y = (alpha3(ctx) * eta_q - _mp(curve.a1) * x - _mp(curve.a3)) / 2
         return x, y
 
 
@@ -659,12 +795,12 @@ def eta_series(u, q, eps):
 
 
 def normalized_x(ctx, x):
-    return (x + arch._mp(ctx.curve.b2) / 12) / ctx.scale2 - mp.mpf(1) / 12
+    return (x + _mp(ctx.curve.b2) / 12) / ctx.scale2 - mp.mpf(1) / 12
 
 
 def eta_target(ctx, point: CurvePoint):
     curve = ctx.curve
-    return arch._mp(2 * point.y + curve.a1 * point.x + curve.a3) / alpha3(ctx)
+    return _mp(2 * point.y + curve.a1 * point.x + curve.a3) / alpha3(ctx)
 
 
 _NEWTON_GUARD = 200
@@ -675,6 +811,7 @@ def newton_elliptic_log(ctx, point: CurvePoint):
     """Uniformizer u of a real point by Newton steps on the x-series along
     its arc, the library's route before Carlson's R_F; the reference for
     ``arch.elliptic_log``, normalized the same way."""
+    ctx = convert(ctx)
     if point.infinity:
         raise InputError("the origin has no uniformizer")
     if not ctx.curve.contains(point):
@@ -682,7 +819,7 @@ def newton_elliptic_log(ctx, point: CurvePoint):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
         q = ctx.q
-        x_target = normalized_x(ctx, arch._mp(point.x))
+        x_target = normalized_x(ctx, _mp(point.x))
         eta_t = eta_target(ctx, point)
         tiny = mp.mpf(2) ** (-(ctx.precision_bits + 5))
         slack = mp.mpf(2) ** -ctx.precision_bits
@@ -814,7 +951,7 @@ def mpmath_carlson_log(ctx, t):
         e1, e2, e3 = ctx.roots
         return mp.elliprf(t - e1, t - e2, t - e3)
     e1 = ctx.roots[0]
-    s, a = t - e1, mp.sqrt(3 * e1**2 - arch._mp(ctx.curve.c4) / 48)
+    s, a = t - e1, mp.sqrt(3 * e1**2 - _mp(ctx.curve.c4) / 48)
     w = mp.elliprf((s - a) ** 2 / s, s + 3 * e1 + a * a / s, (s + a) ** 2 / s)
     return w if s >= a else ctx.omega / 2 - w
 
@@ -832,7 +969,7 @@ def mpmath_elliptic_log(ctx, point: CurvePoint):
         raise InputError("point is not on the curve")
     with mp.workprec(ctx.precision_bits + 40):
         q = ctx.q
-        t = arch._mp(point.x + curve.b2 / 12)
+        t = _mp(point.x + curve.b2 / 12)
         x_target = t / ctx.scale2 - mp.mpf(1) / 12
         # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
         # sign of 2Y + X, or of its imaginary part when alpha is imaginary
@@ -910,7 +1047,7 @@ def mpmath_local_height_from_uniformizer(ctx, u) -> float:
 def q_expansion_c6(q, eps):
     """c6(q) = -E6(q) from ``tate``'s integer expansion by Horner's rule,
     cut where its n-th coefficient's bound 504 zeta(5) n^5 falls below eps."""
-    return -mp.polyval(eisenstein6_coefficients(arch._terms(q, eps, 523, 5))[::-1], q)
+    return -mp.polyval(eisenstein6_coefficients(_terms(q, eps, 523, 5))[::-1], q)
 
 
 def ratio_scale2(curve, q, eps):
@@ -919,9 +1056,9 @@ def ratio_scale2(curve, q, eps):
     j = 0 (c4 = 0) and j = 1728 (c6 = 0): the reference for
     ``ArchContext.scale2``, which ``arch`` takes from the rate of the
     uniformization instead."""
-    c4q = arch._q_expansions(q, eps)[0]
+    c4q = _q_expansions(q, eps)[0]
     c6q = q_expansion_c6(q, eps)
-    c4, c6 = arch._mp(curve.c4), arch._mp(curve.c6)
+    c4, c6 = _mp(curve.c4), _mp(curve.c6)
     if c4 != 0 and c6 != 0:
         return (c6 * c4q) / (c6q * c4)
     if c4 == 0:
@@ -1026,6 +1163,7 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
     """Uniformizer u of a real point by bisection on each monotone branch of
     the x-series, ctx.precision_bits + 50 halvings per solve; the reference
     for `arch.elliptic_log`."""
+    ctx = convert(ctx)
     if point.infinity:
         raise InputError("the origin has no uniformizer")
     if not ctx.curve.contains(point):
@@ -1033,7 +1171,7 @@ def bisection_elliptic_log(ctx, point: CurvePoint):
     with mp.workprec(ctx.precision_bits + 40):
         eps = mp.mpf(2) ** (-(ctx.precision_bits + arch._TERM_GUARD))
         q = ctx.q
-        x_target = normalized_x(ctx, arch._mp(point.x))
+        x_target = normalized_x(ctx, _mp(point.x))
         eta_z = eta_target(ctx, point)
         iterations = ctx.precision_bits + 50
         disc_positive = ctx.curve.discriminant > 0

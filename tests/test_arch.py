@@ -16,9 +16,12 @@ from tropical_heights.errors import InputError, PrecisionError
 
 from oracles import (
     _find_real_q,
+    _mp,
     bisection_elliptic_log,
+    convert,
     coordinates_from_uniformizer,
     lambert_sum,
+    mpmath_arch_context,
     mpmath_elliptic_log,
     mpmath_local_height_from_uniformizer,
     newton_elliptic_log,
@@ -32,11 +35,13 @@ E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
 CM1728 = WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)   # y^2 = x^3 - x
 E_TWIST2 = WeierstrassCurve.from_coeffs(1, -1, 0, -11, -10)  # twisted, disc > 0
 J0 = WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)        # y^2 = x^3 + 1
+# the models x = 4^k x' of 37a and 11a that the scale tests run on
+RESCALINGS = (-80, -60, -40, 40, 60)
 
 
 def test_context_reproduces_j():
     for curve in (E37, E11, CM1728, J0):
-        ctx = arch_context(curve, 128)
+        ctx = convert(arch_context(curve, 128))
         assert abs(ctx.q) < math.exp(-math.pi) * 1.0000001
         assert (ctx.q > 0) == (curve.discriminant > 0)
 
@@ -51,16 +56,16 @@ def test_j_off_the_branch_is_refused():
 
 
 def test_ell_is_model_invariant():
-    ctx1 = arch_context(E37, 96)
+    ctx1 = convert(arch_context(E37, 96))
     moved = E37.transform(F(2, 3), 1, -1, 2)
-    ctx2 = arch_context(moved, 96)
+    ctx2 = convert(arch_context(moved, 96))
     assert abs(ctx1.ell - ctx2.ell) < 1e-20
 
 
 def test_near_cusp_q_behaves_like_inverse_j():
     curve = WeierstrassCurve.from_coeffs(1, 0, 1, -11, 12)  # |j| ~ 1.3e6
     assert abs(curve.j_invariant) > 10**6
-    ctx = arch_context(curve, 96)
+    ctx = convert(arch_context(curve, 96))
     j = float(curve.j_invariant)
     # q = 1/j + O(1/j^2)
     assert abs(ctx.q - 1 / j) < 2000 / j**2
@@ -74,8 +79,8 @@ def test_elliptic_log_roundtrip():
         CurvePoint.affine(6, 14),
     ]:
         assert E37.contains(point)
-        u = elliptic_log(ctx, point)
-        assert 0 <= -mp.log(abs(u)) < ctx.ell + 1e-20
+        u = convert(ctx, elliptic_log(ctx, point))
+        assert 0 <= -mp.log(abs(u)) < convert(ctx).ell + 1e-20
         x_back, y_back = coordinates_from_uniformizer(ctx, u)
         assert abs(x_back - float(point.x)) < 1e-20 * (1 + abs(float(point.x)))
         assert abs(complex(y_back).real - float(point.y)) < 1e-18 * (1 + abs(float(point.y)))
@@ -84,11 +89,11 @@ def test_elliptic_log_roundtrip():
 def test_elliptic_log_inverse_class():
     ctx = arch_context(E11, 128)
     P = CurvePoint.affine(5, 5)
-    u = elliptic_log(ctx, P)
-    v = elliptic_log(ctx, E11.negate(P))
+    u = convert(ctx, elliptic_log(ctx, P))
+    v = convert(ctx, elliptic_log(ctx, E11.negate(P)))
     # u * v must lie in q^Z: reduce and compare
     prod = u * v
-    ell = ctx.ell
+    ell = convert(ctx).ell
     t = -mp.log(abs(prod)) / ell
     assert abs(t - mp.nint(t)) < 1e-25
     assert abs(mp.im(mp.log(mp.mpc(prod))) % (2 * mp.pi)) < 1e-25 or \
@@ -99,9 +104,9 @@ def test_two_torsion_squares_into_parameter_lattice():
     ctx = arch_context(CM1728, 128)
     for x0 in (0, 1, -1):
         T = CurvePoint.affine(x0, 0)
-        u = elliptic_log(ctx, T)
+        u = convert(ctx, elliptic_log(ctx, T))
         sq = u * u
-        t = -mp.log(abs(sq)) / ctx.ell
+        t = -mp.log(abs(sq)) / convert(ctx).ell
         assert abs(t - mp.nint(t)) < 1e-25
 
 
@@ -112,8 +117,9 @@ def test_height_even_and_periodic():
     lam_neg = local_height_arch(ctx, E37.negate(P))
     assert abs(lam - lam_neg) < 1e-12
     u = elliptic_log(ctx, P)
+    qu = convert(ctx, convert(ctx, u) * convert(ctx).q)
     assert abs(local_height_from_uniformizer(ctx, u) -
-               local_height_from_uniformizer(ctx, u * ctx.q)) < 1e-12
+               local_height_from_uniformizer(ctx, qu)) < 1e-12
 
 
 def test_height_model_independence():
@@ -145,7 +151,7 @@ def test_continuity_smoke():
     ctx = arch_context(E37, 96)
     step = 0.002
     us = [0.30 + step * k for k in range(40)]
-    vals = [local_height_from_uniformizer(ctx, mp.mpf(u)) for u in us]
+    vals = [local_height_from_uniformizer(ctx, convert(ctx, mp.mpf(u))) for u in us]
     assert all(math.isfinite(v) for v in vals)
     worst = max(abs(a - b) for a, b in zip(vals, vals[1:]))
     assert worst < 50 * step
@@ -160,7 +166,7 @@ def test_tate_limit_archimedean():
             estimates = []
             for k in range(8, 16):
                 u = 1 - mp.mpf(2) ** (-k)
-                lam = local_height_from_uniformizer(ctx, u)
+                lam = local_height_from_uniformizer(ctx, convert(ctx, u))
                 x, y = coordinates_from_uniformizer(ctx, u)
                 z = complex(x / y)
                 estimates.append(lam + math.log(abs(z)))
@@ -178,7 +184,7 @@ def _component(ctx, u):
 
 
 def test_agm_and_newton_match_bisection_oracles(semistable_examples):
-    """q from the AGM against bisection on j, and u three ways, Carlson's
+    """q from the periods against bisection on j, and u three ways, Carlson's
     R_F against Newton and bisection on x, at 128 and 256 bits, on every
     real-locus branch.  The acceptance curves (one component, both twists)
     run u at 128 bits only, as 11a and [1,0,1,4,-6] cover their branches
@@ -196,10 +202,10 @@ def test_agm_and_newton_match_bisection_oracles(semistable_examples):
             ctx = arch_context(curve, bits)
             with mp.workprec(bits + 40):
                 eps = mp.mpf(2) ** -(bits + 30)
-                q_ref = _find_real_q(arch._mp(curve.j_invariant), curve.discriminant > 0, eps)
-                assert abs(ctx.q - q_ref) < abs(q_ref) * mp.mpf(2) ** -bits, (curve, bits)
+                q_ref = _find_real_q(_mp(curve.j_invariant), curve.discriminant > 0, eps)
+                assert abs(convert(ctx).q - q_ref) < abs(q_ref) * mp.mpf(2) ** -bits, (curve, bits)
             for point in points:
-                u = elliptic_log(ctx, point)
+                u = convert(ctx, elliptic_log(ctx, point))
                 ref = bisection_elliptic_log(ctx, point)
                 newton = newton_elliptic_log(ctx, point)
                 assert abs(u - ref) < abs(ref) * mp.mpf(2) ** -(bits - 8), (curve, point)
@@ -219,7 +225,8 @@ def test_elliptic_log_keeps_its_digits_near_two_torsion():
     point = CurvePoint.affine(F(806, 625), F(-8329, 15625))  # u ~ -1
     ref = newton_elliptic_log(arch_context(curve, 512), point)
     for bits in (128, 256):
-        u = elliptic_log(arch_context(curve, bits), point)
+        ctx = arch_context(curve, bits)
+        u = convert(ctx, elliptic_log(ctx, point))
         with mp.workprec(552):
             assert abs(u - ref) < mp.mpf(2) ** -(bits + 20), (bits, u)
 
@@ -237,7 +244,7 @@ def test_branch_tolerance_scales_with_precision():
         for (x, y), component in points.items():
             point = CurvePoint.affine(x, y)
             assert curve.contains(point)
-            u = elliptic_log(ctx, point)
+            u = convert(ctx, elliptic_log(ctx, point))
             assert _component(ctx, u) == component, (curve, point, u)
             x_back, y_back = coordinates_from_uniformizer(ctx, u)
             assert abs(x_back - x) < mp.mpf(2) ** -200 * (1 + abs(x))
@@ -253,9 +260,9 @@ def test_branch_tolerance_scales_with_precision():
                     0, -(r0 + r1 + r2), 0, r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2)
                 ctx = arch_context(curve, 256)
                 for x in (r0, r1, r2):
-                    u = elliptic_log(ctx, CurvePoint.affine(x, 0))
+                    u, q = convert(ctx, elliptic_log(ctx, CurvePoint.affine(x, 0))), convert(ctx).q
                     with mp.workprec(296):
-                        assert min(abs(u * u - 1), abs(u * u - ctx.q)) < mp.mpf(2) ** -200, (curve, x)
+                        assert min(abs(u * u - 1), abs(u * u - q)) < mp.mpf(2) ** -200, (curve, x)
 
 
 def test_arch_work_counts(monkeypatch):
@@ -302,17 +309,21 @@ def test_q_expansions_match_lambert_sums(semistable_examples):
     curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
     for bits in (128, 256):
         for curve in curves:
-            q = arch_context(curve, bits).q
+            ctx = arch_context(curve, bits)
+            q, f = convert(ctx).q, ctx.bits
+            own = arch._q_expansions(ctx.q, 1 << f - bits - arch._TERM_GUARD, f)
+            # summed to 2^-(bits + 60) at scale 2^(f + 60), then cut to 2^f
+            deep = [v >> 60 for v in arch._q_expansions(ctx.q << 60, 1 << f - bits, f + 60)]
             with mp.workprec(bits + 40):
                 cut = mp.mpf(2) ** -(bits + arch._TERM_GUARD)
-                at_context = (*arch._q_expansions(q, cut), q_expansion_c6(q, cut))
+                at_context = (*(convert(ctx, v) for v in own), q_expansion_c6(q, cut))
             with mp.workprec(bits + 60):
                 eps = mp.mpf(2) ** -(bits + 60)
                 tol = mp.mpf(2) ** -(bits + 20)
                 c4_ref = 1 + 240 * lambert_sum(3, q, eps)
                 c6_ref = 504 * lambert_sum(5, q, eps) - 1
                 sigma1_ref, disc_ref = lambert_sum(1, q, eps), q * mp.qp(q) ** 24
-                full = (*arch._q_expansions(q, eps), q_expansion_c6(q, eps))
+                full = (*(convert(ctx, v) for v in deep), q_expansion_c6(q, eps))
                 for c4, sigma1, disc, c6 in (full, at_context):
                     assert abs(c4 - c4_ref) < tol, (curve, bits)
                     assert abs(c6 - c6_ref) < tol, (curve, bits)
@@ -321,14 +332,14 @@ def test_q_expansions_match_lambert_sums(semistable_examples):
 
 
 def test_scale2_matches_q_series_ratio(semistable_examples):
-    """scale2 = re(rate^2) from the AGM period against the reference
+    """scale2 = re(rate^2) from the real period against the reference
     alpha^2 from c4, c6 and c4(q), c6(q), to 2^-(bits + 20) relative at
     128 and 256 bits, on 37a, 11a, a twisted curve, j = 0, j = 1728 and
     the acceptance curves."""
     curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
     for bits in (128, 256):
         for curve in curves:
-            ctx = arch_context(curve, bits)
+            ctx = convert(arch_context(curve, bits))
             with mp.workprec(bits + 40):
                 ref = ratio_scale2(curve, ctx.q, mp.mpf(2) ** -(bits + arch._TERM_GUARD))
                 assert abs(ctx.scale2 - ref) < abs(ref) * mp.mpf(2) ** -(bits + 20), (curve, bits)
@@ -347,19 +358,21 @@ def test_twisted_is_the_sign_of_c6():
         ctx = arch_context(curve, 128)
         assert ctx.twisted == (curve.c6 > 0), curve
         with mp.workprec(168):
-            assert (ratio_scale2(curve, ctx.q, mp.mpf(2) ** -158) < 0) == ctx.twisted, curve
+            ratio = ratio_scale2(curve, convert(ctx).q, mp.mpf(2) ** -158)
+            assert (ratio < 0) == ctx.twisted, curve
         kinds.add((ctx.twisted, curve.discriminant > 0))
     assert len(kinds) == 4, kinds
 
 
 def test_real_period_from_the_agm_matches_carlson(semistable_examples):
-    """Omega from _real_q's AGMs against 2 R_F(0, e1 - e2, e1 - e3) on the
-    roots from mpmath's polynomial solver, to 2^-200 at 256 bits."""
+    """Omega on ints (R_F, or the AGMs in Carlson's form with one real root)
+    against 2 R_F(0, e1 - e2, e1 - e3) on the roots from mpmath's
+    polynomial solver, to 2^-200 at 256 bits."""
     curves = [E37, E11, E_TWIST2] + [curve for curve, _ in semistable_examples]
     for curve in curves:
-        ctx = arch_context(curve, 256)
+        ctx = convert(arch_context(curve, 256))
         with mp.workprec(296):
-            p, r = -arch._mp(curve.c4) / 48, -arch._mp(curve.c6) / 864
+            p, r = -_mp(curve.c4) / 48, -_mp(curve.c6) / 864
             roots = mp.polyroots([1, 0, p, r], maxsteps=200, extraprec=200)
             e1 = max((e for e in roots if abs(mp.im(e)) < 2**-250), key=mp.re)
             e2, e3 = [e for e in roots if e is not e1]
@@ -367,26 +380,20 @@ def test_real_period_from_the_agm_matches_carlson(semistable_examples):
             assert abs(ctx.omega - ref) < abs(ref) * mp.mpf(2) ** -200, curve
 
 
-def _from_fixed(ctx, value):
-    """An int of the context's fixed point as an mpmath value."""
-    return mp.mpf(value) / 2 ** ctx.fixed.bits
-
-
 def test_x_series_on_the_real_locus_matches_full_sum():
     """On |u| = 1 and |u| = sqrt(q) the full series is real, and the int
     series gives its value to 2^-150 relative; so it does at a real u."""
     for curve in (E37, E_TWIST2, E11):
         ctx = arch_context(curve, 128)
-        f = ctx.fixed.bits
+        f, view = ctx.bits, convert(ctx)
         with mp.workprec(168):
             eps = mp.mpf(2) ** -158
-            q, radii = ctx.q, [1] + ([mp.sqrt(ctx.q)] if ctx.q > 0 else [])
+            q, radii = view.q, [1] + ([mp.sqrt(view.q)] if view.q > 0 else [])
             points = [radius * mp.expj(theta) for radius in radii for theta in (0.1, 1, 2, 3.1)]
             for u in points + [mp.mpf("0.3")]:
-                full = x_series(u, q, eps, ctx.sigma1)
+                full = x_series(u, q, eps, view.sigma1)
                 assert abs(mp.im(full)) < mp.mpf(2) ** -150 * abs(full)
-                fixed_u = arch._fixed((mp.re(u), mp.im(u)), f)
-                one = _from_fixed(ctx, arch._x_series(ctx, fixed_u, 1 << f - 158))
+                one = convert(ctx, arch._x_series(ctx, convert(ctx, u), 1 << f - 158))
                 assert abs(one - mp.re(full)) < mp.mpf(2) ** -150 * abs(full)
 
 
@@ -404,10 +411,10 @@ def test_round_trip_cut_is_within_its_bound(semistable_examples, monkeypatch):
                 elliptic_log(ctx, target)
                 [(c, u, eps)] = calls
                 with mp.workprec(bits + 40):
-                    x_target = arch._mp(target.x + curve.b2 / 12) / ctx.scale2 - mp.mpf(1) / 12
+                    x_target = _mp(target.x + curve.b2 / 12) / convert(ctx).scale2 - mp.mpf(1) / 12
                     tol = (1 + abs(x_target)) * mp.mpf(2) ** -(bits // 2)
-                    full = inner(c, u, 1 << ctx.fixed.bits - bits - 30)
-                    cut = _from_fixed(ctx, inner(c, u, eps) - full)
+                    full = inner(c, u, 1 << ctx.bits - bits - 30)
+                    cut = convert(ctx, inner(c, u, eps) - full)
                     assert abs(cut) <= tol * mp.mpf(2) ** -20
 
 
@@ -428,7 +435,8 @@ def test_arch_height_is_newton_oracle_float(semistable_examples):
             doubled = curve.double(point)
             targets = dict.fromkeys([point, curve.negate(point), doubled, curve.double(doubled)])
             for target in [t for t in targets if not t.infinity]:
-                newton = local_height_from_uniformizer(ctx, newton_elliptic_log(ctx, target))
+                u = convert(ctx, newton_elliptic_log(ctx, target))
+                newton = local_height_from_uniformizer(ctx, u)
                 assert local_height_arch(ctx, target) == newton, (curve, target)
                 count += 1
     assert count >= 60, count
@@ -464,14 +472,15 @@ def test_int_path_matches_the_mpmath_reference(semistable_examples):
     kinds, heights, refused = set(), 0, 0
     for bits in (64, 128, 256):
         for curve, points, deep in cases:
-            ctx = arch_context(curve, bits)
+            ctx, reference = arch_context(curve, bits), mpmath_arch_context(curve, bits)
             kinds.add((curve.discriminant > 0, curve.c6 > 0))
             for point in points:
                 doubled = curve.double(point)
                 targets = [point, curve.negate(point), doubled] + [curve.double(doubled)] * deep
                 for target in [t for t in dict.fromkeys(targets) if not t.infinity]:
                     try:
-                        ref = mpmath_local_height_from_uniformizer(ctx, mpmath_elliptic_log(ctx, target))
+                        u = mpmath_elliptic_log(reference, target)
+                        ref = mpmath_local_height_from_uniformizer(reference, u)
                     except PrecisionError:
                         with pytest.raises(PrecisionError):
                             local_height_arch(ctx, target)
@@ -482,6 +491,42 @@ def test_int_path_matches_the_mpmath_reference(semistable_examples):
                     heights += 1
     assert len(kinds) == 4, kinds
     assert heights >= 270 and refused == 0, (heights, refused)
+
+
+def test_per_curve_values_match_the_mpmath_reference(semistable_examples):
+    """q, ell, Omega, scale2, sigma_1, the roots and torsion_x on ints
+    against the mpmath context they replaced, within 2^-(bits + 30) of each
+    value's largest modulus, at 64, 128 and 256 bits: 37a, 11a, a twisted
+    curve, j = 0, j = 1728, the acceptance curves, the near-2-torsion family
+    and the rescaled models of 37a and 11a."""
+    curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
+    curves += [curve for curve, _, _ in _near_two_torsion_cases()]
+    curves += [curve.transform(F(2) ** k, 0, 0, 0) for curve in (E37, E11) for k in RESCALINGS]
+    for bits in (64, 128, 256):
+        for curve in curves:
+            ours, reference = convert(arch_context(curve, bits)), mpmath_arch_context(curve, bits)
+            with mp.workprec(2 * bits + 100):
+                for name in ("q", "ell", "omega", "scale2", "sigma1", "roots", "torsion_x"):
+                    a, b = ((v if isinstance(v, tuple) else (v,))
+                            for v in (getattr(ours, name), getattr(reference, name)))
+                    bound = max(abs(v) for v in b) * mp.mpf(2) ** -(bits + 30)
+                    assert max(abs(x - y) for x, y in zip(a, b)) <= bound, (curve, bits, name)
+
+
+def test_heights_do_not_depend_on_the_scale_of_the_model():
+    """37a and 11a under x = 4^k x' for each k of RESCALINGS, at 64, 128
+    and 256 bits: the context works on the model normalized by a power of
+    two, so each height is the unscaled one within one ulp."""
+    for curve, points in ((E37, [(0, 0), (2, 2)]), (E11, [(5, 5)])):
+        for bits in (64, 128, 256):
+            for x, y in points:
+                reference = local_height_arch(arch_context(curve, bits), CurvePoint.affine(x, y))
+                for k in RESCALINGS:
+                    u = F(2) ** k
+                    moved = curve.transform(u, 0, 0, 0)
+                    point = WeierstrassCurve.transform_point(CurvePoint.affine(x, y), u, 0, 0, 0)
+                    value = local_height_arch(arch_context(moved, bits), point)
+                    assert abs(value - reference) <= math.ulp(reference), (curve, bits, k, value)
 
 
 def test_doubled_points_near_two_torsion_keep_their_height_at_low_precision():

@@ -25,6 +25,7 @@ from tropical_heights.heights import (
 from tropical_heights.linalg import determinant
 
 from oracles import (
+    _x_double,
     exact_prefix_doubling_oracle,
     is_integral,
     mazur_torsion_order,
@@ -202,6 +203,22 @@ def test_split_estimates_match_the_mpmath_track(semistable_examples):
         assert len(estimates) == len(reference) == n_max
         for k, (estimate, expected) in enumerate(zip(estimates, reference), 1):
             assert abs(estimate - expected) <= math.ulp(expected), (n, d, b, n_max, k)
+
+
+def test_split_estimates_keep_their_width_past_a_large_common_factor():
+    """On 37a under x = 2^32 x' and x = 2^40 x' the integral model's scale
+    is 2^64 and 2^80, and the common factors g_k are as large: m 2^bitlen(g)
+    / g keeps W bits of the size, and every estimate of (1, 0) matches the
+    exact full-size doubling sequence to 1e-12."""
+    for u in (2**16, 2**20):
+        curve = E37.transform(u, 0, 0, 0)
+        point = WeierstrassCurve.transform_point(CurvePoint.affine(1, 0), u, 0, 0, 0)
+        b, res = heights.CurveModel.at(curve).duplication
+        x = point.x * curve.integral_scale**2
+        n, d = x.numerator, x.denominator
+        for step, estimate in enumerate(doubling_oracle(curve, point).estimates, 1):
+            n, d = _x_double(n, d, b, res)
+            assert abs(estimate - math.log(max(abs(n), d)) / 4**step) < 1e-12, (u, step)
 
 
 def test_split_estimates_refuse_a_root_of_the_duplication_denominator():
