@@ -1,6 +1,7 @@
 """Exact tropical theta functions on degeneration skeleta and canonical
 local heights for elliptic curves over Q."""
 
+from .arch import local_height_arch
 from .curves import CurvePoint, WeierstrassCurve
 from .degeneration import (
     ComponentGroup,

@@ -2,30 +2,30 @@
 uniformization C*/q^Z, on Python ints in fixed point (``fixed``).
 
 The parameter q = e^{2 pi i tau} is real with sign(q) = sign(disc) and
-small modulus (|q| <= e^{-pi} for every real curve).  It is read off the
-period ratio, which Carlson's R_F gives in closed form from the real roots
-e_i of t^3 + p t + r, t = x + b2/12 (Carlson, Numer. Algorithms 10, 1995):
-Omega = 2 R_F(0, e1 - e2, e1 - e3) and its partner, or with one real root
-the AGMs of Cohen's Alg. 7.4.7 (GTM 138) as pi / (2 R_F(0, a^2, b^2)), pi =
-2 R_F(0, 1, 1).  Omega gives the rate d(log u)/dz of the uniformization,
-whose square scale2 gives t = scale2 (X + 1/12) for the Tate curve's X.
-c4(q), sigma_1 and j = c4^3 / Delta, which only checks q, are the integer
-q-expansions of ``tate`` summed by Horner's rule.  The real locus is either
-the real annulus |q| < |u| <= 1 or, for the twisted real form (c6 > 0), the
-circles |u| = 1 and |u| = sqrt(q).  Each real component is an arc u = u0
-exp(rate z), 0 <= z <= Omega/2, from the origin (or a 2-torsion point on
-the egg) to a 2-torsion point, for the elliptic logarithm z of a point of
-the identity component, z = R_F(t - e1, t - e2, t - e3) (Cremona-Thongjunthug,
-J. Number Theory 133, 2013).  A point on the egg is first moved to the
-identity component by adding the 2-torsion point (e3, .); a 2-torsion point
-takes its arc end in closed form; the sign of 2y + a1 x + a3 picks u or its
-inverse class.  The height, rounded to a double once, is then
+|q| <= e^{-pi}.  It is read off the period ratio, which Carlson's R_F gives
+in closed form from the real roots e_i of t^3 + p t + r, t = x + b2/12
+(Carlson, Numer. Algorithms 10, 1995): Omega = 2 R_F(0, e1 - e2, e1 - e3)
+and its partner, or with one real root the AGMs of Cohen's Alg. 7.4.7 (GTM
+138) as pi / (2 R_F(0, a^2, b^2)), pi = 2 R_F(0, 1, 1).  The rate d(log
+u)/dz = 2 pi i / omega_1 gives t = scale2 (X + 1/12), scale2 = re(rate^2),
+for the Tate curve's X = P_q(u) - 2 sigma_1, P_q(u) the sum over n in Z of
+f(q^n u), f(w) = w/(1 - w)^2.  c4(q), sigma_1 and j = c4^3 / Delta, which
+only checks q, are the integer q-expansions of ``tate`` by Horner's rule.
+u comes down the chain of 2-isogenies E_q <- E_{q^2} <- ... of Landen's
+transformation (Cremona-Thongjunthug, J. Number Theory 133, 2013): P_q(u) =
+P_{q^2}(u) + P_{q^2}(q u), two roots of a quadratic whose discriminant at A
+= P_q(u) is (A - P_q(sqrt q))(A - P_q(-sqrt q)), so one square root per
+level takes A to P_{q^2}(u), until A = f(u) to working precision.  The real
+locus is |q| < |u| <= 1 or, for the twisted real form (c6 > 0), |u| = 1 and
+|u| = sqrt(q); a point on the egg first adds the 2-torsion point (e3, .), a
+2-torsion point takes its u in closed form, and the sign of 2y + a1 x + a3
+picks u or its inverse class.  The height, rounded to a double once, is
 
     lambda'(P) = (ell/2) B2(t) - log|theta(u)|,   t = -log|u| / ell,
 
 with ell = -log|q| and theta the triple-product kernel; this normalization
-satisfies the quasi-minimum property at the origin (checked in the tests),
-so no curve-dependent constant is needed.
+satisfies the quasi-minimum property at the origin, so no curve-dependent
+constant is needed.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ from math import isqrt
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
 from .fixed import carlson_rf, exp, inverse, log
-from .tate import (
-    discriminant_coefficients,
-    eisenstein4_coefficients,
-    sigma_coefficients,
-)
+from .tate import discriminant_coefficients, eisenstein4_coefficients, sigma_coefficients
 
 _TERM_GUARD = 30
 
@@ -101,11 +97,10 @@ def _roots(p: int, r: int, f: int, three: bool) -> tuple:
 
 @dataclass(frozen=True)
 class ArchContext:
-    """Everything needed to evaluate archimedean local heights on a curve;
-    immutable, so one context serves every point of the curve.  The values
-    are ints at scale 2^bits, bits = W + log2(1/|q|) for W = precision_bits
-    + 40, so that a value of modulus at least |q| keeps W bits.  They are
-    those of the model x -> x / 4^shift, whose c4 and c6 are near 1, so that
+    """Everything needed to evaluate archimedean local heights on a curve,
+    immutable: ints at scale 2^bits, bits = W + log2(1/|q|) for W =
+    precision_bits + 40, so that a value of modulus at least |q| keeps W
+    bits, of the model x -> x / 4^shift, whose c4 and c6 are near 1, so that
     a model rescaled by a power of two gives the same ints."""
 
     curve: WeierstrassCurve
@@ -116,13 +111,12 @@ class ArchContext:
     q: int
     root: int                    # sqrt(q), 0 when q < 0
     ell: int                     # -log|q|
-    rate: int                    # d(log u)/dz is i rate when twisted, else rate
     scale2: int                  # re(d(log u)/dz)^2: t = scale2 (X(u) + 1/12)
     sigma1: int                  # sum n q^n / (1 - q^n), the x-series constant
     omega: int                   # the real period
-    quad: int                    # sqrt(3 e1^2 + p) = sqrt((e1 - e2)(e1 - e3))
     roots: tuple                 # real roots e1 [> e2 > e3] of t^3 + p t + r
     torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
+    levels: tuple                # (b+ + b-, (b+ - b-)^2 at 2^2bits), b+- = P_{q_k}(+-sqrt(q_k))
 
 
 def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchContext:
@@ -144,9 +138,9 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
     else:  # Cohen's AGMs are pi / 2a and pi / 2b, with alpha = quad and beta = |3 e1|
         a, b = (carlson_rf(0, 4 * quad, 2 * quad + sign * abs(3 * roots[0]), g) for sign in (1, -1))
         ell, omega = pi * b // a, 4 * (a if roots[0] > 0 else b)
-    q = exp(-ell, g)[0] * (1 if len(roots) == 3 else -1)
+    q = (one << g) // exp(ell, g) * (1 if len(roots) == 3 else -1)
     bits = precision_bits + 40 + (one // abs(q)).bit_length()
-    q, ell, pi, omega, quad, *roots = (v >> g - bits for v in (q, ell, pi, omega, quad, *roots))
+    q, ell, pi, omega, *roots = (v >> g - bits for v in (q, ell, pi, omega, *roots))
     c4q, sigma1, disc = _q_expansions(q, 1 << bits - precision_bits - _TERM_GUARD, bits)
     # |c4q^3 / disc - j| <= (|j| + 1728) 2^-(precision_bits - 10), exactly
     if abs(c4q**3 * j.denominator - (j.numerator * disc << 2 * bits)) > (
@@ -158,9 +152,21 @@ def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchCont
     rate = (2 * pi << bits) // omega if twisted else -(ell << bits) // omega * (1 if q > 0 else 2)
     scale2 = (rate * rate >> bits) * (-1 if twisted else 1)
     torsion_x = tuple(sorted((e << bits) // scale2 - (1 << bits) // 12 for e in roots))
+    # the chain at q_k = q^(2^k), r = q_(k+1): b+- at k = 0 are X + 2 sigma_1 at
+    # u = +-sqrt(q), whose Y = X + 1/12 solve Y^2 + y Y + y^2 + p/scale2^2 = 0
+    # for y = x(-1) + 1/12; at v = P_{q_k}(-1) level k's roots are P_r(-1) <
+    # P_r(-q_k), and P_r(q_k) = (b+ + b-)/4.  n levels, 2^n floor(log2 1/|q|)
+    # >= bits + floor(log2 1/|q|), leave |q_n| < |q| 2^-bits.
+    y, v, levels = torsion_x[0] + (1 << bits) // 12, torsion_x[0] + 2 * sigma1, []
+    s, m = 4 * sigma1 - y - (1 << bits) // 6, -3 * y * y - (4 * p << 4 * bits - g) // scale2**2
+    for _ in range((-(-bits // (bits - precision_bits - 41))).bit_length()):
+        levels.append((s, m))
+        root = isqrt((2 * v - s) ** 2 - m)
+        b, v = 2 * v + root >> 2, 2 * v - root >> 2
+        s, m = b + (s >> 2), (b - (s >> 2)) ** 2
     return ArchContext(curve, precision_bits, bits, shift, twisted, q,
-                       isqrt(q << bits) if q > 0 else 0, ell, rate, scale2, sigma1, omega, quad,
-                       tuple(roots), torsion_x)
+                       isqrt(q << bits) if q > 0 else 0, ell, scale2, sigma1, omega,
+                       tuple(roots), torsion_x, tuple(levels))
 
 
 # -- the point on ints at scale 2^bits ---------------------------------------
@@ -203,22 +209,6 @@ def _theta_norm(ctx: ArchContext, u: tuple, eps: int) -> int:
         pr, pi = (pr * a - pi * b) >> f, (pr * b + pi * a) >> f
 
 
-def _carlson_log(ctx: ArchContext, t: int) -> int:
-    """Elliptic logarithm z in (0, Omega/2] of a point of the identity
-    component, t > e1: R_F(t - e1, t - e2, t - e3) (Carlson 1995).  With
-    one real root it takes the real form of the integral for one quadratic
-    factor (Byrd-Friedman 239.00 with F(phi, k) in Carlson's R_F), in which
-    A^2 = (e1 - e2)(e1 - e3) = 3 e1^2 + p; for t - e1 < A the angle passes
-    pi/2, that form gives F(pi - phi) and z = Omega/2 - w."""
-    if len(ctx.roots) == 3:
-        e1, e2, e3 = ctx.roots
-        return carlson_rf(t - e1, t - e2, t - e3, ctx.bits)
-    e1, a = ctx.roots[0], ctx.quad
-    s = t - e1
-    w = carlson_rf((s - a) ** 2 // s, s + 3 * e1 + a * a // s, (s + a) ** 2 // s, ctx.bits)
-    return w if s >= a else ctx.omega // 2 - w
-
-
 def elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
     """Uniformizer u in C*/q^Z of a real point as the pair (re, im) of ints
     at scale 2^ctx.bits, normalized so that 0 <= -log|u| < ell.  Raises
@@ -226,22 +216,25 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
     separate the point from u = 1."""
     if point.infinity:
         raise InputError("the origin has no uniformizer")
-    curve = ctx.curve
-    if not curve.contains(point):
+    if not ctx.curve.contains(point):
         raise InputError("point is not on the curve")
-    f, bits, q, root, tx = ctx.bits, ctx.precision_bits, ctx.q, ctx.root, ctx.torsion_x
-    one = 1 << f
+    return _elliptic_log(ctx, point)
+
+
+def _elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
+    """elliptic_log of an affine point already known to be on the curve."""
+    curve, f, q, root, tx = ctx.curve, ctx.bits, ctx.q, ctx.root, ctx.torsion_x
+    bits, one = ctx.precision_bits, 1 << f
     t = _scaled(point.x + curve.b2 / 12, f - 2 * ctx.shift)
     x_target = (t << f) // ctx.scale2 - one // 12
     # 2y + a1 x + a3 = alpha^3 (2Y + X), alpha = sqrt(scale2), has the
     # sign of 2Y + X, or of its imaginary part when alpha is imaginary
     eta = 2 * point.y + curve.a1 * point.x + curve.a3
-    # Each real component is an arc u = ends[0] exp(rate z), 0 <= z <=
-    # Omega/2, on which x is monotone.  z = 0 is the origin (x infinite)
-    # on the identity component and a 2-torsion point on the egg; z =
-    # Omega/2 is a 2-torsion point (u = |q| ~ -1 when q < 0 and untwisted).
-    # x_target and the end values carry about precision_bits + 30 bits, so
-    # a component test needs no wider slack than 2^-precision_bits (1 + |x|).
+    # Each real component runs from ends[0] (the origin u = 1, or on the egg
+    # the 2-torsion point that the shift below adds) to the 2-torsion point
+    # ends[1] (u = |q| ~ -1 when q < 0 untwisted).  x_target and the end values
+    # carry about precision_bits + 30 bits: a component test needs a slack of
+    # 2^-precision_bits (1 + |x|).
     if ctx.twisted:
         ends, x_ends = (one, -one), (None, tx[0])
         if q > 0 and x_target > tx[0] + ((one + abs(tx[0])) >> bits):
@@ -254,8 +247,7 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
         ends, x_ends = (one, -one), (None, tx[0])
     egg = x_ends[0] is not None
     if eta == 0:
-        # 2-torsion: an arc end in closed form (the egg's shift below
-        # divides by t - e3, the one-root R_F form by t - e1)
+        # 2-torsion: an end in closed form (the egg's shift divides by t - e3)
         i = min((0, 1), key=lambda i: abs(x_ends[i] - x_target)) if egg else 1
         u = (ends[i], 0)
     else:
@@ -264,11 +256,18 @@ def elliptic_log(ctx: ArchContext, point: CurvePoint) -> tuple:
             t = e3 + (e1 - e3) * (e2 - e3) // (t - e3)
         elif abs(x_target) >> 2 * (bits + 5) > one:
             raise PrecisionError("point too close to the origin")
-        c, s = exp(ctx.rate * _carlson_log(ctx, t) >> f, f, ctx.twisted)
-        u = (ends[0] * c >> f, ends[0] * s >> f)
-        # dx/dlog(u) = 2Y + X keeps one sign on each arc, 0 < z < Omega/2:
-        # positive on the identity arc and negative on the egg (rate < 0),
-        # the other way round on the circles (rate imaginary)
+        # A = P_q(u) down the chain, larger root (smaller when twisted), to f(u): u in (0, 1]
+        # is 2A/(2A + 1 + sqrt(4A + 1)); on |u| = 1, im u >= 0, 1 + 1/2A + i sqrt(-4A - 1)/(-2A)
+        a, sign = (t << f) // ctx.scale2 - one // 12 + 2 * ctx.sigma1, -1 if ctx.twisted else 1
+        for s, m in ctx.levels:
+            a = 2 * a + sign * isqrt(max(0, (2 * a - s) ** 2 - m)) >> 2
+        if ctx.twisted:
+            u = (2 * a + one << f) // (2 * a), (isqrt(max(0, -4 * a - one) << f) << f) // (-2 * a)
+        else:
+            u = (2 * a << f) // (2 * a + one + isqrt(4 * a + one << f)), 0
+        u = (ends[0] * u[0] >> f, ends[0] * u[1] >> f)
+        # dx/dlog(u) = 2Y + X keeps one sign between the ends: positive on the
+        # identity component, negative on the egg, the other way round on the circles
         if (eta > 0) != (egg == ctx.twisted):
             u = (u[0], -u[1]) if ctx.twisted else ((q << f) // u[0], 0)  # the inverse class
     # the terms the series leaves out, < 1.2 eps/|q|, are below 2^-20 tol

@@ -36,9 +36,9 @@ def lattice_form(gram) -> tuple:
     return scale, cross, [r.numerator * (s // r.denominator) for r in ratios], s
 
 
-def closest_lattice_point(form, target) -> tuple[list, Fraction]:
-    """Minimize (w + target)^T G (w + target) over integer vectors w, given
-    the ``lattice_form`` of G.
+def closest_lattice_point(form, target, den: int | None = None) -> tuple[list, Fraction]:
+    """Minimize (w + t)^T G (w + t) over integer vectors w, given the
+    ``lattice_form`` of G: t is the target, or the target over den.
 
     Returns (a closest vector, the minimum).  The minimum is certified: the
     search visits every integer point whose value could beat the incumbent,
@@ -49,7 +49,7 @@ def closest_lattice_point(form, target) -> tuple[list, Fraction]:
     n = len(weights)
     if len(target) != n:
         raise InputError(f"target needs {n} coordinates, got {len(target)}")
-    shift, den = over_denominator(target)
+    shift, den = over_denominator(target) if den is None else (list(target), den)
     x = list(shift)  # den w + T, fixed from the last coordinate down
     best, best_x = None, None
 

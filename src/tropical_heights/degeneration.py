@@ -151,12 +151,17 @@ class DegenerationData:
             if len(v) != self.rank:
                 raise InputError(f"point needs {self.rank} coordinates, got {len(v)}")
 
-    def to_lattice_coords(self, nu) -> list:
-        """X*-vector (ints or Fractions) -> Y-coordinates (Fractions)."""
+    def scaled_lattice_coords(self, nu) -> tuple:
+        """X*-vector -> Y-coordinates as integer numerators over one denominator."""
         self.check_length(nu)
         n, e = over_denominator(nu)
         inverse, d = self.scaled_inverse
-        return [Fraction(_dot(row, n), d * e) for row in inverse]
+        return [_dot(row, n) for row in inverse], d * e
+
+    def to_lattice_coords(self, nu) -> list:
+        """X*-vector (ints or Fractions) -> Y-coordinates (Fractions)."""
+        n, d = self.scaled_lattice_coords(nu)
+        return [Fraction(x, d) for x in n]
 
     def from_lattice_coords(self, w) -> list:
         self.check_length(w)
@@ -199,7 +204,7 @@ def trivialization_valuation(data: DegenerationData, w, den: int = 1) -> Fractio
 def trivialization_valuation_real(data: DegenerationData, nu) -> Fraction:
     """Unique quadratic extension of the lattice valuation to X*_Q: the same
     form evaluated at the rational Y-coordinates of nu."""
-    return trivialization_valuation(data, *over_denominator(data.to_lattice_coords(nu)))
+    return trivialization_valuation(data, *data.scaled_lattice_coords(nu))
 
 
 def automorphy_factor(data: DegenerationData, w, nu) -> Fraction:

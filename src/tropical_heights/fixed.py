@@ -10,21 +10,18 @@ from math import isqrt
 _GUARD = 32  # the bits that exp carries past its scale
 
 
-def exp(x: int, f: int, turn: bool = False) -> tuple:
-    """(e^x, 0), or (cos x, sin x) when turn, for x at scale 2^f: the Taylor
-    series at x / 2^h, below 2^-8, then h squarings."""
-    g, h = f + _GUARD, max(0, abs(x).bit_length() - f + 8)
-    y, sums, term, k = (abs(x) << _GUARD) >> h, [1 << g, 0], 1 << g, 0
+def exp(x: int, f: int) -> int:
+    """e^x for x >= 0 at scale 2^f: the Taylor series at x / 2^h, below
+    2^-8, then h squarings."""
+    g, h = f + _GUARD, max(0, x.bit_length() - f + 8)
+    y, total, term, k = (x << _GUARD) >> h, 1 << g, 1 << g, 0
     while term:
         k += 1
         term = (term * y >> g) // k
-        sums[k % 2] += -term if turn and k // 2 % 2 else term
-    c, s = sums[0], sums[1] if x >= 0 else -sums[1]
-    if not turn:
-        c, s = c + s, 0
+        total += term
     for _ in range(h):
-        c, s = (c * c - s * s) >> g, (c * s) >> (g - 1)
-    return c >> _GUARD, s >> _GUARD
+        total = total * total >> g
+    return total >> _GUARD
 
 
 def log(x: int, e: int, f: int) -> int:
@@ -33,7 +30,7 @@ def log(x: int, e: int, f: int) -> int:
     = R_F(a, b, b) (Carlson 1995), whose duplication stops at once."""
     k, one = max(0, x.bit_length() - 60), 1 << f
     y = int(math.ldexp(math.log(x >> k) + (k - e) * math.log(2), 60)) << (f - 60)
-    big = exp(abs(y), f)[0]  # e^|y| >= 1, to 2^-f relative
+    big = exp(abs(y), f)  # e^|y| >= 1, to 2^-f relative
     w = (x << 2 * f) // (big << e) if y >= 0 else x * big >> e
     return y + ((w - one) * carlson_rf((one + w) ** 2 >> f + 2, w, w, f) >> f)
 

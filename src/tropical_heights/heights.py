@@ -30,7 +30,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
-from .arch import ArchContext, arch_context, local_height_arch
+from . import arch
+from .arch import ArchContext, arch_context
 from .curves import CurvePoint, WeierstrassCurve, duplication
 from .errors import AdditiveReductionError, InputError, PrecisionError
 from .exact import factorize
@@ -196,6 +197,12 @@ def doubling_oracle(
         raise InputError(f"n_max = {n_max!r} must be at least 2")
     if not curve.contains(point):
         raise InputError("point is not on the curve")
+    return _doubling_oracle(curve, point, n_max)
+
+
+def _doubling_oracle(curve: WeierstrassCurve, point: CurvePoint,
+                     n_max: int) -> DoublingOracleResult:
+    """doubling_oracle of a point already known to be on the curve, n_max >= 2."""
     if curve.torsion_order(point) is not None:
         return DoublingOracleResult(0.0, (), True)
     b, res = CurveModel.at(curve).duplication
@@ -260,9 +267,8 @@ def global_height(
         raise InputError("point is not on the curve")
     model = CurveModel.at(curve)
     places = place_list(curve, point)
-    additive = []
-    reports = []
-    for place in places:  # the point is checked above: each place trusts it
+    additive, reports = [], []
+    for place in places:  # the point is checked above: each place, arch and the oracle trust it
         try:
             reports.append(place._height(point))
         except AdditiveReductionError:
@@ -271,25 +277,17 @@ def global_height(
         raise AdditiveReductionError(
             f"additive reduction at {additive}; restrict to semistable curves"
         )
-    arch_value = local_height_arch(model.arch(config.precision_bits), point)
+    ctx = model.arch(config.precision_bits)
+    arch_value = arch.local_height_from_uniformizer(ctx, arch._elliptic_log(ctx, point))
     total = arch_value + sum(rep.real_value for rep in reports)
-    oracle = doubling_oracle(curve, point, config.n_max)
+    oracle = _doubling_oracle(curve, point, config.n_max)
     # place coverage tripwire: lambda' vanishes at good primes off the list
     checked = _tripwire_primes(config.seed, tuple(m.prime for m in places))
     for p in checked:
         if model.local(p)._height(point).lambda_v != 0:
             raise InputError(f"place coverage violated: nonzero local height at good prime {p}")
-    return GlobalHeightReport(
-        curve=curve,
-        point=point,
-        local_reports=tuple(reports),
-        arch_value=arch_value,
-        global_sum=total,
-        oracle_value=oracle.value,
-        oracle_estimates=oracle.estimates,
-        discrepancy=abs(total - oracle.value),
-        checked_good_primes=checked,
-    )
+    return GlobalHeightReport(curve, point, tuple(reports), arch_value, total, oracle.value,
+                              oracle.estimates, abs(total - oracle.value), checked)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -
 def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     """Half the squared lattice distance min over w of (t+w)^T G (t+w) / 2,
     where t are the lattice coordinates of nu.  Exact, via certified CVP."""
-    _, minimum = closest_lattice_point(data.lattice_form, data.to_lattice_coords(nu))
+    _, minimum = closest_lattice_point(data.lattice_form, *data.scaled_lattice_coords(nu))
     return minimum / 2
 
 
@@ -287,7 +287,7 @@ def _concave_riemann_theta(data: DegenerationData, nu, normalized: Fraction) -> 
 def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
     """A lattice vector (X*-coordinates) closest to nu, with the half
     squared distance.  On a tie it is one of several closest vectors."""
-    w, minimum = closest_lattice_point(data.lattice_form, data.to_lattice_coords(nu))
+    w, minimum = closest_lattice_point(data.lattice_form, *data.scaled_lattice_coords(nu))
     return data.from_lattice_coords([-x for x in w]), minimum / 2
 
 

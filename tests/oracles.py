@@ -13,7 +13,7 @@ method, and the tests check the replacement against them.
   the rate of the uniformization), and the uniformizer
   u by bisection on the x-series and by Newton steps on it (the library's
   route before Carlson's R_F, with the two-sided x- and eta-series),
-  against ``arch``'s periods and u from R_F;
+  against ``arch``'s periods and u from Landen's chain;
 * the point of the Tate curve at a parameter z by exact rational sums of
   the coordinate series, against ``tate.tate_curve_point``'s sums on
   integers mod a power of p; and the same sums on integers with three
@@ -37,12 +37,15 @@ method, and the tests check the replacement against them.
   the first step;
 * the archimedean place in mpmath at W = bits + 40: the per-curve values
   (``mpmath_arch_context``: the roots by the trigonometric or Cardano form
-  and Newton's steps, q and Omega by the AGM, the q-expansions by
-  ``mp.polyval``), against ``arch_context``'s values on ints, each within
-  2^-(bits + 30); and on that context the point (``mpmath_elliptic_log``
-  and ``mpmath_local_height_from_uniformizer``, with their one-sided
-  x-series, theta product and ``mp.elliprf``), against ``arch``'s path on
-  ints in fixed point, every height within one ulp;
+  and Newton's steps, q and Omega by the AGM, both at W + log2(|j| + 1000)
+  bits, the q-expansions by ``mp.polyval``, and the Landen chain's
+  per-level branch values summed as series, ``chain_levels``), against
+  ``arch_context``'s values on ints, each within 2^-(bits + 30); and on
+  that context the point (``mpmath_elliptic_log`` and
+  ``mpmath_local_height_from_uniformizer``, with R_F by ``mp.elliprf`` and
+  exp, and their one-sided x-series and theta product), against ``arch``'s
+  path on ints in fixed point, u within 2^-(bits - 8) and every height
+  within one ulp;
 * the doubling oracle's size track in mpmath at 64 + 2 n_max bits
   (``mpmath_split_estimates``), against ``heights._split_estimates``'
   binary floats of the same width on ints, every estimate within one ulp;
@@ -691,16 +694,21 @@ class MpmathContext:
     omega: mp.mpf                # the real period
     torsion_x: tuple             # normalized x(-1) [< x(-sqrt q) < x(sqrt q)]
     twisted: bool                # c6 > 0: the real locus is |u| = 1 [and |u| = sqrt(q)]
+    levels: tuple                # (b+ + b-, (b+ - b-)^2), b+- = P_{q_k}(+-sqrt(q_k)), per level
 
 
 def mpmath_arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> MpmathContext:
     """The per-curve values in mpmath at W = precision_bits + 40: the
     library's path before it moved to ints, the reference for
-    ``arch.arch_context``."""
+    ``arch.arch_context``.  q and the roots are worked at W + log2(|j| +
+    1000) bits: near the cusp e2 - e3 ~ sqrt(q) and q = exp(-2 pi a/b)
+    cancel about log2(1/|q|) < log2(|j| + 1000) of their bits."""
+    j = curve.j_invariant
+    with mp.workprec(precision_bits + 40 + (abs(j.numerator) // j.denominator + 1000).bit_length()):
+        q, roots, omega = _real_q(curve)
     with mp.workprec(precision_bits + 40):
         eps = mp.mpf(2) ** (-(precision_bits + arch._TERM_GUARD))
-        j = _mp(curve.j_invariant)
-        q, roots, omega = _real_q(curve)
+        j = _mp(j)
         c4q, sigma1, disc = _q_expansions(q, eps)
         if abs(c4q**3 / disc - j) > (abs(j) + 1728) * mp.mpf(2) ** (-(precision_bits - 10)):
             raise PrecisionError("q-inversion did not reproduce j to tolerance")
@@ -712,7 +720,31 @@ def mpmath_arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> M
         scale2 = mp.re(rate * rate)
         torsion_x = tuple(sorted(t / scale2 - mp.mpf(1) / 12 for t in roots))
         return MpmathContext(curve, precision_bits, q, ell, rate, scale2, sigma1,
-                             tuple(roots), omega, torsion_x, curve.c6 > 0)
+                             tuple(roots), omega, torsion_x, curve.c6 > 0,
+                             chain_levels(q, precision_bits))
+
+
+def chain_levels(q, precision_bits: int) -> tuple:
+    """The per-level constants of ``arch.ArchContext.levels`` summed
+    directly, for as many levels as the library takes: (b+ + b-, (b+ -
+    b-)^2) with b+- = P_{q_k}(+-w) = 2 sum over odd j of f((+-w)^j), f(t) =
+    t/(1 - t)^2, w = sqrt(q_k) (imaginary at level 0 when q < 0), summed
+    while |w^j| >= 2^-(bits + 60)."""
+    bits = precision_bits + 40 + int(1 / abs(q)).bit_length()
+    eps, w, levels = mp.mpf(2) ** -(bits + 60), mp.sqrt(mp.mpc(q)), []
+
+    def branch(w):
+        total, wj = 0, w
+        while abs(wj) >= eps:
+            total, wj = total + 2 * wj / (1 - wj) ** 2, wj * w * w
+        return total
+
+    with mp.workprec(bits + 60):
+        for _ in range((-(-bits // (bits - precision_bits - 41))).bit_length()):
+            plus, minus = branch(w), branch(-w)
+            levels.append((mp.re(plus + minus), mp.re((plus - minus) ** 2)))
+            w = w * w  # +-q and +-|q| are the same pair
+    return tuple(levels)
 
 
 def convert(ctx, value=None):
@@ -732,11 +764,13 @@ def convert(ctx, value=None):
             return real(value)
         if isinstance(value, tuple):
             return mp.mpc(real(value[0]), real(value[1])) if ctx.twisted else real(value[0])
-        s, rate = ctx.shift, real(ctx.rate, ctx.shift)
-        return MpmathContext(ctx.curve, ctx.precision_bits, real(ctx.q), real(ctx.ell),
-                             mp.mpc(0, rate) if ctx.twisted else rate, real(ctx.scale2, 2 * s),
-                             real(ctx.sigma1), tuple(real(e, 2 * s) for e in ctx.roots),
-                             real(ctx.omega, -s), tuple(map(real, ctx.torsion_x)), ctx.twisted)
+        s, q, ell, omega = ctx.shift, real(ctx.q), real(ctx.ell), real(ctx.omega, -ctx.shift)
+        rate = (mp.mpc(0, 2 * mp.pi / omega) if ctx.twisted
+                else -ell / omega if q > 0 else -2 * ell / omega)
+        return MpmathContext(ctx.curve, ctx.precision_bits, q, ell, rate, real(ctx.scale2, 2 * s),
+                             real(ctx.sigma1), tuple(real(e, 2 * s) for e in ctx.roots), omega,
+                             tuple(map(real, ctx.torsion_x)), ctx.twisted,
+                             tuple((real(a), real(b, -ctx.bits)) for a, b in ctx.levels))
 
 
 def coordinates_from_uniformizer(ctx, u):

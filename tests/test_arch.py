@@ -35,6 +35,7 @@ E11 = WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)
 CM1728 = WeierstrassCurve.from_coeffs(0, 0, 0, -1, 0)   # y^2 = x^3 - x
 E_TWIST2 = WeierstrassCurve.from_coeffs(1, -1, 0, -11, -10)  # twisted, disc > 0
 J0 = WeierstrassCurve.from_coeffs(0, 0, 0, 0, 1)        # y^2 = x^3 + 1
+NEAR_CUSP = WeierstrassCurve.from_coeffs(1, 0, 1, -11, 12)  # |j| ~ 1.3e6
 # the models x = 4^k x' of 37a and 11a that the scale tests run on
 RESCALINGS = (-80, -60, -40, 40, 60)
 
@@ -63,7 +64,7 @@ def test_ell_is_model_invariant():
 
 
 def test_near_cusp_q_behaves_like_inverse_j():
-    curve = WeierstrassCurve.from_coeffs(1, 0, 1, -11, 12)  # |j| ~ 1.3e6
+    curve = NEAR_CUSP
     assert abs(curve.j_invariant) > 10**6
     ctx = convert(arch_context(curve, 96))
     j = float(curve.j_invariant)
@@ -184,8 +185,8 @@ def _component(ctx, u):
 
 
 def test_agm_and_newton_match_bisection_oracles(semistable_examples):
-    """q from the periods against bisection on j, and u three ways, Carlson's
-    R_F against Newton and bisection on x, at 128 and 256 bits, on every
+    """q from the periods against bisection on j, and u three ways, Landen's
+    chain against Newton and bisection on x, at 128 and 256 bits, on every
     real-locus branch.  The acceptance curves (one component, both twists)
     run u at 128 bits only, as 11a and [1,0,1,4,-6] cover their branches
     at 256."""
@@ -229,6 +230,41 @@ def test_elliptic_log_keeps_its_digits_near_two_torsion():
         u = convert(ctx, elliptic_log(ctx, point))
         with mp.workprec(552):
             assert abs(u - ref) < mp.mpf(2) ** -(bits + 20), (bits, u)
+
+
+def test_landen_chain_matches_the_mpmath_reference():
+    """u from Landen's chain against the mpmath path (R_F and exp), within
+    2^-(bits - 8) of |u|, at 64, 128 and 256 bits: P, -P and 2P of points on
+    every real-locus type and component (37a's identity and egg, 11a,
+    [1,0,1,4,-6], both circles of a twisted curve, a twisted one-component
+    curve near u = -1) and of the near-2-torsion family, whose points lie
+    within about 2^-30 of a 2-torsion end.  None takes more than the 7
+    levels that bound every real curve at 256 bits."""
+    cases = [(E37, [(2, 2), (0, 0)]), (E11, [(5, 5)]),
+             (WeierstrassCurve.from_coeffs(1, 0, 1, 4, -6), [(2, 2)]),
+             (E_TWIST2, [(-2, 2), (F(35, 4), F(-215, 8))]),
+             (WeierstrassCurve.from_coeffs(0, 0, 1, 9, -14), [(F(806, 625), F(-8329, 15625))])]
+    cases = [(curve, [CurvePoint.affine(x, y) for x, y in points]) for curve, points in cases]
+    cases += [(curve, points) for curve, points, _ in _near_two_torsion_cases()]
+    branches, count = set(), 0
+    for bits in (64, 128, 256):
+        for curve, points in cases:
+            ctx, reference = arch_context(curve, bits), mpmath_arch_context(curve, bits)
+            assert len(ctx.levels) <= 7, (curve, bits)
+            for point in points:
+                for target in dict.fromkeys([point, curve.negate(point), curve.double(point)]):
+                    if target.infinity:
+                        continue
+                    u = convert(ctx, elliptic_log(ctx, target))
+                    with mp.workprec(bits + 40):
+                        ref = mpmath_elliptic_log(reference, target)
+                        assert abs(u - ref) < abs(ref) * mp.mpf(2) ** -(bits - 8), (bits, curve, target)
+                    branches.add((ctx.twisted, ctx.q > 0, _component(ctx, u)))
+                    count += 1
+    # untwisted and twisted, one and two components, identity and egg
+    expected = {(twisted, q > 0, "identity") for twisted in (False, True) for q in (-1, 1)}
+    expected |= {(False, True, "egg"), (True, True, "egg")}
+    assert expected <= branches and count >= 150, (branches, count)
 
 
 def test_branch_tolerance_scales_with_precision():
@@ -493,24 +529,36 @@ def test_int_path_matches_the_mpmath_reference(semistable_examples):
     assert heights >= 270 and refused == 0, (heights, refused)
 
 
+def _per_curve_values(ctx) -> dict:
+    """The values of an MpmathContext that the comparison reads, each as a
+    tuple: the chain's level sums and squared differences apart."""
+    values = {name: getattr(ctx, name) for name in
+              ("q", "ell", "omega", "scale2", "sigma1", "roots", "torsion_x")}
+    values["level sums"], values["level squares"] = zip(*ctx.levels)
+    return {name: v if isinstance(v, tuple) else (v,) for name, v in values.items()}
+
+
 def test_per_curve_values_match_the_mpmath_reference(semistable_examples):
-    """q, ell, Omega, scale2, sigma_1, the roots and torsion_x on ints
-    against the mpmath context they replaced, within 2^-(bits + 30) of each
+    """q, ell, Omega, scale2, sigma_1, the roots, torsion_x and the chain's
+    per-level constants on ints against the mpmath context they replaced
+    (the constants summed as series there), within 2^-(bits + 30) of each
     value's largest modulus, at 64, 128 and 256 bits: 37a, 11a, a twisted
-    curve, j = 0, j = 1728, the acceptance curves, the near-2-torsion family
-    and the rescaled models of 37a and 11a."""
-    curves = [E37, E11, E_TWIST2, J0, CM1728] + [curve for curve, _ in semistable_examples]
+    curve, j = 0, j = 1728, the near-cusp curve [1,0,1,-11,12], the
+    acceptance curves, the near-2-torsion family and the rescaled models
+    of 37a and 11a."""
+    curves = [E37, E11, E_TWIST2, J0, CM1728, NEAR_CUSP]
+    curves += [curve for curve, _ in semistable_examples]
     curves += [curve for curve, _, _ in _near_two_torsion_cases()]
     curves += [curve.transform(F(2) ** k, 0, 0, 0) for curve in (E37, E11) for k in RESCALINGS]
     for bits in (64, 128, 256):
         for curve in curves:
             ours, reference = convert(arch_context(curve, bits)), mpmath_arch_context(curve, bits)
+            assert len(ours.levels) == len(reference.levels), (curve, bits)
+            ours, reference = _per_curve_values(ours), _per_curve_values(reference)
             with mp.workprec(2 * bits + 100):
-                for name in ("q", "ell", "omega", "scale2", "sigma1", "roots", "torsion_x"):
-                    a, b = ((v if isinstance(v, tuple) else (v,))
-                            for v in (getattr(ours, name), getattr(reference, name)))
+                for name, b in reference.items():
                     bound = max(abs(v) for v in b) * mp.mpf(2) ** -(bits + 30)
-                    assert max(abs(x - y) for x, y in zip(a, b)) <= bound, (curve, bits, name)
+                    assert max(abs(x - y) for x, y in zip(ours[name], b)) <= bound, (curve, bits, name)
 
 
 def test_heights_do_not_depend_on_the_scale_of_the_model():

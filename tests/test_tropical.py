@@ -527,15 +527,16 @@ def test_linear_algebra_call_counts(monkeypatch):
 
 
 def test_one_lattice_coordinate_conversion_per_normalized_value(monkeypatch):
+    # every conversion, Fraction or integer, goes through scaled_lattice_coords
     theta = generate_theta_terms(random_principally_polarized(random.Random(5), 3))
     calls = []
-    inner = DegenerationData.to_lattice_coords
+    inner = DegenerationData.scaled_lattice_coords
 
     def counted(self, nu):
         calls.append(nu)
         return inner(self, nu)
 
-    monkeypatch.setattr(DegenerationData, "to_lattice_coords", counted)
+    monkeypatch.setattr(DegenerationData, "scaled_lattice_coords", counted)
     # the reduction, the automorphy factor and the quadratic extension all
     # run at this point, outside the fundamental parallelotope
     nu = [F(37, 3), F(-29, 2), F(41, 4)]
