@@ -38,6 +38,7 @@ from .tate import (
     theta_valuation,
 )
 from .tropical import (
+    GeneratedTheta,
     ThetaCharacteristic,
     TropicalTheta,
     generate_theta_terms,

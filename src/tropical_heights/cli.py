@@ -34,7 +34,6 @@ from .serialize import (
 )
 from .tate import local_height_report
 from .tropical import (
-    _concave_riemann_theta,
     breakpoints,
     closest_lattice_vector,
     theta_characteristic,
@@ -185,7 +184,7 @@ def cmd_cvp(args) -> int:
     # one search: the normalized theta is the half squared distance
     closest, half_dist = closest_lattice_vector(data, nu)
     payload = {
-        "tropical_riemann_theta": format_rational(_concave_riemann_theta(data, nu, half_dist)),
+        "tropical_riemann_theta": format_rational(half_dist - data.inner_product(nu, nu) / 2),
         "normalized": format_rational(half_dist),
         "closest_lattice_vector": [format_rational(x) for x in closest],
         "half_squared_distance": format_rational(half_dist),

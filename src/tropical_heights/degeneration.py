@@ -18,9 +18,11 @@ Concrete coordinate conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from operator import mul
 
 from .cvp import lattice_form
@@ -227,10 +229,7 @@ class ComponentGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self._diagonal:
-            out *= d
-        return out
+        return math.prod(self._diagonal)
 
     def reduce(self, v) -> tuple:
         """Canonical residue tuple of an X*-vector modulo the lattice."""
@@ -250,22 +249,9 @@ def component_group(data: DegenerationData) -> ComponentGroup:
     u_inv = int_matrix_inverse(u)
     factors = [d for d in diag if d != 1]
     exponent = diag[-1] if diag else 1
-    order = 1
-    for d in diag:
-        order *= d
     reps = None
-    if order <= DEFAULT_ENUMERATION_BOUND:
-        reps = []
-        idx = [0] * len(diag)
-        while True:
-            reps.append(mat_vec(u_inv, idx))
-            for k in range(len(diag) - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < diag[k]:
-                    break
-                idx[k] = 0
-            else:
-                break
+    if math.prod(diag) <= DEFAULT_ENUMERATION_BOUND:
+        reps = [mat_vec(u_inv, idx) for idx in product(*map(range, diag))]
     return ComponentGroup(
         invariant_factors=factors if factors else [1],
         exponent=exponent,

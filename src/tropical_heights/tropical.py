@@ -8,24 +8,26 @@ A tropicalized theta function is the concave piecewise affine function
 
 extended to all of X*_R by the lattice automorphy factor.  A finite term
 list that a caller supplies (JSON input, a tensor product, direct
-construction) carries a margin certificate: evaluation in the fundamental
-domain is trusted only when the minimizing term has a full shell of
-lattice translates present, so a too-small list fails loudly instead of
-returning a wrong minimum.
+construction) is a ``TropicalTheta`` and carries a margin certificate:
+evaluation in the fundamental domain is trusted only when the minimizing
+term has a full shell of lattice translates present, so a too-small list
+fails loudly instead of returning a wrong minimum.
 
-Data built by ``generate_theta_terms`` has the terms u = F w, a = c(w) + r
-over all lattice vectors w, c the trivialization valuation.  Its normalized
-value is the tropical Riemann theta moved by the characteristic
-k = M G^{-1} l / 2 (``DegenerationData.characteristic_shift``):
+Data built by ``generate_theta_terms`` is a ``GeneratedTheta``: the terms
+u = F w, a = c(w) + r over all lattice vectors w, c the trivialization
+valuation, held as their quadratic form.  Its normalized value is the
+tropical Riemann theta moved by the characteristic k = M G^{-1} l / 2
+(``DegenerationData.characteristic_shift``):
 ||theta||(nu) = ||Psi||(nu + k) - [k, k]/2 + r, so it is evaluated by one
-certified closest-vector search and its term list is not scanned.
+certified closest-vector search, its characteristic is this closed form,
+and its term list is built only when read, and refused there if too large.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -55,7 +57,7 @@ def _ceil_sqrt(x: Fraction) -> int:
 
 # lattice-translate shells around a certified minimizer in generated term lists
 _TERM_MARGIN = 2
-# points on which theta_characteristic certifies its constant offset
+# points on which theta_characteristic certifies a term list's constant offset
 _GRID_POINTS = 50
 
 
@@ -70,25 +72,20 @@ def _is_clean(terms: dict, rank: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class TropicalTheta:
-    """Finite Fourier data (u, a_u) over degeneration data.
+    """Finite Fourier data (u, a_u) over degeneration data, evaluated by
+    the certified scan of its terms.
 
     ``terms`` maps integer X-vectors (tuples) to exact rational
-    coefficients.  ``margin`` is the number of lattice-translate shells
-    required around a certified minimizer.
-
-    A theta built by ``generate_theta_terms`` is evaluated by one
-    closest-vector search; any other, by the certified scan of its terms.
-    Equality compares data, terms and margin alone, so a generated theta
-    and its reload from the same terms compare equal and agree everywhere.
+    coefficients, normalized at construction and not changed after it.
+    ``margin`` is the number of lattice-translate shells required around a
+    certified minimizer.
     """
 
     data: DegenerationData
     terms: dict
     margin: int = _TERM_MARGIN
-    # the constant r of generate_theta_terms, which alone sets it
-    _constant: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -111,7 +108,7 @@ class TropicalTheta:
                     raise InputError(f"duplicate Fourier index {key}")
                 clean[key] = Fraction(a)
             terms = clean
-        object.__setattr__(self, "terms", terms)
+        self.terms = terms
 
     # -- evaluation ----------------------------------------------------------
 
@@ -154,22 +151,14 @@ class TropicalTheta:
         )
 
     def value(self, nu) -> Fraction:
-        """Tropicalized theta at nu.  A term list is scanned after reduction
+        """Tropicalized theta at nu: the term list scanned after reduction
         to the fundamental parallelotope and moved back by the translation
-        cocycle; generated data is the normalized value less the quadratic
-        extension."""
-        if self._constant is None:
-            return self._value(nu, self.data.to_lattice_coords(nu))
-        return self.normalized_value(nu) - trivialization_valuation_real(self.data, nu)
+        cocycle."""
+        return self._value(nu, self.data.to_lattice_coords(nu))
 
     def normalized_value(self, nu) -> Fraction:
-        """Lattice-invariant normalization: value + quadratic extension.
-        A term list reads both from one set of lattice coordinates t of nu;
-        generated data is the Riemann theta at nu + k plus r - [k, k]/2."""
-        if self._constant is not None:
-            self.data.check_length(nu)
-            moved = [a + b for a, b in zip(nu, self.data.characteristic_shift)]
-            return normalized_tropical_riemann_theta(self.data, moved) + self._riemann_offset
+        """Lattice-invariant normalization: value + quadratic extension,
+        both read from one set of lattice coordinates t of nu."""
         t = self.data.to_lattice_coords(nu)
         return self._value(nu, t) + trivialization_valuation(self.data, *over_denominator(t))
 
@@ -183,82 +172,91 @@ class TropicalTheta:
             return best
         return best - automorphy_factor(self.data, w, nu0)
 
+
+@dataclass(frozen=True, eq=False)
+class GeneratedTheta:
+    """The theta of (G, l) with coefficients c(w) + ``constant``, read like
+    a ``TropicalTheta`` but evaluated by one closest-vector search.  It
+    equals any theta with the same data, terms and margin, so it equals
+    its reload, which scans to the same values."""
+
+    data: DegenerationData
+    constant: Fraction
+    margin = _TERM_MARGIN
+
+    def __eq__(self, other):
+        if not isinstance(other, (GeneratedTheta, TropicalTheta)):
+            return NotImplemented
+        return (self.data == other.data and self.margin == other.margin
+                and self.terms == other.terms)
+
     @cached_property
-    def _riemann_offset(self) -> Fraction:
-        """r - [k, k]/2, the constant between generated data's normalized
-        value and the Riemann theta moved by k."""
+    def offset(self) -> Fraction:
+        """r = constant - [k, k]/2, the constant between the normalized value
+        and the Riemann theta moved by k."""
         k = self.data.characteristic_shift
-        return self._constant - self.data.inner_product(k, k) / 2
+        return self.constant - self.data.inner_product(k, k) / 2
+
+    def value(self, nu) -> Fraction:
+        """The normalized value less the quadratic extension."""
+        return self.normalized_value(nu) - trivialization_valuation_real(self.data, nu)
+
+    def normalized_value(self, nu) -> Fraction:
+        """The Riemann theta at nu + k plus r - [k, k]/2."""
+        self.data.check_length(nu)
+        moved = [a + b for a, b in zip(nu, self.data.characteristic_shift)]
+        return normalized_tropical_riemann_theta(self.data, moved) + self.offset
+
+    @cached_property
+    def terms(self) -> dict:
+        """The certified term box, built on first read: the terms over the
+        lattice vectors |w_i| <= bounds[i], in ``itertools.product`` order.
+        A Babai bound on the quadratic part sizes the box so that every
+        minimizer for the fundamental parallelotope lies ``margin`` shells
+        inside it; a box of more than 300,000 terms is refused.
+
+        Built column by column on ints.  Coordinates join from the last,
+        which varies fastest, to the first; joining x at coordinate j maps w
+        to x e_j + w, which adds x F e_j to u and x (G w)_j + c(x e_j) to c.
+        By parity c(x e_j) = (G_jj x^2 + l_j x) / 2 is an integer.  One
+        Fraction is made per distinct coefficient and shared by its terms.
+        """
+        data = self.data
+        gram, lin, ginv = data.gram, data.linear_part, data.gram_inverse
+        h = data.to_lattice_coords(data.characteristic_shift)  # G^{-1} l / 2
+        r2 = Fraction(sum(abs(x) for row in gram for x in row), 4)
+        bounds = [math.floor(max(abs(x), abs(1 + x))) + 1 + _ceil_sqrt(r2 * ginv[i][i])
+                  + self.margin for i, x in enumerate(h)]
+        total = math.prod(2 * b + 1 for b in bounds)
+        if total > 300000:
+            raise InputError(
+                f"certified term box needs {total} terms; the Gram matrix is too "
+                "ill-conditioned for a static term list at this rank"
+            )
+        num, den = self.constant.numerator, self.constant.denominator
+        us = [[0] for _ in range(data.rank)]  # columns of u = F w
+        gw = [[0] for _ in range(data.rank)]  # columns of G w, kept for j not yet joined
+        cs = [num]                            # den c(w) + num
+
+        def join(rows, columns, j, xs):
+            """Columns of (rows) w after w -> x e_j + w, x outermost."""
+            return [[a + s for s in [row[j] * x for x in xs] for a in col]
+                    for row, col in zip(rows, columns)]
+
+        for j in reversed(range(data.rank)):
+            xs = range(-bounds[j], bounds[j] + 1)
+            steps = [(den * x, den * ((gram[j][j] * x + lin[j]) * x // 2)) for x in xs]
+            cs = [c + s * v + k for s, k in steps for c, v in zip(cs, gw[j])]
+            us = join(data.polarization_matrix, us, j, xs)
+            gw = join(gram[:j], gw[:j], j, xs)
+        values = {c: Fraction(c, den) for c in set(cs)}  # far fewer than terms
+        return dict(zip(zip(*us), map(values.__getitem__, cs)))
 
 
-def _box_terms(data: DegenerationData, bounds: list, constant: Fraction):
-    """The generated terms over the box |w_i| <= bounds[i], in
-    ``itertools.product`` order: (F w, c(w) + constant) pairs.
-
-    Built column by column on ints.  Coordinates join from the last, which
-    varies fastest, to the first; joining x at coordinate j maps w to
-    x e_j + w, which adds x F e_j to u and x (G w)_j + c(x e_j) to c.  By
-    parity c(x e_j) = (G_jj x^2 + l_j x) / 2 is an integer.  One Fraction
-    is made per distinct coefficient and shared by its terms.
-    """
-    gram, lin = data.gram, data.linear_part
-    num, den = constant.numerator, constant.denominator
-    us = [[0] for _ in range(data.rank)]  # columns of u = F w
-    gw = [[0] for _ in range(data.rank)]  # columns of G w, kept for j not yet joined
-    cs = [num]                            # den c(w) + num
-
-    def join(rows, columns, j, xs):
-        """Columns of (rows) w after w -> x e_j + w, x outermost."""
-        return [[a + s for s in [row[j] * x for x in xs] for a in col]
-                for row, col in zip(rows, columns)]
-
-    for j in reversed(range(data.rank)):
-        xs = range(-bounds[j], bounds[j] + 1)
-        steps = [(den * x, den * ((gram[j][j] * x + lin[j]) * x // 2)) for x in xs]
-        cs = [c + s * v + k for s, k in steps for c, v in zip(cs, gw[j])]
-        us = join(data.polarization_matrix, us, j, xs)
-        gw = join(gram[:j], gw[:j], j, xs)
-    values = {c: Fraction(c, den) for c in set(cs)}  # far fewer than terms
-    return zip(zip(*us), map(values.__getitem__, cs))
-
-
-def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -> TropicalTheta:
-    """Build a certified-sufficient Fourier term list from (G, l).
-
-    Terms are indexed by u = F w over a coordinate box of lattice vectors
-    w, with coefficients c(w) + constant, where c is the trivialization
-    valuation.  The box is sized so that for every point of the fundamental
-    parallelotope the true minimizer lies at least ``_TERM_MARGIN`` shells away
-    from the boundary: a Babai bound on the quadratic part gives a radius
-    that provably contains all minimizers.
-
-    The returned theta is evaluated by one closest-vector search over the
-    whole lattice, which the term list agrees with wherever its scan is
-    certified; the list is kept for callers that read or serialize it.
-    """
-    g = data.rank
-    ginv = data.gram_inverse
-    h = data.to_lattice_coords(data.characteristic_shift)  # G^{-1} l / 2
-    r2 = Fraction(sum(abs(x) for row in data.gram for x in row), 4)
-    bounds = []
-    for i in range(g):
-        spread = max(abs(h[i]), abs(1 + h[i]))
-        coord = _ceil_sqrt(r2 * ginv[i][i])
-        extra = spread.numerator // spread.denominator + 1
-        bounds.append(extra + coord + _TERM_MARGIN)
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    if total > 300000:
-        raise InputError(
-            f"certified term box needs {total} terms; the Gram matrix is too "
-            "ill-conditioned for a static term list at this rank"
-        )
-    constant = Fraction(constant)
-    theta = TropicalTheta(data=data, terms=dict(_box_terms(data, bounds, constant)),
-                          margin=_TERM_MARGIN)
-    object.__setattr__(theta, "_constant", constant)
-    return theta
+def generate_theta_terms(data: DegenerationData, constant: Fraction | int = 0) -> GeneratedTheta:
+    """The theta of (G, l) with coefficients c(w) + constant, c the
+    trivialization valuation; its term list is built when first read."""
+    return GeneratedTheta(data, Fraction(constant))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +274,7 @@ def normalized_tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
 def tropical_riemann_theta(data: DegenerationData, nu) -> Fraction:
     """Concave min-form min over w of ([Mw, Mw]/2 + [Mw, nu]); always <= 0,
     and 0 exactly on the Voronoi cell of the origin."""
-    return _concave_riemann_theta(data, nu, normalized_tropical_riemann_theta(data, nu))
-
-
-def _concave_riemann_theta(data: DegenerationData, nu, normalized: Fraction) -> Fraction:
-    """The concave form from the normalized one at nu: less the quadratic term."""
-    return normalized - data.inner_product(nu, nu) / 2
+    return normalized_tropical_riemann_theta(data, nu) - data.inner_product(nu, nu) / 2
 
 
 def closest_lattice_vector(data: DegenerationData, nu) -> tuple[list, Fraction]:
@@ -327,10 +320,11 @@ def evaluation_grid(data: DegenerationData) -> list:
     return points
 
 
-def theta_characteristic(theta: TropicalTheta) -> ThetaCharacteristic:
-    """Solve for the translation relating the normalized theta to the
-    normalized tropical Riemann theta, and certify the constant offset on a
-    deterministic grid (exact equality at every point)."""
+def theta_characteristic(theta: TropicalTheta | GeneratedTheta) -> ThetaCharacteristic:
+    """The translation k relating the normalized theta to the normalized
+    tropical Riemann theta, and the constant offset r.  A generated theta
+    returns its closed form; a term list certifies r on a deterministic
+    grid (exact equality at every point)."""
     data = theta.data
     if not data.is_principally_polarized():
         raise NotPrincipallyPolarizedData(
@@ -339,13 +333,15 @@ def theta_characteristic(theta: TropicalTheta) -> ThetaCharacteristic:
     k = data.characteristic_shift
     if any((2 * x).denominator != 1 for x in k):
         raise NotPrincipallyPolarizedData("2k is not an integral vector")
-
-    r = theta.normalized_value([0] * data.rank) - normalized_tropical_riemann_theta(data, k)
-    for nu in evaluation_grid(data):
-        shifted = [x + ki for x, ki in zip(nu, k)]
-        value = theta.normalized_value(nu) - normalized_tropical_riemann_theta(data, shifted)
-        if value != r:
-            raise NotPrincipallyPolarizedData(f"offset not constant: {value} != {r} at {nu}")
+    if isinstance(theta, GeneratedTheta):
+        r = theta.offset
+    else:
+        r = theta.normalized_value([0] * data.rank) - normalized_tropical_riemann_theta(data, k)
+        for nu in evaluation_grid(data):
+            shifted = [x + ki for x, ki in zip(nu, k)]
+            value = theta.normalized_value(nu) - normalized_tropical_riemann_theta(data, shifted)
+            if value != r:
+                raise NotPrincipallyPolarizedData(f"offset not constant: {value} != {r} at {nu}")
     kappa, _ = data.reduce_mod_lattice(k)
     r_base = r + data.inner_product(k, k) / 2
     return ThetaCharacteristic(

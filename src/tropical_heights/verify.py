@@ -25,6 +25,7 @@ from .tate import (
     tate_curve_point,
 )
 from .tropical import (
+    TropicalTheta,
     generate_theta_terms,
     quantization_check,
     tensor_normalized,
@@ -174,9 +175,13 @@ def suite_theta_characteristic(seed: int = 0) -> dict:
         theta = generate_theta_terms(data, constant=shift)
         try:
             tc = theta_characteristic(theta)
+            # the closed form, certified by the grid check on the scanned reload
+            scanned = theta_characteristic(TropicalTheta(data, theta.terms, theta.margin))
         except TropicalHeightsError as exc:
             failures.append({"case": case, "error": str(exc)})
             continue
+        if scanned != tc:
+            failures.append({"case": case, "error": f"scanned reload gives {scanned}"})
         if any((2 * k).denominator != 1 for k in tc.shift):
             failures.append({"case": case, "error": "2k not integral"})
         if tc.base_constant != shift:

@@ -108,7 +108,9 @@ def test_acceptance_theta_characteristic(synthetic_pp_data):
     for data in synthetic_pp_data:
         shift = F(rng.randint(-4, 4), rng.randint(1, 3))
         theta = generate_theta_terms(data, constant=shift)
-        tc = theta_characteristic(theta)  # exact r-constancy inside
+        tc = theta_characteristic(theta)  # the closed form
+        # the grid check on the scanned reload certifies it
+        assert theta_characteristic(TropicalTheta(data, theta.terms, theta.margin)) == tc
         assert all((2 * k).denominator == 1 for k in tc.shift)
         # kappa is k reduced mod the lattice
         diff = data.to_lattice_coords(

@@ -630,3 +630,46 @@ def test_generated_rank4_theta_by_cvp_matches_the_term_scan():
     for nu in points + evaluation_grid(data)[:4]:
         assert theta.normalized_value(nu) == twin.normalized_value(nu), nu
         assert theta.value(nu) == twin.value(nu), nu
+
+
+def _skewed_product_data(rng, rank):
+    """G = U^T D U with D = diag(l_i), l_i in 1..9, and U unimodular, over
+    M = G (so F is the identity), with l the parity of G's diagonal:
+    (l_i, U, data)."""
+    ells = [rng.randint(1, 9) for _ in range(rank)]
+    u = random_unimodular(rng, rank)
+    gram = [[sum(u[k][i] * ells[k] * u[k][j] for k in range(rank)) for j in range(rank)]
+            for i in range(rank)]
+    data = DegenerationData(rank=rank, embedding=gram, gram=gram,
+                            linear_part=[gram[i][i] % 2 for i in range(rank)])
+    return ells, u, data
+
+
+@pytest.mark.parametrize("rank, cases", [(4, 20), (5, 50), (6, 50)])
+def test_skewed_product_theta_is_exact_beyond_its_term_box(rank, cases, monkeypatch):
+    """On a product form the normalized theta is the sum of the rank-1
+    values l_i ||(U t)_i||^2 / 2, ||x|| the distance to the nearest integer,
+    less [k, k]/2, for t the lattice coordinates of nu + k.  The term box
+    is refused only when it is read: at ranks 5 and 6 on every draw."""
+    rng = random.Random(rank)
+    searches = []
+    search = tropical.closest_lattice_point
+    monkeypatch.setattr(tropical, "closest_lattice_point",
+                        lambda *args: searches.append(args) or search(*args))
+    for _ in range(cases):
+        ells, u, data = _skewed_product_data(rng, rank)
+        theta = generate_theta_terms(data)
+        k = data.characteristic_shift
+        half_kk = data.inner_product(k, k) / 2
+        for _ in range(5):
+            nu = [F(rng.randint(-40, 40), 7) for _ in range(rank)]
+            t = data.to_lattice_coords([a + b for a, b in zip(nu, k)])
+            ut = [sum(x * y for x, y in zip(row, t)) for row in u]
+            expected = sum(ell * (x - round(x)) ** 2 for ell, x in zip(ells, ut)) / 2
+            assert theta.normalized_value(nu) == expected - half_kk, nu
+        searches.clear()
+        assert theta_characteristic(theta).constant == -half_kk
+        assert searches == []
+        if rank >= 5:
+            with pytest.raises(InputError, match="certified term box needs"):
+                theta.terms
