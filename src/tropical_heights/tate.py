@@ -5,7 +5,8 @@ canonical local heights at non-archimedean places.
 A p-minimal model is rebuilt from (c4, c6) by one closed form at every
 prime (Kraus's conditions at p = 2, 3), with no search over residues.
 The Tate curve's integer q-expansions are int lists from one sigma_k
-sieve; ``arch`` evaluates the same lists at its real q.
+sieve; ``arch`` evaluates the same lists at its real q.  A point built
+from a parameter sums Lambert series over q's own units 1 - q^m.
 
 All local height values are exact rationals in v-units (a uniformizer has
 valuation one); multiply by log p only at global assembly time.
@@ -77,21 +78,25 @@ def _series_div(a: list, b: list) -> list:
     return out
 
 
-def discriminant_coefficients(order: int) -> list:
-    """q-expansion of q prod (1-q^n)^24, computed as (E4^3 - E6^2)/1728."""
+def _e4_cubed_and_discriminant(order: int) -> tuple:
+    """(E4^3, q prod (1-q^n)^24) to order, the second as (E4^3 - E6^2)/1728."""
     e4, e6 = eisenstein4_coefficients(order), eisenstein6_coefficients(order)
     e4_cubed = _series_mul(_series_mul(e4, e4), e4)
     diff = [a - b for a, b in zip(e4_cubed, _series_mul(e6, e6))]
     if any(c % 1728 for c in diff):
         raise AssertionError("E4^3 - E6^2 must be divisible by 1728")
-    return [c // 1728 for c in diff]
+    return e4_cubed, [c // 1728 for c in diff]
+
+
+def discriminant_coefficients(order: int) -> list:
+    """q-expansion of q prod (1-q^n)^24, computed as (E4^3 - E6^2)/1728."""
+    return _e4_cubed_and_discriminant(order)[1]
 
 
 def j_times_q_coefficients(order: int) -> list:
-    """Integer expansion of q*j(q) = 1 + 744 q + 196884 q^2 + ..."""
-    e4 = eisenstein4_coefficients(order)
-    e4_cubed = _series_mul(_series_mul(e4, e4), e4)
-    return _series_div(e4_cubed, discriminant_coefficients(order + 1)[1:])
+    """q*j(q) = 1 + 744 q + 196884 q^2 + ... = E4^3 / (Delta / q) on ints."""
+    e4_cubed, disc = _e4_cubed_and_discriminant(order + 1)
+    return _series_div(e4_cubed[:order], disc[1:])
 
 
 def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
@@ -416,8 +421,7 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
         )
     ell = -vj
     target = ell + precision + 2 * ell  # certify j round-trips mod p^precision
-    steps = target // ell
-    modulus = p**target
+    steps, modulus = target // ell, p**target
     # q^n with n > steps vanishes mod p^target
     coeffs = [c % modulus for c in reversed(j_times_q_coefficients(steps + 1))]
     w = _mod_p(1 / j, p, target)
@@ -458,17 +462,19 @@ def normalize_parameter(q: PadicElement, z: PadicElement) -> PadicElement:
 
 def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     """Point of the Tate curve at parameter z, via the standard coordinate
-    series summed on integers mod p^K.
+    series summed in Lambert form on integers mod p^K.
 
-    The two-sided sums over q^n z collapse to one-sided ones through
-    t -> 1/t: the x-summand t/(1-t)^2 is invariant, while the y-summand
-    t^2/(1-t)^3 turns into -t/(1-t)^3 at t = q^n / z.  For z normalized,
-    every t = q^n z or q^n / z (n >= 1) has v(t) > 0, so its summands are
-    p-adic integers; only those at z carry 1 - z = p^e u (u a unit) into a
-    denominator.  So x = A / p^2e and y = B / p^3e with integers A, B in
-    [0, p^K), and every summand with n > K // ell + 1 vanishes mod p^K.
-    The units 1 - t and 1 - q^n are inverted together: one modular inverse
-    per point, and prefix products (Montgomery's trick).
+    For z normalized, x = f(z) + sum_n [f(q^n z) + f(q^n / z)] - 2 s1 and
+    y = g(z) + sum_n [g(q^n z) + h(q^n / z)] + s1 (n >= 1), with f(t) =
+    t/(1-t)^2, g(t) = t^2/(1-t)^3, h(t) = g(1/t) and s1 = sum n q^n/(1-q^n).
+    Only f(z) and g(z) carry 1 - z = p^e u (u a unit) into a denominator:
+    x = A / p^2e and y = B / p^3e, A, B in [0, p^K).  With f, g, h = sum_m
+    c_m t^m (c_m = m, C(m,2), -C(m+1,2)), swapping sums over n and m gives
+    sum_n f(q^n z) = sum_m m (qz)^m/(1-q^m) and, w = q/z split off, sum_n
+    f(q^n/z) = f(w) + sum_m m (qw)^m/(1-q^m), of ratio qw: v(qw) = 2 ell -
+    v(z) > ell, where v(w) may be 1.  Each term with m > M = (K-1) // ell
+    has valuation >= m ell >= K: the sums are the series' residues mod p^K.
+    The only units inverted are 1 - w and 1 - q^m (m <= M), in one batch.
 
     Only q's digits certify the curve: with q known mod p^known, the curve
     is certified only mod p^known, and its equation multiplies a4 by x: its
@@ -485,8 +491,7 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     z = normalize_parameter(q, z)
     if z.rational == 1:
         raise InputError("z in q^Z maps to the origin")
-    p = q.prime
-    known = q.known_mod
+    p, known = q.prime, q.known_mod
     e = _valuation(1 - z.rational, p)
     if e >= z.known_mod:
         raise PrecisionError(
@@ -498,24 +503,21 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
             f"digits of the curve equation; membership needs known_mod >= {needed + 2 * e}")
     target = known + 4 * e
     modulus = p**target
-    qr = _mod_p(q.rational, p, target)
-    zr = _mod_p(z.rational, p, target)
-    qn = [qr]  # q^n for n = 1 .. target // ell + 1
-    for _ in range(target // ell):
-        qn.append(qn[-1] * qr % modulus)
-    q_over_z = _mod_p(q.rational / z.rational, p, target)
-    at_z = [t * zr % modulus for t in qn]  # q^n z
-    over_z = [q_over_z] + [t * q_over_z % modulus for t in qn[:-1]]  # q^n / z
-    inverses = unit_inverses([1 - t for t in qn + at_z + over_z], modulus)
-    count = len(qn)
-    s1 = sum(n * t * r for n, (t, r) in enumerate(zip(qn, inverses), 1))
-    sx = sy = 0
-    for t, r, t_over, r_over in zip(at_z, inverses[count:], over_z, inverses[2 * count:]):
-        sx += (t * r * r + t_over * r_over * r_over) % modulus
-        sy += (t * t * r**3 - t_over * r_over**3) % modulus
+    qr, zr, w = (_mod_p(v, p, target) for v in (q.rational, z.rational, q.rational / z.rational))
+    qm = [qr]  # q^m for m = 1 .. M
+    for _ in range((target - 1) // ell - 1):
+        qm.append(qm[-1] * qr % modulus)
+    r_w, *inverses = unit_inverses([1 - w] + [1 - t for t in qm], modulus)
+    sx, sy = w * r_w * r_w, -w * r_w**3  # f(w) and h(w)
+    at_z, at_w = qz, qw = qr * zr % modulus, qr * w % modulus  # (qz)^m and (qw)^m
+    for m, (t, r) in enumerate(zip(qm, inverses), 1):
+        c = at_z + at_w - 2 * t
+        sx += m * c * r  # m (qz)^m + m (qw)^m - 2m q^m, over 1 - q^m
+        sy += m * (m * (at_z - at_w) - c) // 2 * r  # C(m,2) (qz)^m - C(m+1,2) (qw)^m + m q^m
+        at_z, at_w = at_z * qz % modulus, at_w * qw % modulus
     u_inv = _mod_p(p**e / (1 - z.rational), p, target)  # 1 - z = p^e u
-    a = (zr * u_inv**2 + p ** (2 * e) * (sx - 2 * s1)) % modulus
-    b = (zr * zr * u_inv**3 + p ** (3 * e) * (sy + s1)) % modulus
+    a = (zr * u_inv**2 + p ** (2 * e) * sx) % modulus
+    b = (zr * zr * u_inv**3 + p ** (3 * e) * sy) % modulus
     return CurvePoint.affine(Fraction(a, p ** (2 * e)), Fraction(b, p ** (3 * e)))
 
 
@@ -528,10 +530,9 @@ def theta_valuation(q: PadicElement, z: PadicElement) -> Fraction:
     theta vanishes to working precision.
     """
     z = normalize_parameter(q, z)
-    zr = z.rational
-    if zr == 1:
+    if z.rational == 1:
         raise OnDivisorError("z lies on the divisor (z in q^Z)")
-    lead = _valuation(1 - zr, q.prime)
+    lead = _valuation(1 - z.rational, q.prime)
     if lead is INFINITY or lead >= z.known_mod:
         raise OnDivisorError("theta(z) vanishes to working precision")
     return Fraction(lead)
@@ -543,7 +544,5 @@ def local_height_from_parameter(q: PadicElement, z: PadicElement) -> Fraction:
 
         lambda' = (ell/2) B2(v(z)/ell) + v(theta(z)).
     """
-    ell = q.val()
-    z = normalize_parameter(q, z)
-    t = Fraction(z.val(), ell)
-    return Fraction(ell, 2) * bernoulli2(t) + theta_valuation(q, z)
+    ell, z = q.val(), normalize_parameter(q, z)
+    return Fraction(ell, 2) * bernoulli2(Fraction(z.val(), ell)) + theta_valuation(q, z)

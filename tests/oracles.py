@@ -15,10 +15,11 @@ method, and the tests check the replacement against them.
   route before Carlson's R_F, with the two-sided x- and eta-series),
   against ``arch``'s periods and u from Landen's chain;
 * the point of the Tate curve at a parameter z by exact rational sums of
-  the coordinate series, against ``tate.tate_curve_point``'s sums on
-  integers mod a power of p; and the same sums on integers with three
-  modular inverses per term (``three_inverse_tate_curve_point``), against
-  its one inverse per point;
+  the coordinate series, against ``tate.tate_curve_point``'s Lambert sums
+  on integers mod a power of p; and the library's per-term loop from two
+  versions back, the two-sided sums on integers with three modular
+  inverses per term (``three_inverse_tate_curve_point``), against its one
+  batch of the units 1 - q/z and 1 - q^m, bit for bit;
 * the curve invariants b2..b8, c4, c6, disc and j by their Fraction
   formulas, one invariant from the next (``fraction_invariants``), against
   ``WeierstrassCurve``'s one integer pass on the integral model;
@@ -230,9 +231,11 @@ def exact_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
 
 
 def three_inverse_tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
-    """``tate.tate_curve_point`` with the loop it had before batch
-    inversion: per term n, three ``pow(., -1, p^K)`` for 1 - q^n z,
-    1 - q^n / z and 1 - q^n.  Same guards, same K, same residues."""
+    """``tate.tate_curve_point`` with the per-term loop it had two versions
+    back, before batch inversion and before the Lambert sums: for each
+    term n <= K // ell + 1 of the two-sided series, three
+    ``pow(., -1, p^K)`` for 1 - q^n z, 1 - q^n / z and 1 - q^n.  Same
+    guards, same K, same residues."""
     ell = q.val()
     z = normalize_parameter(q, z)
     if z.rational == 1:

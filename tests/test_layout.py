@@ -37,10 +37,10 @@ SRC_LINE_BUDGET = 3750
 # moved to itertools.product, arch.py and fixed.py past theirs when a
 # point's uniformizer came down Landen's chain instead of R_F and exp,
 # heights.py past its size when the real place and the oracle moved to
-# trusted cores, nor tate.py past its size when a global height's places
-# moved to LocalModel's trusted core
+# trusted cores, nor tate.py past its size when a parameter's point came
+# to be summed as Lambert series over q's own units
 MODULE_LINE_BUDGETS = {"arch.py": 303, "degeneration.py": 261, "fixed.py": 61,
-                       "heights.py": 362, "tate.py": 549, "tropical.py": 477}
+                       "heights.py": 362, "tate.py": 548, "tropical.py": 477}
 # the modules of src/ that may import mpmath: none, it is a test dependency
 MPMATH_MODULES = set()
 

@@ -733,6 +733,55 @@ def test_tate_curve_point_matches_three_inverse_reference():
     assert checked > 500 and refused > 0
 
 
+def test_lambert_sums_match_three_inverse_reference_on_the_band_valuations():
+    """The Lambert sums give exactly the per-term loop's points up to the
+    band curves' v(q) = 11, at primes up to 2971: every v(z) below v(q),
+    the last one included, and z = 1 + u p^d as deep as d = 20, at 20 and
+    100 digits of q and z; both refuse the same inputs."""
+    units = (1, 3, F(2, 3), F(5, 7))
+    checked = refused = 0
+    for p in (2, 3, 7, 1009, 2971):
+        p_units = [u for u in units if val_p(u, p) == 0]
+        for ell in range(1, 12):
+            for precision in (20, 100):
+                q = PadicElement.from_rational(p, p_units[ell % len(p_units)] * p**ell, precision)
+                z_values = [p_units[1 + vz % (len(p_units) - 1)] * p**vz for vz in range(ell)]
+                z_values += [1 + p_units[d % len(p_units)] * p**d for d in (1, 2, 3, 5, 8, 13, 20)]
+                for z_value in z_values:
+                    z = PadicElement.from_rational(p, z_value, precision)
+                    case = (p, ell, precision, z_value)
+                    try:
+                        reference = three_inverse_tate_curve_point(q, z)
+                    except PrecisionError:
+                        with pytest.raises(PrecisionError):
+                            tate_curve_point(q, z)
+                        refused += 1
+                        continue
+                    assert tate_curve_point(q, z) == reference, case
+                    checked += 1
+    assert checked > 900 and refused > 400
+
+
+def test_tate_curve_point_inverts_one_batch_of_q_units(monkeypatch):
+    """One ``unit_inverses`` call per point, of 1 - q/z and 1 - q^m for
+    m <= (K - 1) // v(q), K = q.known_mod + 4 v(1 - z): at most
+    (K - 1) // v(q) + 1 units, where three per term took 3 (K // v(q) + 1)."""
+    calls = []
+
+    def recording(units, modulus):
+        calls.append(len(units))
+        return exact.unit_inverses(units, modulus)
+
+    monkeypatch.setattr(tate, "unit_inverses", recording)
+    for p, ell, z_value in ((2, 1, 3), (3, 4, 2 * 3**3), (5, 2, 1 + 5**2), (1009, 3, 1 + 1009)):
+        q = PadicElement.from_rational(p, 2 * p**ell, 40)
+        z = PadicElement.from_rational(p, z_value, 40)
+        calls.clear()
+        tate_curve_point(q, z)
+        target = q.known_mod + 4 * val_p(1 - z_value, p)
+        assert len(calls) == 1 and calls[0] <= (target - 1) // ell + 1, (p, ell, z_value, calls)
+
+
 def test_tate_point_rejects_divisor():
     q = PadicElement.from_rational(5, 25, 30)
     with pytest.raises(InputError):
