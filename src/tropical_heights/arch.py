@@ -41,6 +41,7 @@ from .fixed import carlson_rf, exp, inverse, log
 from .tate import discriminant_coefficients, eisenstein4_coefficients, sigma_coefficients
 
 _TERM_GUARD = 30
+_MIN_BITS = 53  # the fewest precision_bits a context, and a RunConfig, accepts
 
 
 def _scaled(x: Fraction, e: int) -> int:
@@ -120,6 +121,8 @@ class ArchContext:
 
 
 def arch_context(curve: WeierstrassCurve, precision_bits: int = 128) -> ArchContext:
+    if precision_bits < _MIN_BITS:
+        raise InputError(f"precision_bits = {precision_bits!r} must be at least {_MIN_BITS}")
     # rescaling x by 4^k adds k to shift and leaves every int below unchanged
     shift = max((c.numerator.bit_length() - c.denominator.bit_length()) // w
                 for c, w in ((curve.c4, 4), (curve.c6, 6)) if c)

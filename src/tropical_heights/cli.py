@@ -20,7 +20,6 @@ from .errors import (
     OnDivisorError,
     PrecisionError,
     PreconditionError,
-    VerificationFailure,
 )
 from .exact import format_rational
 from .heights import RunConfig, global_height
@@ -57,63 +56,35 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _emit(payload, fmt: str):
+def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, indent=2, default=str))
-    elif fmt == "csv":
-        _emit_csv(payload)
-    else:
+    elif fmt == "table":
         _emit_table(payload)
-
-
-def _emit_csv(payload):
-    writer = csv.writer(sys.stdout)
-    if isinstance(payload, dict) and "rows" in payload:
-        writer.writerow(payload["columns"])
-        writer.writerows(payload["rows"])
-    elif isinstance(payload, dict):
-        writer.writerow(payload.keys())
-        writer.writerow(payload.values())
+    elif "rows" in payload:
+        csv.writer(sys.stdout).writerows([payload["columns"], *payload["rows"]])
     else:
-        for row in payload:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows([payload.keys(), payload.values()])
 
 
-def _emit_table(payload, indent=""):
-    if isinstance(payload, dict) and "rows" in payload:
-        cols = payload["columns"]
-        widths = [
-            max(len(str(c)), *(len(str(r[i])) for r in payload["rows"]))
-            if payload["rows"] else len(str(c))
-            for i, c in enumerate(cols)
-        ]
-        print("  ".join(str(c).ljust(w) for c, w in zip(cols, widths)))
-        for row in payload["rows"]:
-            print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-    elif isinstance(payload, dict):
-        width = max((len(str(k)) for k in payload), default=0)
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)) and value and not isinstance(value, str):
-                print(f"{indent}{str(key).ljust(width)} :")
-                _emit_table_nested(value, indent + "  ")
-            else:
-                print(f"{indent}{str(key).ljust(width)} : {value}")
-    else:
-        for item in payload:
-            _emit_table(item, indent)
-            print()
-
-
-def _emit_table_nested(value, indent):
-    if isinstance(value, dict):
-        _emit_table(value, indent)
-    else:
+def _emit_table(payload: dict, indent=""):
+    """One "key : value" line per entry.  A nonempty dict or list prints its
+    items under its key, indented; a dict in a list is followed by a blank line."""
+    width = max(len(key) for key in payload)
+    for key, value in payload.items():
+        if not (isinstance(value, (dict, list)) and value):
+            print(f"{indent}{key.ljust(width)} : {value}")
+            continue
+        print(f"{indent}{key.ljust(width)} :")
+        if isinstance(value, dict):
+            _emit_table(value, indent + "  ")
+            continue
         for item in value:
             if isinstance(item, dict):
-                _emit_table(item, indent)
+                _emit_table(item, indent + "  ")
                 print()
             else:
-                print(f"{indent}{item}")
+                print(f"{indent}  {item}")
 
 
 def _collect_points(args) -> list:
@@ -123,7 +94,7 @@ def _collect_points(args) -> list:
             chunk = chunk.strip()
             if chunk:
                 points.append(parse_vector(chunk))
-    if getattr(args, "points_file", None):
+    if args.points_file:
         with open(args.points_file, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -295,9 +266,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

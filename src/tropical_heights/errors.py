@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: InputError -> 2, PreconditionError -> 3,
-VerificationFailure -> 4.  Everything else is a bug.
+Exit-code mapping used by the CLI: InputError -> 2, PreconditionError and
+PrecisionError -> 3.  No exception maps to 4: the CLI returns it itself when a
+verify suite fails or a global height's discrepancy reaches --tolerance.
+Everything else is a bug.
 """
 
 
@@ -27,11 +29,9 @@ class InsufficientTermsError(TropicalHeightsError):
     Carries the offending (reduced) point so callers can report it.
     """
 
-    def __init__(self, point, message=None):
+    def __init__(self, point):
         self.point = list(point)
-        super().__init__(
-            message or f"term list too small to certify evaluation at {self.point}"
-        )
+        super().__init__(f"term list too small to certify evaluation at {self.point}")
 
 
 class NotPrincipallyPolarizedData(TropicalHeightsError):
@@ -44,7 +44,3 @@ class OnDivisorError(TropicalHeightsError):
 
 class PrecisionError(TropicalHeightsError):
     """Certified precision was exhausted; retry with more digits."""
-
-
-class VerificationFailure(TropicalHeightsError):
-    """A verify suite found a counterexample."""

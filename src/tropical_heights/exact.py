@@ -155,9 +155,7 @@ def factorize(n: int) -> dict:
         i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # odd and above 1: rho's factor d has 1 < d < m
         if is_prime(m):
             record(m)
             continue
@@ -167,8 +165,6 @@ def factorize(n: int) -> dict:
 
 
 def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
     rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from . import arch
-from .arch import ArchContext, arch_context
+from .arch import _MIN_BITS, ArchContext, arch_context
 from .curves import CurvePoint, WeierstrassCurve, duplication
 from .errors import AdditiveReductionError, InputError, PrecisionError
 from .exact import factorize
@@ -46,7 +46,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        bounds = (("precision_bits", self.precision_bits >= 53, "at least 53"),
+        bounds = (("precision_bits", self.precision_bits >= _MIN_BITS, f"at least {_MIN_BITS}"),
                   ("n_max", self.n_max >= 2, "at least 2"),
                   ("tolerance", 0 < self.tolerance < math.inf, "finite and positive"))
         for name, ok, bound in bounds:
@@ -266,17 +266,15 @@ def global_height(
     if not curve.contains(point):
         raise InputError("point is not on the curve")
     model = CurveModel.at(curve)
-    places = place_list(curve, point)
-    additive, reports = [], []
-    for place in places:  # the point is checked above: each place, arch and the oracle trust it
-        try:
-            reports.append(place._height(point))
-        except AdditiveReductionError:
-            additive.append(place.prime)
+    # every additive place is bad: a prime off the curve's own has good reduction
+    additive = [m.prime for m in model.bad_places if m.reduction.kind == "additive"]
     if additive:
         raise AdditiveReductionError(
             f"additive reduction at {additive}; restrict to semistable curves"
         )
+    places = place_list(curve, point)
+    # the point is checked above: each place, arch and the oracle trust it
+    reports = [place._height(point) for place in places]
     ctx = model.arch(config.precision_bits)
     arch_value = arch.local_height_from_uniformizer(ctx, arch._elliptic_log(ctx, point))
     total = arch_value + sum(rep.real_value for rep in reports)

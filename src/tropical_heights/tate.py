@@ -102,11 +102,8 @@ def j_times_q_coefficients(order: int) -> list:
 def _eval_int_series(coeffs: list, q: PadicElement) -> Fraction:
     """Exact rational value of sum c_n q^n, truncated once the terms vanish
     mod p**q.known_mod, to which precision it is certified; with q = a/b, by
-    Horner's rule on the integers c_n a^n b^(N-n), over b^N."""
-    ell = q.val()
-    if ell is INFINITY or ell <= 0:
-        raise InputError("parameter must have positive valuation")
-    n_max = -((-q.known_mod) // ell)  # ceil(known_mod / ell)
+    Horner's rule on the integers c_n a^n b^(N-n), over b^N; v(q) > 0."""
+    n_max = -((-q.known_mod) // q.val())  # ceil(known_mod / v(q))
     a, b = q.rational.numerator, q.rational.denominator
     terms = coeffs[: n_max + 1]
     acc, b_power = 0, 1
@@ -413,6 +410,8 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
     (Silverman, Advanced Topics V.3.1: q lies in Z[[1/j]]).
     """
     require_prime(p)
+    if precision < 1:
+        raise InputError(f"precision = {precision!r} must be at least 1")
     j = curve.j_invariant
     vj = _valuation(j, p)
     if vj is INFINITY or vj >= 0:
@@ -431,16 +430,16 @@ def tate_parameter(curve: WeierstrassCurve, p: int, precision: int = 20) -> Padi
         for c in coeffs:
             acc = (acc * q + c) % modulus
         q = w * acc % modulus
-    q = PadicElement(p, Fraction(q, p**ell), ell, target - ell, _prime_checked=True)
-    if q.val() != ell:
-        raise PrecisionError("parameter valuation mismatch")
-    return q
+    # v(w) = ell < target and J(q) = 1 mod p leave v(q) = ell
+    return PadicElement(p, Fraction(q, p**ell), ell, target - ell, _prime_checked=True)
 
 
 def tate_curve(q: PadicElement) -> WeierstrassCurve:
     """Curve y^2 + x y = x^3 + a4(q) x + a6(q) with exact rational
     representatives of the coefficient series."""
     ell = q.val()
+    if ell is INFINITY or ell <= 0:
+        raise InputError("parameter must have positive valuation")
     a4, a6 = (_eval_int_series(c, q) for c in tate_coefficients(q.known_mod // ell + 2))
     return WeierstrassCurve(Fraction(1), Fraction(0), Fraction(0), a4, a6)
 

@@ -47,6 +47,15 @@ def test_context_reproduces_j():
         assert (ctx.q > 0) == (curve.discriminant > 0)
 
 
+@pytest.mark.parametrize("bits", [52, 0, -5])
+def test_context_refuses_fewer_bits_than_a_run_config(bits):
+    """Bits are checked where they enter, against the bound RunConfig uses:
+    below 53 a context works under the precision its checks assume, and at
+    0 or less its first elliptic log would fail on a negative shift count."""
+    with pytest.raises(InputError, match=f"precision_bits = {bits} must be at least 53"):
+        arch_context(E37, bits)
+
+
 def test_j_off_the_branch_is_refused():
     # j < 1728 needs disc < 0; a positive-branch request must not be clamped
     eps = mp.mpf(2) ** -100

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -377,3 +378,152 @@ def test_trop_eval_off_the_identity_embedding(tmp_path, capsys):
         ["5/2;-13/3;3/4", "-17/6", "-6179/2880"],
         ["-1/6;4/5;9/7", "-13/6", "-6816703/3528000"],
     ]
+
+
+# The default table and --format csv, line by line.  A nested dict or list
+# prints its items indented under its key, a dict in a list is followed by a
+# blank line, and an empty list prints as [] on its key's line.
+GOLDEN_EXACT = [
+    ("table", ["theta-char", "theta"], [
+        "k                 :",
+        "  -5/2",
+        "kappa_mod_lattice :",
+        "  5/2",
+        "r                 : -5/8",
+        "r_base            : 0",
+    ]),
+    ("csv", ["theta-char", "theta"], [
+        "k,kappa_mod_lattice,r,r_base",
+        "['-5/2'],['5/2'],-5/8,0",
+    ]),
+    ("table", ["cvp", "data", "--point", "3/4"], [
+        "tropical_riemann_theta : -1/4",
+        "normalized             : 1/32",
+        "closest_lattice_vector :",
+        "  1",
+        "half_squared_distance  : 1/32",
+    ]),
+    ("csv", ["cvp", "data", "--point", "3/4"], [
+        "tropical_riemann_theta,normalized,closest_lattice_vector,half_squared_distance",
+        "-1/4,1/32,['1'],1/32",
+    ]),
+    ("table", ["local-height", "37a", "--point", "0,0", "--prime", "37"], [
+        "prime                 : 37",
+        "reduction             : nonsplit multiplicative",
+        "disc_valuation        : 1",
+        "intersection          : 0",
+        "component             : 0",
+        "lambda_v_units        : 1/12",
+        "lambda_real           : 0.3009098260536853",
+        "haar_integral_v_units : 1/12",
+        "note                  : via unramified quadratic extension",
+    ]),
+    ("csv", ["local-height", "37a", "--point", "0,0", "--prime", "37"], [
+        "prime,reduction,disc_valuation,intersection,component,lambda_v_units,"
+        "lambda_real,haar_integral_v_units,note",
+        "37,nonsplit multiplicative,1,0,0,1/12,0.3009098260536853,1/12,"
+        "via unramified quadratic extension",
+    ]),
+]
+
+# global-height tables with every float masked, so that the real place's
+# last bits may move: (0, 0) on 37a has the bad place 37, and (5, 5) on 11a
+# is a torsion point, whose oracle doubles nothing
+GOLDEN_MASKED = [
+    (["global-height", "37a", "--point", "0,0"], [
+        "point               :",
+        "  x : 0",
+        "  y : 0",
+        "places              :",
+        "  prime                 : 37",
+        "  reduction             : nonsplit multiplicative",
+        "  disc_valuation        : 1",
+        "  intersection          : 0",
+        "  component             : 0",
+        "  lambda_v_units        : 1/12",
+        "  lambda_real           : <float>",
+        "  haar_integral_v_units : 1/12",
+        "  note                  : via unramified quadratic extension",
+        "",
+        "archimedean         : <float>",
+        "global_sum          : <float>",
+        "doubling_oracle     : <float>",
+        "oracle_estimates    :",
+        *["  <float>"] * 10,
+        "discrepancy         : <float>",
+        "tolerance           : 1e-06",
+        "checked_good_primes :",
+        "  17",
+        "  43",
+        "  2",
+        "  11",
+        "  23",
+    ]),
+    (["global-height", "11a", "--point", "5,5"], [
+        "point               :",
+        "  x : 5",
+        "  y : 5",
+        "places              :",
+        "  prime                 : 11",
+        "  reduction             : split multiplicative",
+        "  disc_valuation        : 5",
+        "  intersection          : 0",
+        "  component             : 1",
+        "  lambda_v_units        : 1/60",
+        "  lambda_real           : <float>",
+        "  haar_integral_v_units : 5/12",
+        "  note                  : ",
+        "",
+        "archimedean         : <float>",
+        "global_sum          : <float>",
+        "doubling_oracle     : <float>",
+        "oracle_estimates    : []",
+        "discrepancy         : <float>",
+        "tolerance           : 1e-06",
+        "checked_good_primes :",
+        "  19",
+        "  43",
+        "  2",
+        "  13",
+        "  29",
+    ]),
+]
+
+
+@pytest.fixture()
+def golden_files(tmp_path):
+    objects = {
+        "theta": theta_to_dict(generate_theta_terms(rank1_tate_data(5))),
+        "data": degeneration_to_dict(rank1_tate_data(1)),
+        "37a": curve_to_dict(WeierstrassCurve.from_coeffs(0, 0, 1, -1, 0)),
+        "11a": curve_to_dict(WeierstrassCurve.from_coeffs(0, -1, 1, -10, -20)),
+    }
+    for name, obj in objects.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(tmp_path / f"{name}.json") for name in objects}
+
+
+def _printed(golden_files, capsys, fmt, argv):
+    argv = [argv[0], golden_files[argv[1]], *argv[2:]]
+    assert main(["--format", fmt, *argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("fmt, argv, lines", GOLDEN_EXACT)
+def test_table_and_csv_output_is_pinned(fmt, argv, lines, golden_files, capsys):
+    assert _printed(golden_files, capsys, fmt, argv) == lines
+
+
+@pytest.mark.parametrize("argv, lines", GOLDEN_MASKED)
+def test_global_height_table_is_pinned_up_to_floats(argv, lines, golden_files, capsys):
+    printed = _printed(golden_files, capsys, "table", argv)
+    assert [re.sub(r"-?\d+\.\d+(e-?\d+)?", "<float>", line) for line in printed] == lines
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_all_runs_every_suite(seed, capsys):
+    assert main(["--seed", str(seed), "verify", "all"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [(r["suite"], r["cases"], r["passed"]) for r in results] == [
+        ("cvp", 100, True), ("quantization", 20, True), ("theta-char", 20, True),
+        ("trop-invariance", 70, True), ("tate-dual-route", 20, True)]

@@ -508,6 +508,29 @@ def test_tate_parameter_needs_negative_j_valuation():
         tate_parameter(E37, 5, precision=8)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_tate_parameter_refuses_a_precision_below_one(precision):
+    """Below one certified digit q would carry nothing: the bound is checked
+    where it enters."""
+    with pytest.raises(InputError, match=f"precision = {precision} must be at least 1"):
+        tate_parameter(E11, 11, precision)
+
+
+@pytest.mark.parametrize("q", [
+    PadicElement.from_rational(5, 3, 20),
+    PadicElement.from_rational(5, F(3, 25), 20),
+    PadicElement.exact_zero(5),
+], ids=["v(q)=0", "v(q)=-2", "q=0"])
+@pytest.mark.parametrize("call", [
+    lambda q, z: tate_curve(q), tate_curve_point, theta_valuation, local_height_from_parameter,
+], ids=["tate_curve", "tate_curve_point", "theta_valuation", "local_height_from_parameter"])
+def test_a_parameter_without_positive_valuation_is_an_input_error(q, call):
+    """Every entry that takes a Tate parameter, tate_curve included, refuses
+    v(q) <= 0 and the exact zero before its series divide by v(q)."""
+    with pytest.raises(InputError, match="parameter must have positive valuation"):
+        call(q, PadicElement.from_rational(5, 2, 20))
+
+
 def test_tate_curve_reduction_is_split():
     q = PadicElement.from_rational(3, 3**2, 40)
     curve = tate_curve(q)
