@@ -9,8 +9,8 @@ and its partner, or with one real root the AGMs of Cohen's Alg. 7.4.7 (GTM
 138) as pi / (2 R_F(0, a^2, b^2)), pi = 2 R_F(0, 1, 1).  The rate d(log
 u)/dz = 2 pi i / omega_1 gives t = scale2 (X + 1/12), scale2 = re(rate^2),
 for the Tate curve's X = P_q(u) - 2 sigma_1, P_q(u) the sum over n in Z of
-f(q^n u), f(w) = w/(1 - w)^2.  c4(q), sigma_1 and j = c4^3 / Delta, which
-only checks q, are the integer q-expansions of ``tate`` by Horner's rule.
+f(q^n u), f(w) = w/(1 - w)^2.  c4(q) and sigma_1 are Lambert sums over
+q^n/(1 - q^n), and j = c4^3/Delta, Delta = q prod (1 - q^n)^24, checks q.
 u comes down the chain of 2-isogenies E_q <- E_{q^2} <- ... of Landen's
 transformation (Cremona-Thongjunthug, J. Number Theory 133, 2013): P_q(u) =
 P_{q^2}(u) + P_{q^2}(q u), two roots of a quadratic whose discriminant at A
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import isqrt
 
 from .curves import CurvePoint, WeierstrassCurve
 from .errors import InputError, PrecisionError
 from .fixed import carlson_rf, exp, inverse, log
-from .tate import discriminant_coefficients, eisenstein4_coefficients, sigma_coefficients
 
 _TERM_GUARD = 30
 _MIN_BITS = 53  # the fewest precision_bits a context, and a RunConfig, accepts
@@ -50,31 +48,23 @@ def _scaled(x: Fraction, e: int) -> int:
 
 
 def _q_expansions(q: int, eps: int, f: int) -> tuple:
-    """(c4, sigma_1, Delta) at q, all at scale 2^f: the integer q-expansions
-    of ``tate`` by Horner's rule, each to less than eps (relative to q for
-    sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
-    240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
-    rel = eps * abs(q) >> f
-    lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3, f)),
-             sigma_coefficients(1, _terms(q, rel, 1, 2, f)),
-             discriminant_coefficients(_terms(q, rel, 2, 6, f))[1:])
-    c4, sigma1, disc_over_q = (reduce(lambda s, c: (s * q >> f) + (c << f), c[::-1], 0)
-                               for c in lists)
-    return c4, sigma1, q * disc_over_q >> f
-
-
-def _terms(q: int, eps: int, growth: int, power: int, f: int) -> int:
-    """Terms of sum c_n q^n, |c_n| <= growth n^power, that leave out less
-    than eps, q and eps at scale 2^f: the first n with growth n^power |q|^n
-    < eps / 2, past which the bound falls by more than half per term (|q| <=
-    e^-pi).  |q|^n is kept at scale 2^2f, since a term's coefficient can
-    lift it from below 2^-f."""
-    n, qn = 1, abs(q) << f
-    while 2 * growth * n**power * qn >= eps << f:
+    """(c4, sigma_1, Delta) at q at scale 2^f: 1 + 240 sum n^3 r_n, sum n
+    r_n and q prod (1 - q^n)^24, r_n = q^n / (1 - q^n), over n < N, the
+    first n with 512 n^3 |q|^n < eps |q|.  As |q| <= e^-pi, |r_n| < 1.05
+    |q|^n and the terms' bounds fall by 0.35 a step: the tails are below
+    400 N^3 |q|^N < eps, 2 N |q|^N < eps |q| and 27 |q|^N |Delta| < 80
+    |q|^(N+1) < eps |q|.  At scale 2^2f each r_n is off by under 2.2 units
+    and each step of the product by under 5: at f >= 74, N <= 100000 such
+    errors weighted by 240 n^3 (24 for Delta) stay below 2^-f."""
+    g, n, qn, sigma1 = 2 * f, 1, q << f, 0
+    one = c4 = prod = 1 << g
+    while 512 * n**3 * abs(qn) >= eps * abs(q):
         if n > 100000:
             raise PrecisionError("q-series failed to converge")
-        n, qn = n + 1, qn * abs(q) >> f
-    return n
+        r = (qn << g) // (one - qn)
+        c4, sigma1, prod = c4 + 240 * n**3 * r, sigma1 + n * r, prod * (one - qn) >> g
+        n, qn = n + 1, qn * q >> f
+    return c4 >> f, sigma1 >> f, q * prod**24 >> 24 * g  # prod^24 by squarings, exact
 
 
 def _roots(p: int, r: int, f: int, three: bool) -> tuple:

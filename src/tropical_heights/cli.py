@@ -47,6 +47,7 @@ _INPUT_ERRORS = (
     json.JSONDecodeError,
     KeyError,
     ValueError,
+    OSError,  # a missing or unreadable input file
 )
 _PRECONDITION_ERRORS = (PreconditionError, PrecisionError)
 
@@ -63,8 +64,10 @@ def _emit(payload: dict, fmt: str):
         _emit_table(payload)
     elif "rows" in payload:
         csv.writer(sys.stdout).writerows([payload["columns"], *payload["rows"]])
-    else:
-        csv.writer(sys.stdout).writerows([payload.keys(), payload.values()])
+    else:  # a nested cell is written as JSON, which a reader can load back
+        cells = [json.dumps(v, default=str) if isinstance(v, (dict, list)) else v
+                 for v in payload.values()]
+        csv.writer(sys.stdout).writerows([payload.keys(), cells])
 
 
 def _emit_table(payload: dict, indent=""):
@@ -264,9 +267,6 @@ def main(argv=None) -> int:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

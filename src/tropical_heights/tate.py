@@ -5,8 +5,8 @@ canonical local heights at non-archimedean places.
 A p-minimal model is rebuilt from (c4, c6) by one closed form at every
 prime (Kraus's conditions at p = 2, 3), with no search over residues.
 The Tate curve's integer q-expansions are int lists from one sigma_k
-sieve; ``arch`` evaluates the same lists at its real q.  A point built
-from a parameter sums Lambert series over q's own units 1 - q^m.
+sieve, read on the p-adic side alone.  A point built from a parameter
+sums Lambert series over q's own units 1 - q^m.
 
 All local height values are exact rationals in v-units (a uniformizer has
 valuation one); multiply by log p only at global assembly time.
@@ -86,11 +86,6 @@ def _e4_cubed_and_discriminant(order: int) -> tuple:
     if any(c % 1728 for c in diff):
         raise AssertionError("E4^3 - E6^2 must be divisible by 1728")
     return e4_cubed, [c // 1728 for c in diff]
-
-
-def discriminant_coefficients(order: int) -> list:
-    """q-expansion of q prod (1-q^n)^24, computed as (E4^3 - E6^2)/1728."""
-    return _e4_cubed_and_discriminant(order)[1]
 
 
 def j_times_q_coefficients(order: int) -> list:
@@ -446,6 +441,8 @@ def tate_curve(q: PadicElement) -> WeierstrassCurve:
 
 def normalize_parameter(q: PadicElement, z: PadicElement) -> PadicElement:
     """Multiply z by a power of q so that 0 <= v(z) < v(q)."""
+    if q.prime != z.prime:
+        raise InputError(f"q is {q.prime}-adic but z is {z.prime}-adic")
     ell = q.val()
     if ell is INFINITY or ell <= 0:
         raise InputError("parameter must have positive valuation")
@@ -486,8 +483,7 @@ def tate_curve_point(q: PadicElement, z: PadicElement) -> CurvePoint:
     the equation have valuations >= -4e in x and >= -3e in y, so rounding
     keeps the residue at valuation >= K - 6e = known - 2e >= 3 ell + 6.
     """
-    ell = q.val()
-    z = normalize_parameter(q, z)
+    ell, z = q.val(), normalize_parameter(q, z)
     if z.rational == 1:
         raise InputError("z in q^Z maps to the origin")
     p, known = q.prime, q.known_mod

@@ -97,12 +97,12 @@ from tropical_heights.exact import INFINITY, PadicElement, is_prime, val_p
 from tropical_heights.linalg import mat_inverse, mat_mul, mat_vec
 from tropical_heights.tate import (
     Transformation,
+    _e4_cubed_and_discriminant,
     _eval_int_series,
     _mod_p,
     _p_integral,
     _series_div,
     _series_mul,
-    discriminant_coefficients,
     eisenstein4_coefficients,
     eisenstein6_coefficients,
     j_times_q_coefficients,
@@ -185,7 +185,7 @@ def j_from_parameter(q: PadicElement) -> tuple:
     """(representative of j(q), certified absolute precision exponent)."""
     ell = q.val()
     e4 = _eval_int_series(eisenstein4_coefficients(q.known_mod // ell + 2), q)
-    disc = _eval_int_series(discriminant_coefficients(q.known_mod // ell + 2), q)
+    disc = _eval_int_series(_e4_cubed_and_discriminant(q.known_mod // ell + 2)[1], q)
     return e4**3 / disc, q.known_mod - 2 * ell
 
 
@@ -623,13 +623,15 @@ def quadratic_value(gram, x) -> Fraction:
 
 def _q_expansions(q, eps) -> tuple:
     """(c4, sigma_1, Delta) at q: the integer q-expansions of ``tate``
-    summed by Horner's rule, each to less than eps (relative to q for
-    sigma_1 and Delta, which start at q) by its n-th coefficient's bound:
-    240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6."""
+    summed by Horner's rule in mpmath, each to less than eps (relative to q
+    for sigma_1 and Delta, which start at q) by its n-th coefficient's
+    bound: 240 zeta(3) n^3, n^2 and |tau(n)| <= d(n) n^5.5 <= 2 n^6.  It is
+    the coefficient-list reference for the Lambert sums and the product
+    that ``arch._q_expansions`` sums on ints."""
     rel = eps * abs(q)
     lists = (eisenstein4_coefficients(_terms(q, eps, 289, 3)),
              sigma_coefficients(1, _terms(q, rel, 1, 2)),
-             discriminant_coefficients(_terms(q, rel, 2, 6))[1:])
+             _e4_cubed_and_discriminant(_terms(q, rel, 2, 6))[1][1:])
     c4, sigma1, disc_over_q = (mp.polyval(c[::-1], q) for c in lists)
     return c4, sigma1, q * disc_over_q
 

@@ -342,6 +342,34 @@ def test_arch_work_counts(monkeypatch):
         assert work["_q_expansions"] == 0, (point, work)
 
 
+@pytest.mark.parametrize("value", [0, 2], ids=["c4", "Delta"])
+@pytest.mark.parametrize("curve", [E37, E11], ids=["37a", "11a"])
+@pytest.mark.parametrize("bits", [64, 128])
+def test_the_j_check_refuses_a_perturbed_q_expansion(monkeypatch, bits, curve, value):
+    """arch_context refuses a q whose c4^3 / Delta misses j by more than
+    (|j| + 1728) 2^-(bits - 10).  Scaling Delta by 1 + d moves c4^3 / Delta
+    by |j| d to first order, and scaling c4 moves it by 3 |j| d.  At d =
+    2^-(bits - 16) that is 64 |j| (192 |j| for c4) units of 2^-(bits - 10),
+    above the tolerance's |j| + 1728 once 63 |j| > 1728, or |j| > 27.43:
+    37a has j = 110592/37, about 2989, and 11a |j| about 758.  At d =
+    2^-(bits + 8) it is 3 |j| 2^-18 units at most, below the tolerance by a
+    factor of more than 2^16, which leaves the value's own error room."""
+    inner = arch._q_expansions
+
+    def run(shift):
+        def scaled(*args):
+            values = list(inner(*args))
+            values[value] += values[value] >> shift
+            return tuple(values)
+
+        monkeypatch.setattr(arch, "_q_expansions", scaled)
+        return arch_context(curve, bits)
+
+    with pytest.raises(PrecisionError, match="q-inversion did not reproduce j to tolerance"):
+        run(bits - 16)
+    run(bits + 8)  # within the tolerance: no refusal
+
+
 def test_q_expansions_match_lambert_sums(semistable_examples):
     """c4, sigma_1 and Delta from the integer q-expansions, and the
     reference's c6, against Lambert sums and q (q; q)_inf^24 summed to

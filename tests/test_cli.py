@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from fractions import Fraction as F
@@ -394,7 +395,7 @@ GOLDEN_EXACT = [
     ]),
     ("csv", ["theta-char", "theta"], [
         "k,kappa_mod_lattice,r,r_base",
-        "['-5/2'],['5/2'],-5/8,0",
+        '"[""-5/2""]","[""5/2""]",-5/8,0',
     ]),
     ("table", ["cvp", "data", "--point", "3/4"], [
         "tropical_riemann_theta : -1/4",
@@ -405,7 +406,7 @@ GOLDEN_EXACT = [
     ]),
     ("csv", ["cvp", "data", "--point", "3/4"], [
         "tropical_riemann_theta,normalized,closest_lattice_vector,half_squared_distance",
-        "-1/4,1/32,['1'],1/32",
+        '-1/4,1/32,"[""1""]",1/32',
     ]),
     ("table", ["local-height", "37a", "--point", "0,0", "--prime", "37"], [
         "prime                 : 37",
@@ -512,6 +513,22 @@ def _printed(golden_files, capsys, fmt, argv):
 @pytest.mark.parametrize("fmt, argv, lines", GOLDEN_EXACT)
 def test_table_and_csv_output_is_pinned(fmt, argv, lines, golden_files, capsys):
     assert _printed(golden_files, capsys, fmt, argv) == lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta-char", "theta"],
+    ["cvp", "data", "--point", "3/4"],
+    ["global-height", "37a", "--point", "0,0"],
+], ids=["theta-char", "cvp", "global-height"])
+def test_csv_nested_cells_load_back_as_the_json_payload(argv, golden_files, capsys):
+    """A dict or list cell of --format csv is JSON: csv.reader and json.loads
+    of each nested cell give back the --format json payload."""
+    payload = json.loads("\n".join(_printed(golden_files, capsys, "json", argv)))
+    keys, cells = csv.reader(_printed(golden_files, capsys, "csv", argv))
+    nested = {key for key, value in payload.items() if isinstance(value, (dict, list))}
+    assert nested
+    assert {key: json.loads(cell) if key in nested else cell for key, cell in zip(keys, cells)} == {
+        key: value if key in nested else str(value) for key, value in payload.items()}
 
 
 @pytest.mark.parametrize("argv, lines", GOLDEN_MASKED)

@@ -32,8 +32,8 @@ from tropical_heights.tate import (
     LocalHeightReport,
     LocalModel,
     Transformation,
+    _e4_cubed_and_discriminant,
     _eval_int_series,
-    discriminant_coefficients,
     intersection_multiplicity,
     j_times_q_coefficients,
     local_height_from_parameter,
@@ -453,7 +453,7 @@ def test_j_expansion_classical_coefficients():
     coeffs = j_times_q_coefficients(4)
     assert coeffs == [1, 744, 196884, 21493760]
     # Ramanujan tau(1..5)
-    assert discriminant_coefficients(6) == [0, 1, -24, 252, -1472, 4830]
+    assert _e4_cubed_and_discriminant(6)[1] == [0, 1, -24, 252, -1472, 4830]
 
 
 def test_inverse_j_series_leading_terms():
@@ -529,6 +529,18 @@ def test_a_parameter_without_positive_valuation_is_an_input_error(q, call):
     v(q) <= 0 and the exact zero before its series divide by v(q)."""
     with pytest.raises(InputError, match="parameter must have positive valuation"):
         call(q, PadicElement.from_rational(5, 2, 20))
+
+
+@pytest.mark.parametrize("call", [
+    normalize_parameter, tate_curve_point, theta_valuation, local_height_from_parameter,
+], ids=["normalize_parameter", "tate_curve_point", "theta_valuation",
+        "local_height_from_parameter"])
+def test_q_and_z_of_different_primes_are_an_input_error(call):
+    """A parameter z is read at q's prime: a 5-adic z beside a 3-adic q is
+    refused with both primes named, not summed as if it were 3-adic."""
+    q, z = PadicElement.from_rational(3, 9, 20), PadicElement.from_rational(5, 2, 20)
+    with pytest.raises(InputError, match="q is 3-adic but z is 5-adic"):
+        call(q, z)
 
 
 def test_tate_curve_reduction_is_split():
